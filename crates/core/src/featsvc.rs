@@ -34,11 +34,17 @@ type CacheKey = (u64, u32, Option<FeatureKind>);
 /// Note that *virtual* extraction latencies are charged by the scheduler
 /// from the Table 1 cost table, not here; this service only computes the
 /// feature values.
+///
+/// The deep stand-ins' weights are not part of a service: every service
+/// extracts through the one process-wide [`DeepExtractors::shared`] copy,
+/// so a service is only its cache and costs nothing to build.
 #[derive(Debug)]
 pub struct FeatureService {
-    deep: DeepExtractors,
     raster_size: usize,
     cache: BTreeMap<CacheKey, (Cached, u64)>,
+    /// Stamp -> key index over `cache`, one slot per entry, for O(log n)
+    /// LRU eviction (see [`Self::evict_to_cap`]).
+    lru: BTreeMap<u64, CacheKey>,
     max_cache: usize,
     /// Monotonic access counter stamping cache entries for LRU eviction.
     tick: u64,
@@ -64,9 +70,9 @@ impl FeatureService {
     pub fn with_raster_size(raster_size: usize) -> Self {
         assert!(raster_size >= 16, "raster too small: {raster_size}");
         Self {
-            deep: DeepExtractors::new(),
             raster_size,
             cache: BTreeMap::new(),
+            lru: BTreeMap::new(),
             max_cache: 2048,
             tick: 0,
         }
@@ -77,20 +83,31 @@ impl FeatureService {
         self.raster_size
     }
 
+    /// The deep stand-ins every service extracts through.
+    fn deep(&self) -> &'static DeepExtractors {
+        DeepExtractors::shared()
+    }
+
     /// Evicts least-recently-used entries until an insert fits the bound.
+    ///
+    /// A hit re-stamps its entry but leaves the entry's index slot at the
+    /// older stamp; the slot moves up to the current stamp only when it
+    /// reaches the front. Every cached key thus has exactly one slot, at
+    /// a stamp no later than its current one, so the first slot whose
+    /// stamp is current belongs to the least-recently-used entry.
     fn evict_to_cap(&mut self) {
         while self.cache.len() >= self.max_cache {
-            // `min_by_key` is `None` only for an empty cache, which the
-            // loop condition already rules out (`max_cache >= 1`).
-            let Some(oldest) = self
-                .cache
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| *k)
-            else {
+            let Some((stamp, oldest)) = self.lru.pop_first() else {
                 return;
             };
-            self.cache.remove(&oldest);
+            match self.cache.get(&oldest) {
+                Some(&(_, current)) if current != stamp => {
+                    self.lru.insert(current, oldest);
+                }
+                _ => {
+                    self.cache.remove(&oldest);
+                }
+            }
         }
     }
 
@@ -105,11 +122,14 @@ impl FeatureService {
     }
 
     /// Inserts a freshly computed value (evicting LRU entries if full)
-    /// and stamps it as just-used.
+    /// and stamps it as just-used. Callers insert only after a miss, so
+    /// the key has no stamp in the index yet.
     fn cache_insert(&mut self, key: CacheKey, value: Cached) {
         self.evict_to_cap();
         self.tick += 1;
-        self.cache.insert(key, (value, self.tick));
+        self.lru.insert(self.tick, key);
+        let previous = self.cache.insert(key, (value, self.tick));
+        debug_assert!(previous.is_none(), "inserted a cached key");
     }
 
     /// Rasterizes (or fetches from cache) a frame of a video.
@@ -166,14 +186,8 @@ impl FeatureService {
         let value = match kind {
             FeatureKind::HoC => hoc::extract(self.raster(video, frame_idx)),
             FeatureKind::Hog => hog::extract(self.raster(video, frame_idx)),
-            FeatureKind::ResNet50 => {
-                let raster = self.raster(video, frame_idx).clone();
-                self.deep.resnet50(&raster)
-            }
-            FeatureKind::MobileNetV2 => {
-                let raster = self.raster(video, frame_idx).clone();
-                self.deep.mobilenetv2(&raster)
-            }
+            FeatureKind::ResNet50 => self.deep().resnet50(self.raster(video, frame_idx)),
+            FeatureKind::MobileNetV2 => self.deep().mobilenetv2(self.raster(video, frame_idx)),
             FeatureKind::Light | FeatureKind::CPoP => unreachable!("handled above"),
         };
         self.cache_insert(key, Cached::Feature(value.clone()));
@@ -297,5 +311,112 @@ mod tests {
         assert!(!svc
             .cache
             .contains_key(&(v.spec.seed, 0, Some(FeatureKind::CPoP))));
+    }
+
+    #[test]
+    fn services_share_one_copy_of_the_deep_weights() {
+        let v = video();
+        let mut a = FeatureService::new();
+        let mut b = FeatureService::new();
+        assert!(std::ptr::eq(a.deep(), b.deep()));
+        assert!(std::ptr::eq(a.deep(), DeepExtractors::shared()));
+        let x = a.extract_heavy(FeatureKind::ResNet50, &v, 0, None).unwrap();
+        let y = b.extract_heavy(FeatureKind::ResNet50, &v, 0, None).unwrap();
+        assert_eq!(x, y);
+    }
+
+    /// The LRU as it was specified before the stamp index: stamps in a
+    /// key map, eviction by a linear scan for the smallest stamp.
+    struct LinearScanLru {
+        cap: usize,
+        tick: u64,
+        map: BTreeMap<CacheKey, u64>,
+    }
+
+    impl LinearScanLru {
+        fn touch(&mut self, key: CacheKey) -> bool {
+            self.tick += 1;
+            match self.map.get_mut(&key) {
+                Some(stamp) => {
+                    *stamp = self.tick;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn insert(&mut self, key: CacheKey) {
+            while self.map.len() >= self.cap {
+                let oldest = *self.map.iter().min_by_key(|(_, s)| **s).unwrap().0;
+                self.map.remove(&oldest);
+            }
+            self.tick += 1;
+            self.map.insert(key, self.tick);
+        }
+
+        fn raster(&mut self, seed: u64, frame: u32) {
+            let key = (seed, frame, None);
+            if !self.touch(key) {
+                self.insert(key);
+            }
+        }
+
+        fn heavy(&mut self, kind: FeatureKind, seed: u64, frame: u32) {
+            if matches!(kind, FeatureKind::Light | FeatureKind::CPoP) {
+                return;
+            }
+            let key = (seed, frame, Some(kind));
+            if !self.touch(key) {
+                self.raster(seed, frame);
+                self.insert(key);
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_lru_evicts_like_the_linear_scan() {
+        use rand::{Rng, SeedableRng};
+        let videos: Vec<Video> = [101, 202]
+            .iter()
+            .map(|&seed| {
+                Video::generate(VideoSpec {
+                    seed,
+                    ..video().spec
+                })
+            })
+            .collect();
+        let logits = vec![vec![0.0f32; 31]; 2];
+        for trace_seed in 0..8u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(trace_seed);
+            let cap = rng.gen_range(1..=6usize);
+            // A 16-pixel raster keeps even the conv stand-ins cheap.
+            let mut svc = FeatureService::with_raster_size(16);
+            svc.max_cache = cap;
+            let mut model = LinearScanLru {
+                cap,
+                tick: 0,
+                map: BTreeMap::new(),
+            };
+            for step in 0..200 {
+                let v = &videos[rng.gen_range(0..videos.len())];
+                let frame = rng.gen_range(0..v.len());
+                let (seed, f) = (v.spec.seed, frame as u32);
+                match rng.gen_range(0..=lr_features::HEAVY_FEATURE_KINDS.len()) {
+                    0 => {
+                        let _ = svc.raster(v, frame);
+                        model.raster(seed, f);
+                    }
+                    k => {
+                        let kind = lr_features::HEAVY_FEATURE_KINDS[k - 1];
+                        let _ = svc.extract_heavy(kind, v, frame, Some(&logits));
+                        model.heavy(kind, seed, f);
+                    }
+                }
+                let resident: Vec<_> = svc.cache.keys().copied().collect();
+                let expected: Vec<_> = model.map.keys().copied().collect();
+                assert_eq!(resident, expected, "trace {trace_seed}, step {step}");
+                assert_eq!(svc.lru.len(), svc.cache.len());
+            }
+        }
     }
 }

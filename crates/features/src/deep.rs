@@ -9,6 +9,12 @@
 //! information about the content regime, which these do.
 //!
 //! Output dimensions match Table 1: ResNet50 -> 1024, MobileNetV2 -> 1280.
+//!
+//! The weights come from fixed seeds, so every copy of the stacks is the
+//! same: [`DeepExtractors::shared`] builds them once per process, on first
+//! use, and every feature service extracts through that one copy.
+
+use std::sync::OnceLock;
 
 use lr_nn::conv::{ConvStack, FeatureMap};
 use lr_video::RgbFrame;
@@ -18,8 +24,9 @@ pub const RESNET50_DIM: usize = 1024;
 /// Output dimensionality of the MobileNetV2 stand-in.
 pub const MOBILENETV2_DIM: usize = 1280;
 
-/// Both deep extractors, constructed once and reused (construction builds
-/// the fixed random filters).
+/// Both deep extractors. Construction draws the fixed random filters
+/// (about 1.7M weights), so callers share [`DeepExtractors::shared`]
+/// rather than building their own.
 #[derive(Debug, Clone)]
 pub struct DeepExtractors {
     resnet: ConvStack,
@@ -47,6 +54,13 @@ impl DeepExtractors {
             0x5E5E_0002,
         );
         Self { resnet, mobilenet }
+    }
+
+    /// The process-wide copy, built by the first caller; racing first
+    /// callers block until it is ready.
+    pub fn shared() -> &'static Self {
+        static SHARED: OnceLock<DeepExtractors> = OnceLock::new();
+        SHARED.get_or_init(Self::new)
     }
 
     /// The ResNet50 stand-in embedding (1024-d).
@@ -100,6 +114,22 @@ mod tests {
         let e1 = DeepExtractors::new().resnet50(&a);
         let e2 = DeepExtractors::new().resnet50(&a);
         assert_eq!(e1, e2);
+    }
+
+    #[test]
+    fn shared_embeddings_match_a_fresh_build() {
+        let (a, b) = frames();
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fresh = DeepExtractors::new();
+        let shared = DeepExtractors::shared();
+        for frame in [&a, &b] {
+            assert_eq!(bits(shared.resnet50(frame)), bits(fresh.resnet50(frame)));
+            assert_eq!(
+                bits(shared.mobilenetv2(frame)),
+                bits(fresh.mobilenetv2(frame))
+            );
+        }
+        assert!(std::ptr::eq(shared, DeepExtractors::shared()));
     }
 
     #[test]

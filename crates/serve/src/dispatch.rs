@@ -73,7 +73,8 @@ pub struct ServeConfig {
     /// is byte-identical to the pre-fault dispatcher.
     pub fault: Option<lr_device::FaultConfig>,
     /// Sliding window (in GoFs) over which a stream's fault rate is
-    /// measured for eviction.
+    /// measured for eviction. `0` disables fault eviction: faults are
+    /// still injected and absorbed, but no stream is evicted for them.
     pub fault_window_gofs: usize,
     /// Fraction of the window's GoFs that must have faulted to evict the
     /// stream.
@@ -455,7 +456,7 @@ pub fn serve_traced(
             // Fault accounting: a stream whose recent GoFs keep faulting
             // is evicted — its booked capacity released — and re-offered
             // only after an exponential backoff.
-            if cfg.fault.is_some() {
+            if cfg.fault.is_some() && cfg.fault_window_gofs > 0 {
                 s.fault_window.push_back(step.faults > 0);
                 if s.fault_window.len() > cfg.fault_window_gofs {
                     s.fault_window.pop_front();
@@ -657,6 +658,28 @@ mod tests {
             if s.admitted() && !s.terminal_evicted {
                 assert_eq!(s.frames, 48, "{} did not finish", s.name);
             }
+        }
+    }
+
+    #[test]
+    fn zero_fault_window_disables_eviction() {
+        let t = trained();
+        let mut svc = FeatureService::new();
+        let specs: Vec<StreamSpec> = (0..3)
+            .map(|i| StreamSpec::synthetic(i, SloClass::Silver, 48))
+            .collect();
+        let mut cfg = ServeConfig::new(DeviceKind::JetsonTx2);
+        cfg.fault = Some(lr_device::FaultConfig {
+            transient_rate: 0.3,
+            ..lr_device::FaultConfig::moderate(77)
+        });
+        cfg.fault_window_gofs = 0;
+        let r = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        assert!(r.total_faults() > 0, "30% transient rate must fault");
+        assert_eq!(r.total_evictions(), 0);
+        for s in &r.streams {
+            assert!(!s.terminal_evicted, "{} was evicted", s.name);
+            assert_eq!(s.frames, 48, "{} did not finish", s.name);
         }
     }
 
