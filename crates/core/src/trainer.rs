@@ -76,10 +76,15 @@ pub fn train_scheduler(
 
     // Per-feature models are seeded independently (`seed ^ kind`), so
     // they can train concurrently with results identical to the
-    // sequential loop for any worker count.
-    let kinds: Vec<FeatureKind> = std::iter::once(FeatureKind::Light)
+    // sequential loop for any worker count. Training time grows with the
+    // input width and the pool hands models out in order, so the widest
+    // go first: a wide model started last would set the makespan. The
+    // models land in a map keyed by kind, so the order ends here.
+    let mut kinds: Vec<FeatureKind> = std::iter::once(FeatureKind::Light)
         .chain(cfg.heavy_kinds.iter().copied())
         .collect();
+    let heavy_width = |kind: &FeatureKind| dataset.records[0].heavy.get(kind).map_or(0, Vec::len);
+    kinds.sort_by_key(|kind| std::cmp::Reverse(heavy_width(kind)));
     let pool = lr_pool::Pool::from_env();
     let models = pool.par_map(&kinds, |&kind| {
         AccuracyModel::train(kind, dataset, &cfg.model, cfg.seed)

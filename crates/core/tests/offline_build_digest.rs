@@ -1,0 +1,94 @@
+//! Pins the offline build bit for bit: profiling two generated videos
+//! with every heavy feature (the conv stand-ins included) and training
+//! an accuracy model per feature must reproduce the committed digests.
+//! A kernel change that moves one bit of a profiled feature or of a
+//! trained weight changes a digest and fails here.
+
+use litereconfig::offline::{profile_videos, OfflineConfig};
+use litereconfig::predictor::AccuracyModelConfig;
+use litereconfig::{train_scheduler, FeatureService, TrainConfig};
+use lr_kernels::branch::small_catalog;
+use lr_kernels::{DetectorConfig, DetectorFamily};
+use lr_video::{Video, VideoSpec};
+
+// Both digests were recorded with the direct-loop convolution and the
+// dot-product `matmul_transposed`, before either ran on the blocked
+// matmul kernel.
+
+/// Digest of every profiled feature vector (light and heavy).
+const FEATURES_DIGEST: u64 = 0xc2f9_4f69_05c2_d8de;
+/// Digest of every accuracy model's predictions on the first records.
+const PREDICTIONS_DIGEST: u64 = 0xe481_6bf4_229d_07dd;
+
+/// 64-bit FNV-1a over the bit patterns of a stream of `f32`s.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, values: &[f32]) {
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                self.0 ^= u64::from(byte);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+}
+
+#[test]
+fn offline_build_matches_the_pinned_digests() {
+    let videos: Vec<Video> = (0..2)
+        .map(|i| {
+            Video::generate(VideoSpec {
+                id: i,
+                seed: 900 + i as u64,
+                width: 640.0,
+                height: 480.0,
+                num_frames: 80,
+            })
+        })
+        .collect();
+    let offline = OfflineConfig {
+        snippet_len: 40,
+        catalog: small_catalog(),
+        family: DetectorFamily::FasterRcnn,
+        reference_detector: DetectorConfig::new(576, 100),
+        seed: 12,
+    };
+    let dataset = profile_videos(&videos, &offline, &mut FeatureService::new());
+
+    let mut features = Fnv1a::new();
+    for record in &dataset.records {
+        assert_eq!(record.heavy.len(), lr_features::HEAVY_FEATURE_KINDS.len());
+        features.add(&record.light);
+        for vector in record.heavy.values() {
+            features.add(vector);
+        }
+    }
+
+    let cfg = TrainConfig {
+        model: AccuracyModelConfig::tiny(),
+        heavy_kinds: lr_features::HEAVY_FEATURE_KINDS.to_vec(),
+        ..TrainConfig::tiny()
+    };
+    let trained = train_scheduler(&dataset, DetectorFamily::FasterRcnn, &cfg);
+    assert_eq!(trained.accuracy.len(), 6);
+    let mut predictions = Fnv1a::new();
+    for record in dataset.records.iter().take(3) {
+        for (kind, model) in &trained.accuracy {
+            let heavy = record.heavy.get(kind).map(Vec::as_slice);
+            predictions.add(&model.predict(&record.light, heavy));
+        }
+    }
+
+    assert_eq!(
+        (features.0, predictions.0),
+        (FEATURES_DIGEST, PREDICTIONS_DIGEST),
+        "offline build moved: features {:#018x}, predictions {:#018x}",
+        features.0,
+        predictions.0
+    );
+}

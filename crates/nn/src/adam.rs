@@ -112,8 +112,10 @@ impl AdamMlp {
         let mut grad = loss::mse_gradient_batch_mean(&x, targets);
         // Collect per-layer gradients via backward.
         let mut grads: Vec<(Matrix, Matrix)> = Vec::with_capacity(self.layers.len());
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            if let Some(g) = layer.backward(&grad, i > 0) {
+                grad = g;
+            }
             grads.push(layer.take_gradients().expect("gradients after backward"));
         }
         grads.reverse();

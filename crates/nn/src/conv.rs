@@ -10,7 +10,11 @@
 //!
 //! No backpropagation is implemented here; these stacks are never trained.
 
+use std::borrow::Cow;
+
 use rand::Rng;
+
+use crate::tensor::Matrix;
 
 /// A channels-height-width `f32` feature map (CHW layout).
 #[derive(Debug, Clone, PartialEq)]
@@ -101,19 +105,27 @@ impl FeatureMap {
 }
 
 /// A single 2-D convolution layer with square kernels, stride, and ReLU.
+///
+/// The forward pass lowers the input to im2col (one row per output
+/// position, one column per tap) and runs the crate's blocked matmul
+/// kernel against the weights, so it shares that kernel's speed.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
     stride: usize,
-    // Weights in [out_c][in_c][ky][kx] order, flattened.
-    weights: Vec<f32>,
+    // Weights as a taps x out-channels matrix, taps in (ic, ky, kx) order:
+    // the right-hand side of the im2col product, and the only copy.
+    weights: Matrix,
     bias: Vec<f32>,
 }
 
 impl Conv2d {
     /// Creates a conv layer with He-style random filters from `rng`.
+    ///
+    /// The filters are drawn one output channel at a time, each in
+    /// `(ic, ky, kx)` order, then the biases.
     ///
     /// # Panics
     ///
@@ -126,11 +138,14 @@ impl Conv2d {
         rng: &mut impl Rng,
     ) -> Self {
         assert!(kernel > 0 && stride > 0, "kernel/stride must be positive");
-        let fan_in = (in_channels * kernel * kernel) as f32;
-        let bound = (2.0 / fan_in).sqrt();
-        let weights = (0..out_channels * in_channels * kernel * kernel)
-            .map(|_| rng.gen_range(-bound..=bound))
-            .collect();
+        let taps = in_channels * kernel * kernel;
+        let bound = (2.0 / taps as f32).sqrt();
+        let mut weights = Matrix::zeros(taps, out_channels);
+        for oc in 0..out_channels {
+            for tap in 0..taps {
+                weights[(tap, oc)] = rng.gen_range(-bound..=bound);
+            }
+        }
         let bias = (0..out_channels)
             .map(|_| rng.gen_range(-0.05..=0.05))
             .collect();
@@ -157,6 +172,12 @@ impl Conv2d {
     ///
     /// Inputs smaller than the kernel are zero-padded up to kernel size.
     ///
+    /// Each output is its bias plus the tap products in ascending
+    /// `(ic, ky, kx)` order. The kernel skips zero inputs (padding taps
+    /// included); their products are `±0.0`, which cannot change a sum
+    /// that starts from a bias other than `-0.0`, so the result is the
+    /// same as a direct per-tap loop's bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if the input channel count does not match.
@@ -168,36 +189,35 @@ impl Conv2d {
             input.channels(),
             self.in_channels
         );
-        let oh = self.out_size(input.height());
-        let ow = self.out_size(input.width());
-        let mut out = FeatureMap::zeros(self.out_channels, oh, ow);
-        let k = self.kernel;
-        for oc in 0..self.out_channels {
-            let w_base = oc * self.in_channels * k * k;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = self.bias[oc];
-                    for ic in 0..self.in_channels {
-                        let w_ic = w_base + ic * k * k;
-                        for ky in 0..k {
-                            let iy = oy * self.stride + ky;
-                            if iy >= input.height() {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = ox * self.stride + kx;
-                                if ix >= input.width() {
-                                    continue;
-                                }
-                                acc += self.weights[w_ic + ky * k + kx] * input.get(ic, iy, ix);
-                            }
-                        }
-                    }
-                    out.set(oc, oy, ox, acc.max(0.0));
+        let (ih, iw) = (input.height(), input.width());
+        let (oh, ow) = (self.out_size(ih), self.out_size(iw));
+        let (k, s) = (self.kernel, self.stride);
+        let positions = oh * ow;
+        let taps = self.weights.rows();
+        let mut cols = Matrix::zeros(positions, taps);
+        for (p, row) in cols.as_mut_slice().chunks_exact_mut(taps).enumerate() {
+            let (y0, x0) = ((p / ow) * s, (p % ow) * s);
+            // Taps past the input's edge stay 0; `x0 < iw` and `y0 < ih`
+            // hold by construction of `out_size`.
+            let span = k.min(iw - x0);
+            for ic in 0..self.in_channels {
+                for ky in 0..k.min(ih - y0) {
+                    let src = (ic * ih + y0 + ky) * iw + x0;
+                    let dst = (ic * k + ky) * k;
+                    row[dst..dst + span].copy_from_slice(&input.data[src..src + span]);
                 }
             }
         }
-        out
+        let mut acc: Vec<f32> = self.bias.repeat(positions);
+        cols.matmul_rows_into(&self.weights, 0, positions, &mut acc);
+        // Positions x channels back to CHW, applying ReLU.
+        let mut out = vec![0.0; self.out_channels * positions];
+        for (p, row) in acc.chunks_exact(self.out_channels).enumerate() {
+            for (oc, &v) in row.iter().enumerate() {
+                out[oc * positions + p] = v.max(0.0);
+            }
+        }
+        FeatureMap::from_chw(self.out_channels, oh, ow, out)
     }
 }
 
@@ -246,9 +266,9 @@ impl ConvStack {
     /// Runs the stack and global-average-pools the final map into an
     /// embedding vector.
     pub fn embed(&self, input: &FeatureMap) -> Vec<f32> {
-        let mut x = input.clone();
+        let mut x = Cow::Borrowed(input);
         for layer in &self.layers {
-            x = layer.forward(&x);
+            x = Cow::Owned(layer.forward(&x));
         }
         x.global_average_pool()
     }
@@ -257,6 +277,107 @@ impl ConvStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference convolution: the direct six-deep loop, summing from the
+    /// bias over every in-bounds tap in `(ic, ky, kx)` order, zero inputs
+    /// included.
+    fn forward_direct(conv: &Conv2d, input: &FeatureMap) -> FeatureMap {
+        let oh = conv.out_size(input.height());
+        let ow = conv.out_size(input.width());
+        let mut out = FeatureMap::zeros(conv.out_channels, oh, ow);
+        let k = conv.kernel;
+        for oc in 0..conv.out_channels {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = conv.bias[oc];
+                    for ic in 0..conv.in_channels {
+                        for ky in 0..k {
+                            let iy = oy * conv.stride + ky;
+                            if iy >= input.height() {
+                                continue;
+                            }
+                            for kx in 0..k {
+                                let ix = ox * conv.stride + kx;
+                                if ix >= input.width() {
+                                    continue;
+                                }
+                                let tap = (ic * k + ky) * k + kx;
+                                acc += conv.weights[(tap, oc)] * input.get(ic, iy, ix);
+                            }
+                        }
+                    }
+                    out.set(oc, oy, ox, acc.max(0.0));
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(fm: &FeatureMap) -> Vec<u32> {
+        fm.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn im2col_forward_is_bit_identical_to_the_direct_loop() {
+        let mut rng = crate::init::seeded_rng(31);
+        // (in_c, out_c, kernel, stride, height, width): strides 1/2/4,
+        // kernels larger than the input on one or both axes, and channel
+        // counts whose tap totals straddle the kernel's 64-wide tiles.
+        let shapes = [
+            (3, 8, 3, 1, 9, 11),
+            (3, 16, 5, 4, 64, 64),
+            (16, 24, 3, 2, 15, 15),
+            (8, 40, 3, 2, 7, 6),
+            (4, 6, 5, 2, 3, 3),
+            (2, 5, 5, 1, 9, 4),
+            (1, 3, 7, 4, 2, 30),
+            (9, 17, 1, 1, 5, 5),
+        ];
+        for &(ic, oc, k, s, h, w) in &shapes {
+            let conv = Conv2d::random(ic, oc, k, s, &mut rng);
+            let data: Vec<f32> = (0..ic * h * w)
+                .map(|i| match i % 5 {
+                    // Exact zeros, as in a post-ReLU map, and a negative zero.
+                    0 | 2 => 0.0,
+                    4 if i % 3 == 0 => -0.0,
+                    _ => rng.gen_range(-1.0..=1.0),
+                })
+                .collect();
+            let input = FeatureMap::from_chw(ic, h, w, data);
+            assert_eq!(
+                bits(&conv.forward(&input)),
+                bits(&forward_direct(&conv, &input)),
+                "shape {:?}",
+                (ic, oc, k, s, h, w)
+            );
+            // A ReLU output is full of exact zeros: chain a second layer.
+            let relu = conv.forward(&input);
+            let next = Conv2d::random(oc, 4, 3, 1, &mut rng);
+            assert_eq!(
+                bits(&next.forward(&relu)),
+                bits(&forward_direct(&next, &relu))
+            );
+        }
+    }
+
+    #[test]
+    fn random_draws_filters_per_output_channel_then_biases() {
+        let (ic, oc, k) = (3, 4, 3);
+        let conv = Conv2d::random(ic, oc, k, 2, &mut crate::init::seeded_rng(77));
+        // The draw order of the flat [oc][ic][ky][kx] layout.
+        let mut rng = crate::init::seeded_rng(77);
+        let bound = (2.0 / (ic * k * k) as f32).sqrt();
+        let flat: Vec<f32> = (0..oc * ic * k * k)
+            .map(|_| rng.gen_range(-bound..=bound))
+            .collect();
+        let bias: Vec<f32> = (0..oc).map(|_| rng.gen_range(-0.05..=0.05)).collect();
+        for o in 0..oc {
+            for tap in 0..ic * k * k {
+                assert_eq!(conv.weights[(tap, o)], flat[o * ic * k * k + tap]);
+            }
+        }
+        assert_eq!(conv.bias, bias);
+    }
 
     #[test]
     fn conv_output_shape() {
@@ -277,7 +398,7 @@ mod tests {
             out_channels: 1,
             kernel: 1,
             stride: 1,
-            weights: vec![1.0],
+            weights: Matrix::from_vec(1, 1, vec![1.0]),
             bias: vec![0.0],
         };
         let mut input = FeatureMap::zeros(1, 2, 2);

@@ -168,13 +168,15 @@ impl Dense {
         crate::debug_assert_finite!(&*out, "dense layer forward");
     }
 
-    /// Backward pass. Takes `dL/dy` and returns `dL/dx`, storing parameter
-    /// gradients internally for the optimizer.
+    /// Backward pass. Takes `dL/dy` and stores the parameter gradients
+    /// for the optimizer. Returns `dL/dx` only when `has_predecessor`:
+    /// the first layer of a network has nobody to pass it to, and for a
+    /// wide input it is the most expensive product of the step.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    pub fn backward(&mut self, grad_output: &Matrix, has_predecessor: bool) -> Option<Matrix> {
         let input = self
             .last_input
             .as_ref()
@@ -184,7 +186,7 @@ impl Dense {
         let dpre = grad_output.hadamard(&self.activation.derivative_from_output(output));
         self.grad_weights = Some(input.transposed_matmul(&dpre));
         self.grad_bias = Some(dpre.sum_rows());
-        dpre.matmul_transposed(&self.weights)
+        has_predecessor.then(|| dpre.matmul_transposed(&self.weights))
     }
 
     /// Takes the stored parameter gradients `(dW, db)` out of the layer
@@ -301,7 +303,7 @@ mod tests {
         // Analytic gradient: L = 0.5 * ||y - t||^2 so dL/dy = y - t.
         let y = layer.forward(&x);
         let grad_out = y.sub(&target);
-        let _ = layer.backward(&grad_out);
+        let _ = layer.backward(&grad_out, false);
         let analytic = layer.grad_weights.clone().unwrap();
 
         let eps = 1e-3;
@@ -338,7 +340,7 @@ mod tests {
         // Target 0, so output 1.0 has positive gradient: weight must shrink.
         let y = layer.forward(&x);
         let grad = y.clone();
-        let _ = layer.backward(&grad);
+        let _ = layer.backward(&grad, false);
         layer.apply_update(0.1, 0.0, 0.0, &mut vel);
         assert!(layer.weights()[(0, 0)] < 1.0);
     }
@@ -348,6 +350,6 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut rng = seeded_rng(0);
         let mut layer = Dense::new(2, 2, Activation::Relu, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2));
+        let _ = layer.backward(&Matrix::zeros(1, 2), true);
     }
 }

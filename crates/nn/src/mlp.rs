@@ -181,9 +181,13 @@ impl Mlp {
                 grad.scale_in_place(opt.grad_clip / norm);
             }
         }
-        for (layer, vel) in self.layers.iter_mut().zip(self.velocities.iter_mut()).rev() {
-            grad = layer.backward(&grad);
+        let layers = self.layers.iter_mut().zip(self.velocities.iter_mut());
+        for (i, (layer, vel)) in layers.enumerate().rev() {
+            let grad_input = layer.backward(&grad, i > 0);
             layer.apply_update(opt.learning_rate, opt.momentum, opt.weight_decay, vel);
+            if let Some(g) = grad_input {
+                grad = g;
+            }
         }
         batch_loss
     }

@@ -177,6 +177,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize(self.rows, rhs.cols);
+        out.data.fill(0.0);
         self.matmul_rows_into(rhs, 0, self.rows, &mut out.data);
         crate::debug_assert_finite!(&*out, "matmul");
     }
@@ -242,15 +243,23 @@ impl Matrix {
         out
     }
 
-    /// Blocked kernel for output rows `row_lo..row_hi`; `out` holds
-    /// exactly those rows and is fully overwritten. Row tiling reuses
-    /// each `rhs` panel across a strip of output rows; per element the
-    /// inner dimension stays ascending (bit-identical to i-k-j).
-    fn matmul_rows_into(&self, rhs: &Matrix, row_lo: usize, row_hi: usize, out: &mut [f32]) {
+    /// Blocked kernel for output rows `row_lo..row_hi`: adds those rows
+    /// of `self * rhs` onto `out`, which holds exactly those rows. A
+    /// zero-filled `out` yields the plain product; a row seeded with a
+    /// bias yields an affine map whose per-element sum starts from the
+    /// bias. Row tiling reuses each `rhs` panel across a strip of output
+    /// rows; per element the inner dimension stays ascending
+    /// (bit-identical to i-k-j).
+    pub(crate) fn matmul_rows_into(
+        &self,
+        rhs: &Matrix,
+        row_lo: usize,
+        row_hi: usize,
+        out: &mut [f32],
+    ) {
         const BLOCK_I: usize = 16;
         const BLOCK_K: usize = 64;
         debug_assert_eq!(out.len(), (row_hi - row_lo) * rhs.cols);
-        out.fill(0.0);
         let n = rhs.cols;
         for ii in (row_lo..row_hi).step_by(BLOCK_I) {
             let i_end = (ii + BLOCK_I).min(row_hi);
@@ -275,26 +284,23 @@ impl Matrix {
     }
 
     /// Matrix product with the transpose of `rhs`: `self * rhs^T`.
+    ///
+    /// Transposes `rhs` and runs the blocked kernel. For finite inputs
+    /// this is bit-identical to a per-element dot product from `0.0`:
+    /// both add the products in ascending inner index, and the products
+    /// the kernel skips (`self` entry zero) are `±0.0`, which leave a
+    /// running sum that starts from `+0.0` unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inner-dimension mismatch.
     pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_transposed shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out[(i, j)] = acc;
-            }
-        }
-        crate::debug_assert_finite!(out, "matmul_transposed");
-        out
+        self.matmul(&rhs.transpose())
     }
 
     /// Product of the transpose of `self` with `rhs`: `self^T * rhs`.
@@ -325,9 +331,9 @@ impl Matrix {
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        for (i, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out.data[j * self.rows + i] = v;
             }
         }
         out
@@ -505,11 +511,51 @@ mod tests {
         assert_eq!(a.matmul(&Matrix::identity(3)), a);
     }
 
+    /// Reference `self * rhs^T`: one dot product per element, summed
+    /// from `0.0` in ascending inner index, zero products included.
+    fn dot_product_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut acc = 0.0;
+                for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                out[(i, j)] = acc;
+            }
+        }
+        out
+    }
+
     #[test]
-    fn matmul_transposed_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]);
-        assert_eq!(a.matmul_transposed(&b), a.matmul(&b.transpose()));
+    fn matmul_transposed_is_bit_identical_to_the_dot_product_loop() {
+        // Shapes straddle the 16/64 tile boundaries; a third of the
+        // left-hand entries are exact zeros (some negative), which the
+        // blocked kernel skips and the dot product adds.
+        let mut rng = crate::init::seeded_rng(808);
+        let shapes = [
+            (1usize, 1usize, 1usize),
+            (7, 5, 3),
+            (17, 65, 9),
+            (33, 130, 70),
+        ];
+        for &(m, k, n) in &shapes {
+            let mut a = crate::init::he_uniform(m, k, &mut rng);
+            for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+                match i % 6 {
+                    0 => *v = 0.0,
+                    3 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            let b = crate::init::he_uniform(n, k, &mut rng);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&a.matmul_transposed(&b)),
+                bits(&dot_product_reference(&a, &b)),
+                "{m}x{k} * ({n}x{k})^T"
+            );
+        }
     }
 
     #[test]
