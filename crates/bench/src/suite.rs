@@ -81,7 +81,7 @@ pub struct Suite {
     pub scale: ExperimentScale,
     /// Validation videos (never seen by training).
     pub val_videos: Vec<Video>,
-    /// Shared feature service (rasters cached across runs).
+    /// Shared feature service (feature vectors cached across runs).
     pub svc: FeatureService,
     /// Offline dataset for the Faster R-CNN MBEK.
     pub frcnn_dataset: OfflineDataset,

@@ -1,35 +1,27 @@
-//! Runtime feature extraction with per-frame raster caching.
+//! Runtime feature extraction with per-frame feature caching.
 
 use std::collections::BTreeMap;
 
 use lr_features::{cpop, hoc, hog, DeepExtractors, FeatureKind, LightFeatures};
 use lr_video::raster::{rasterize, DEFAULT_RASTER_SIZE};
-use lr_video::{BBox, RgbFrame, Video};
+use lr_video::{BBox, Video};
 
-/// What a cache entry holds for a `(video, frame, kind)` key.
+/// Cache key: `(video seed, frame index, feature kind)`.
 ///
-/// Rasters and heavy feature vectors are pure functions of the video and
+/// Raster-derived feature vectors are pure functions of the video and
 /// frame (CPoP is not — it depends on caller-supplied proposal logits —
 /// so it is never cached), which means cache hits and misses can change
 /// only how much work is done, never a value.
-#[derive(Debug, Clone)]
-enum Cached {
-    Raster(RgbFrame),
-    Feature(Vec<f32>),
-}
-
-/// Cache key: `(video seed, frame index, kind)`, where `kind` is `None`
-/// for the raster itself and `Some(feature)` for an extracted vector.
-type CacheKey = (u64, u32, Option<FeatureKind>);
+type CacheKey = (u64, u32, FeatureKind);
 
 /// Extracts content features from video frames.
 ///
-/// Rasterization (the most expensive real computation) and the pure
-/// heavy feature vectors derived from it are cached per
+/// The raster-derived heavy feature vectors are cached per
 /// `(video seed, frame index, kind)` with bounded LRU eviction: when the
 /// cache is full, the single least-recently-used entry is evicted, so a
 /// working set that fits the bound stays warm even as other streams
-/// churn through frames.
+/// churn through frames. Rasters are not cached: a miss renders the
+/// frame afresh, which costs less than the extraction it feeds.
 ///
 /// Note that *virtual* extraction latencies are charged by the scheduler
 /// from the Table 1 cost table, not here; this service only computes the
@@ -41,7 +33,7 @@ type CacheKey = (u64, u32, Option<FeatureKind>);
 #[derive(Debug)]
 pub struct FeatureService {
     raster_size: usize,
-    cache: BTreeMap<CacheKey, (Cached, u64)>,
+    cache: BTreeMap<CacheKey, (Vec<f32>, u64)>,
     /// Stamp -> key index over `cache`, one slot per entry, for O(log n)
     /// LRU eviction (see [`Self::evict_to_cap`]).
     lru: BTreeMap<u64, CacheKey>,
@@ -112,42 +104,24 @@ impl FeatureService {
     }
 
     /// Marks a key as just-used and returns its cached value, if any.
-    fn cache_touch(&mut self, key: &CacheKey) -> Option<&Cached> {
+    fn cache_touch(&mut self, key: &CacheKey) -> Option<&[f32]> {
         self.tick += 1;
         let tick = self.tick;
         self.cache.get_mut(key).map(|entry| {
             entry.1 = tick;
-            &entry.0
+            entry.0.as_slice()
         })
     }
 
     /// Inserts a freshly computed value (evicting LRU entries if full)
     /// and stamps it as just-used. Callers insert only after a miss, so
     /// the key has no stamp in the index yet.
-    fn cache_insert(&mut self, key: CacheKey, value: Cached) {
+    fn cache_insert(&mut self, key: CacheKey, value: Vec<f32>) {
         self.evict_to_cap();
         self.tick += 1;
         self.lru.insert(self.tick, key);
         let previous = self.cache.insert(key, (value, self.tick));
         debug_assert!(previous.is_none(), "inserted a cached key");
-    }
-
-    /// Rasterizes (or fetches from cache) a frame of a video.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame_idx` is out of range.
-    pub fn raster(&mut self, video: &Video, frame_idx: usize) -> &RgbFrame {
-        assert!(frame_idx < video.len(), "frame {frame_idx} out of range");
-        let key = (video.spec.seed, frame_idx as u32, None);
-        if self.cache_touch(&key).is_none() {
-            let raster = rasterize(&video.frames[frame_idx], &video.style, self.raster_size);
-            self.cache_insert(key, Cached::Raster(raster));
-        }
-        match &self.cache[&key].0 {
-            Cached::Raster(r) => r,
-            Cached::Feature(_) => unreachable!("raster key holds a raster"),
-        }
     }
 
     /// The light feature vector for a frame, given the boxes the kernel
@@ -165,8 +139,14 @@ impl FeatureService {
     /// for [`FeatureKind::Light`] (use [`Self::light`]).
     ///
     /// Raster-derived features are served from the LRU cache when warm;
+    /// a miss renders the frame's raster and inserts only the feature.
     /// CPoP is never cached because its value depends on the supplied
     /// logits, not only on `(video, frame)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a raster-derived feature is asked for a frame that is out
+    /// of range.
     pub fn extract_heavy(
         &mut self,
         kind: FeatureKind,
@@ -179,18 +159,19 @@ impl FeatureService {
             FeatureKind::CPoP => return proposal_logits.map(cpop::cpop_vector),
             _ => {}
         }
-        let key = (video.spec.seed, frame_idx as u32, Some(kind));
-        if let Some(Cached::Feature(v)) = self.cache_touch(&key) {
-            return Some(v.clone());
+        let key = (video.spec.seed, frame_idx as u32, kind);
+        if let Some(v) = self.cache_touch(&key) {
+            return Some(v.to_vec());
         }
+        let raster = rasterize(&video.frames[frame_idx], &video.style, self.raster_size);
         let value = match kind {
-            FeatureKind::HoC => hoc::extract(self.raster(video, frame_idx)),
-            FeatureKind::Hog => hog::extract(self.raster(video, frame_idx)),
-            FeatureKind::ResNet50 => self.deep().resnet50(self.raster(video, frame_idx)),
-            FeatureKind::MobileNetV2 => self.deep().mobilenetv2(self.raster(video, frame_idx)),
+            FeatureKind::HoC => hoc::extract(&raster),
+            FeatureKind::Hog => hog::extract(&raster),
+            FeatureKind::ResNet50 => self.deep().resnet50(&raster),
+            FeatureKind::MobileNetV2 => self.deep().mobilenetv2(&raster),
             FeatureKind::Light | FeatureKind::CPoP => unreachable!("handled above"),
         };
-        self.cache_insert(key, Cached::Feature(value.clone()));
+        self.cache_insert(key, value.clone());
         Some(value)
     }
 
@@ -220,13 +201,29 @@ mod tests {
     }
 
     #[test]
-    fn raster_is_cached() {
+    fn hoc_is_cached() {
         let v = video();
         let mut svc = FeatureService::new();
-        let a = svc.raster(&v, 3).clone();
-        let b = svc.raster(&v, 3).clone();
+        let a = svc.extract_heavy(FeatureKind::HoC, &v, 3, None);
+        let b = svc.extract_heavy(FeatureKind::HoC, &v, 3, None);
         assert_eq!(a, b);
         assert_eq!(svc.cache.len(), 1);
+    }
+
+    #[test]
+    fn cold_extraction_adds_exactly_one_entry() {
+        let v = video();
+        let mut svc = FeatureService::with_raster_size(16);
+        let logits = vec![vec![0.0f32; 31]; 3];
+        for frame in [0, 5] {
+            for kind in lr_features::HEAVY_FEATURE_KINDS {
+                let before = svc.cache.len();
+                let _ = svc.extract_heavy(kind, &v, frame, Some(&logits));
+                let added = usize::from(kind != FeatureKind::CPoP);
+                assert_eq!(svc.cache.len(), before + added, "{kind:?}, frame {frame}");
+            }
+        }
+        assert_eq!(svc.lru.len(), svc.cache.len());
     }
 
     #[test]
@@ -266,14 +263,15 @@ mod tests {
         let mut svc = FeatureService::new();
         svc.max_cache = 4;
         for i in 0..12 {
-            let _ = svc.raster(&v, i);
+            let _ = svc.extract_heavy(FeatureKind::HoC, &v, i, None);
         }
         // Bounded: never exceeds the cap, and only the oldest entries
         // were evicted — the most recent 4 frames are still warm.
         assert_eq!(svc.cache.len(), 4);
         for i in 8..12 {
             assert!(
-                svc.cache.contains_key(&(v.spec.seed, i as u32, None)),
+                svc.cache
+                    .contains_key(&(v.spec.seed, i as u32, FeatureKind::HoC)),
                 "frame {i} should still be cached"
             );
         }
@@ -284,15 +282,20 @@ mod tests {
         let v = video();
         let mut svc = FeatureService::new();
         svc.max_cache = 3;
-        let _ = svc.raster(&v, 0);
-        let _ = svc.raster(&v, 1);
-        let _ = svc.raster(&v, 2);
+        let mut hoc = |frame| svc.extract_heavy(FeatureKind::HoC, &v, frame, None);
+        let _ = hoc(0);
+        let _ = hoc(1);
+        let _ = hoc(2);
         // Re-touch frame 0 so frame 1 becomes the LRU entry.
-        let _ = svc.raster(&v, 0);
-        let _ = svc.raster(&v, 3);
-        assert!(svc.cache.contains_key(&(v.spec.seed, 0, None)));
-        assert!(!svc.cache.contains_key(&(v.spec.seed, 1, None)));
-        assert!(svc.cache.contains_key(&(v.spec.seed, 3, None)));
+        let _ = hoc(0);
+        let _ = hoc(3);
+        let cached = |frame| {
+            svc.cache
+                .contains_key(&(v.spec.seed, frame, FeatureKind::HoC))
+        };
+        assert!(cached(0));
+        assert!(!cached(1));
+        assert!(cached(3));
     }
 
     #[test]
@@ -300,17 +303,13 @@ mod tests {
         let v = video();
         let mut svc = FeatureService::new();
         let a = svc.extract_heavy(FeatureKind::HoC, &v, 0, None).unwrap();
-        assert!(svc
-            .cache
-            .contains_key(&(v.spec.seed, 0, Some(FeatureKind::HoC))));
+        assert!(svc.cache.contains_key(&(v.spec.seed, 0, FeatureKind::HoC)));
         let b = svc.extract_heavy(FeatureKind::HoC, &v, 0, None).unwrap();
         assert_eq!(a, b, "cache hit must return the identical vector");
         // CPoP depends on caller-supplied logits and must never be cached.
         let logits = vec![vec![0.0f32; 31]; 3];
         let _ = svc.extract_heavy(FeatureKind::CPoP, &v, 0, Some(&logits));
-        assert!(!svc
-            .cache
-            .contains_key(&(v.spec.seed, 0, Some(FeatureKind::CPoP))));
+        assert!(!svc.cache.contains_key(&(v.spec.seed, 0, FeatureKind::CPoP)));
     }
 
     #[test]
@@ -354,20 +353,12 @@ mod tests {
             self.map.insert(key, self.tick);
         }
 
-        fn raster(&mut self, seed: u64, frame: u32) {
-            let key = (seed, frame, None);
-            if !self.touch(key) {
-                self.insert(key);
-            }
-        }
-
         fn heavy(&mut self, kind: FeatureKind, seed: u64, frame: u32) {
             if matches!(kind, FeatureKind::Light | FeatureKind::CPoP) {
                 return;
             }
-            let key = (seed, frame, Some(kind));
+            let key = (seed, frame, kind);
             if !self.touch(key) {
-                self.raster(seed, frame);
                 self.insert(key);
             }
         }
@@ -400,18 +391,10 @@ mod tests {
             for step in 0..200 {
                 let v = &videos[rng.gen_range(0..videos.len())];
                 let frame = rng.gen_range(0..v.len());
-                let (seed, f) = (v.spec.seed, frame as u32);
-                match rng.gen_range(0..=lr_features::HEAVY_FEATURE_KINDS.len()) {
-                    0 => {
-                        let _ = svc.raster(v, frame);
-                        model.raster(seed, f);
-                    }
-                    k => {
-                        let kind = lr_features::HEAVY_FEATURE_KINDS[k - 1];
-                        let _ = svc.extract_heavy(kind, v, frame, Some(&logits));
-                        model.heavy(kind, seed, f);
-                    }
-                }
+                let kinds = lr_features::HEAVY_FEATURE_KINDS;
+                let kind = kinds[rng.gen_range(0..kinds.len())];
+                let _ = svc.extract_heavy(kind, v, frame, Some(&logits));
+                model.heavy(kind, v.spec.seed, frame as u32);
                 let resident: Vec<_> = svc.cache.keys().copied().collect();
                 let expected: Vec<_> = model.map.keys().copied().collect();
                 assert_eq!(resident, expected, "trace {trace_seed}, step {step}");

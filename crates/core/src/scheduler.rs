@@ -383,14 +383,17 @@ impl Scheduler {
         } else {
             light_cost.extract_ms + light_cost.predict_ms + SOLVER_MS
         };
+        // `self.current` is fixed for the whole decision, so each branch's
+        // switching cost is computed once, not on every `fits` call.
+        let switch_ms: Vec<f64> = (0..n).map(|b| self.expected_switch_ms(b)).collect();
         let fits = |b: usize, extra_sched_ms: f64, this: &Self| -> bool {
-            let amortized = (s0 + extra_sched_ms + this.expected_switch_ms(b))
+            let amortized = (s0 + extra_sched_ms + switch_ms[b])
                 / this.trained.catalog[b].gof_size.max(1) as f64;
             kernel_pred[b] + this.known_overhead_ms + amortized <= budget
         };
 
         // Step 2: feature selection.
-        let selected = self.select_features(&a_light, &fits, budget);
+        let selected = self.select_features(&a_light, &fits);
 
         // Step 3: extract selected features and ensemble predictions.
         let mut content_preds: Vec<Vec<f32>> = Vec::new();
@@ -506,7 +509,7 @@ impl Scheduler {
         // Everything below is pure observation: values already computed,
         // clock only read.
         let explain = if obs.enabled() {
-            let switch_pred_ms = self.expected_switch_ms(branch_idx);
+            let switch_pred_ms = switch_ms[branch_idx];
             let amortized_ms = (s0 + extra + switch_pred_ms)
                 / self.trained.catalog[branch_idx].gof_size.max(1) as f64;
             let slack_ms = budget - kernel_pred[branch_idx] - self.known_overhead_ms - amortized_ms;
@@ -595,7 +598,6 @@ impl Scheduler {
         &self,
         a_light: &[f32],
         fits: &dyn Fn(usize, f64, &Self) -> bool,
-        _budget: f64,
     ) -> Vec<FeatureKind> {
         let n = self.trained.catalog.len();
         match self.policy {

@@ -105,25 +105,49 @@ pub fn rasterize(truth: &FrameTruth, style: &VideoStyle, size: usize) -> RgbFram
     let mut img = RgbFrame::new(size, size);
     let tex_amp = truth.regime.clutter.texture_amplitude();
     let phase = truth.frame_index as f32 * 0.05;
+    paint_background(&mut img, style, tex_amp, phase);
+    draw_objects(&mut img, truth);
+    img
+}
 
-    // Background gradient plus animated procedural texture.
+/// Paints the background gradient plus the animated procedural texture
+/// into a square image.
+///
+/// The texture at `(x, y)` is `tex_amp * (sin(column term) * cos(row
+/// term))`, so the sines are taken once per column and the cosine and the
+/// channel gradients once per row. Every value is computed by the same
+/// `f32` expression, in the same operand order, as a per-pixel loop would
+/// and clamped as [`RgbFrame::set`] clamps.
+fn paint_background(img: &mut RgbFrame, style: &VideoStyle, tex_amp: f32, phase: f32) {
+    let size = img.width;
+    let plane = size * size;
+    let col_sin: Vec<f32> = (0..size)
+        .map(|x| {
+            let fx = x as f32 / size as f32;
+            (fx * style.texture_freq * 12.0 + phase).sin()
+        })
+        .collect();
+    let mut tex = vec![0.0f32; size];
     for y in 0..size {
         let t = y as f32 / size as f32;
-        for x in 0..size {
-            let fx = x as f32 / size as f32;
-            let tex = tex_amp
-                * ((fx * style.texture_freq * 12.0 + phase).sin()
-                    * (t * style.texture_freq * 9.0 - phase * 0.7).cos());
-            for c in 0..3 {
-                let base = style.bg_top[c] * (1.0 - t) + style.bg_bottom[c] * t;
-                img.set(c, x, y, base + tex);
+        let row_cos = (t * style.texture_freq * 9.0 - phase * 0.7).cos();
+        for (v, &s) in tex.iter_mut().zip(&col_sin) {
+            *v = tex_amp * (s * row_cos);
+        }
+        for c in 0..3 {
+            let base = style.bg_top[c] * (1.0 - t) + style.bg_bottom[c] * t;
+            let row = &mut img.data[c * plane + y * size..][..size];
+            for (px, &v) in row.iter_mut().zip(&tex) {
+                *px = (base + v).clamp(0.0, 1.0);
             }
         }
     }
+}
 
-    // Objects, drawn back-to-front in id order with motion blur.
-    let sx = size as f32 / truth.width;
-    let sy = size as f32 / truth.height;
+/// Draws the objects back-to-front in id order, with motion blur.
+fn draw_objects(img: &mut RgbFrame, truth: &FrameTruth) {
+    let sx = img.width as f32 / truth.width;
+    let sy = img.height as f32 / truth.height;
     for obj in &truth.objects {
         let color = obj.render_color();
         // Camouflage: difficult objects blend towards the background.
@@ -140,10 +164,9 @@ pub fn rasterize(truth: &FrameTruth, style: &VideoStyle, size: usize) -> RgbFram
             let rx = (obj.bbox.w / 2.0 * sx).max(0.75);
             let ry = (obj.bbox.h / 2.0 * sy).max(0.75);
             let alpha = opacity / copies as f32 * if k == 0 { 2.0 } else { 1.0 };
-            fill_ellipse(&mut img, cx, cy, rx, ry, color, alpha.min(1.0));
+            fill_ellipse(img, cx, cy, rx, ry, color, alpha.min(1.0));
         }
     }
-    img
 }
 
 /// Fills an axis-aligned ellipse with alpha blending.
@@ -187,6 +210,94 @@ mod tests {
             height: 480.0,
             num_frames: 30,
         })
+    }
+
+    /// The background as a per-pixel loop: two transcendental calls and
+    /// one clamped `set` per pixel.
+    fn paint_background_per_pixel(
+        img: &mut RgbFrame,
+        style: &VideoStyle,
+        tex_amp: f32,
+        phase: f32,
+    ) {
+        let size = img.width();
+        for y in 0..size {
+            let t = y as f32 / size as f32;
+            for x in 0..size {
+                let fx = x as f32 / size as f32;
+                let tex = tex_amp
+                    * ((fx * style.texture_freq * 12.0 + phase).sin()
+                        * (t * style.texture_freq * 9.0 - phase * 0.7).cos());
+                for c in 0..3 {
+                    let base = style.bg_top[c] * (1.0 - t) + style.bg_bottom[c] * t;
+                    img.set(c, x, y, base + tex);
+                }
+            }
+        }
+    }
+
+    fn assert_same_bits(a: &RgbFrame, b: &RgbFrame, what: &str) {
+        assert_eq!(a.as_slice().len(), b.as_slice().len(), "{what}");
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}, value {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn raster_matches_the_per_pixel_loop_bit_for_bit() {
+        use crate::regime::ClutterLevel;
+        let (mut sparse, mut cluttered, mut blurred) = (0, 0, 0);
+        for seed in 0..12u64 {
+            let v = Video::generate(VideoSpec {
+                id: seed as u32,
+                seed: 500 + seed,
+                width: 640.0,
+                height: 480.0,
+                num_frames: 60,
+            });
+            for truth in v.frames.iter().step_by(6) {
+                match truth.regime.clutter {
+                    ClutterLevel::Sparse => sparse += 1,
+                    ClutterLevel::Cluttered => cluttered += 1,
+                }
+                for size in [16, 32, 64] {
+                    let sx = size as f32 / truth.width;
+                    let sy = size as f32 / truth.height;
+                    blurred += truth
+                        .objects
+                        .iter()
+                        .filter(|o| (o.velocity.0 * sx).hypot(o.velocity.1 * sy) >= 1.0)
+                        .count();
+                    let mut reference = RgbFrame::new(size, size);
+                    let tex_amp = truth.regime.clutter.texture_amplitude();
+                    let phase = truth.frame_index as f32 * 0.05;
+                    paint_background_per_pixel(&mut reference, &v.style, tex_amp, phase);
+                    draw_objects(&mut reference, truth);
+                    let what = format!("video {seed}, frame {}, size {size}", truth.frame_index);
+                    assert_same_bits(&rasterize(truth, &v.style, size), &reference, &what);
+                }
+            }
+        }
+        assert!(
+            sparse > 0 && cluttered > 0,
+            "{sparse} sparse / {cluttered} cluttered"
+        );
+        assert!(blurred > 0, "no object was drawn with motion-blur copies");
+    }
+
+    #[test]
+    fn background_matches_the_per_pixel_loop_for_any_amplitude() {
+        let v = sample_video();
+        for size in [16, 32, 64] {
+            for (tex_amp, phase) in [(0.0, 0.0), (0.0, 1.35), (0.05, 0.4), (0.25, 2.9)] {
+                let mut fast = RgbFrame::new(size, size);
+                let mut reference = RgbFrame::new(size, size);
+                paint_background(&mut fast, &v.style, tex_amp, phase);
+                paint_background_per_pixel(&mut reference, &v.style, tex_amp, phase);
+                let what = format!("size {size}, amplitude {tex_amp}, phase {phase}");
+                assert_same_bits(&fast, &reference, &what);
+            }
+        }
     }
 
     #[test]

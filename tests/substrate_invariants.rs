@@ -99,7 +99,7 @@ fn feature_extraction_is_cache_oblivious() {
     let mut warmed = litereconfig::FeatureService::new();
     // Warm the second service on other frames first.
     for i in 0..10 {
-        let _ = warmed.raster(&v, i);
+        let _ = warmed.extract_heavy(FeatureKind::HoC, &v, i, None);
     }
     for kind in HEAVY_FEATURE_KINDS {
         if kind == FeatureKind::CPoP {
