@@ -17,6 +17,7 @@ use lr_eval::MapAccumulator;
 use lr_features::FeatureKind;
 use lr_kernels::branch::small_catalog;
 use lr_kernels::{Branch, DetectorFamily, Mbek, TrackerKind};
+use lr_obs::NullSink;
 use lr_video::raster::rasterize;
 use lr_video::{Dataset, DatasetConfig, Split, Video, VideoSpec};
 
@@ -71,11 +72,13 @@ fn bench_features() {
 fn bench_kernels() {
     let v = test_video();
     let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 1);
-    let mut mbek = Mbek::new(DetectorFamily::FasterRcnn);
-    mbek.set_branch(Branch::tracked(448, 100, TrackerKind::Csrt, 8, 4));
+    let mut mbek = Mbek::new(
+        DetectorFamily::FasterRcnn,
+        Branch::tracked(448, 100, TrackerKind::Csrt, 8, 4),
+    );
 
     bench("kernels/gof_8_frames", || {
-        mbek.run_gof(&v.frames[0..8], &mut dev)
+        mbek.run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink)
     });
     let det = lr_kernels::DetectorSim::new(DetectorFamily::FasterRcnn);
     bench("kernels/detect_frame", || {
@@ -112,13 +115,13 @@ fn bench_scheduler() {
     {
         let mut s = Scheduler::new(trained.clone(), Policy::MinCost, 50.0);
         bench("scheduler/decide_mincost", || {
-            s.decide(&v, 0, &[], &mut svc, &mut dev)
+            s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink)
         });
     }
     {
         let mut s = Scheduler::new(trained.clone(), Policy::CostBenefit, 50.0);
         bench("scheduler/decide_cost_benefit", || {
-            s.decide(&v, 0, &[], &mut svc, &mut dev)
+            s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink)
         });
     }
     let light_model = &trained.accuracy[&FeatureKind::Light];

@@ -10,14 +10,14 @@
 use std::sync::Arc;
 
 use litereconfig::offline::{profile_videos, OfflineConfig};
-use litereconfig::pipeline::{run_adaptive, RunConfig};
-use litereconfig::scheduler::Scheduler;
+use litereconfig::pipeline::{run_adaptive, RunConfig, StreamPipeline};
 use litereconfig::trainer::train_scheduler;
 use litereconfig::Policy;
 use lr_bench::{scale_from_args, ExperimentScale, Suite};
-use lr_device::{DeviceKind, SwitchingCostModel};
+use lr_device::{DeviceKind, DeviceSim, SwitchingCostModel};
 use lr_eval::TextTable;
 use lr_kernels::DetectorFamily;
+use lr_obs::NullSink;
 use lr_video::{Dataset, Split};
 
 fn main() {
@@ -108,7 +108,6 @@ fn main() {
     let headrooms = [1.0, 0.95, 0.88, 0.75];
     for row in pool.par_map_init(&headrooms, fresh_svc, |svc, i, &headroom| {
         let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, slo, 6200 + i as u64);
-        // Reimplement the inner loop with a custom scheduler headroom.
         let r = run_with_headroom(&suite, svc, headroom, &cfg);
         vec![
             format!("{headroom:.2}"),
@@ -214,80 +213,26 @@ fn main() {
 }
 
 /// Runs the full policy with a custom scheduler headroom; returns
-/// (mAP %, P95 ms). This duplicates a small part of `run_adaptive` because
-/// headroom is a scheduler-construction parameter. The feature service is
-/// passed separately so concurrent arms can each use their own cache.
+/// (mAP %, P95 ms). The feature service is passed separately so
+/// concurrent arms can each use their own cache.
 fn run_with_headroom(
     suite: &Suite,
     svc: &mut litereconfig::FeatureService,
     headroom: f64,
     cfg: &RunConfig,
 ) -> (f64, f64) {
-    use litereconfig::offline::{to_gt_boxes, to_pred_boxes};
-    use lr_device::switching::OnlineSwitchSampler;
-    use lr_device::DeviceSim;
-    use lr_eval::{LatencyStats, MapAccumulator};
-
-    let trained = suite.frcnn.clone();
     let mut device = DeviceSim::new(cfg.device, cfg.contention_pct, cfg.seed);
-    let mut mbek = lr_kernels::Mbek::new(trained.family);
-    let mut scheduler =
-        Scheduler::new(trained.clone(), Policy::CostBenefit, cfg.slo_ms).with_headroom(headroom);
-    let mut sampler = OnlineSwitchSampler::new(trained.switching);
-    for b in &trained.catalog {
-        sampler.preheat(b.key());
-    }
-    let mut acc = MapAccumulator::new();
-    let mut lat = LatencyStats::new();
-    for video in &suite.val_videos {
-        scheduler.reset_stream();
-        let mut boxes: Vec<lr_video::BBox> = Vec::new();
-        let mut t = 0usize;
-        while t < video.len() {
-            let before = device.now_ms();
-            let d = scheduler.decide(video, t, &boxes, svc, &mut device);
-            let sched_ms = device.now_ms() - before;
-            let mut switch_ms = 0.0;
-            if scheduler.current_branch() != Some(d.branch_idx) || mbek.branch().is_none() {
-                let src = scheduler
-                    .current_branch()
-                    .map_or(80.0, |i| trained.det_inference_ms[i]);
-                let cost = sampler.sample_ms(
-                    src,
-                    trained.det_inference_ms[d.branch_idx],
-                    trained.catalog[d.branch_idx].key(),
-                    device.rng(),
-                );
-                switch_ms = device.charge_fixed(cost * device.profile().gpu_speed_factor);
-                mbek.set_branch(trained.catalog[d.branch_idx]);
-                scheduler.commit_branch(d.branch_idx);
-            }
-            let branch = trained.catalog[d.branch_idx];
-            let end = (t + branch.gof_size.max(1) as usize).min(video.len());
-            let frames = &video.frames[t..end];
-            let light = svc.light(video, t, &boxes);
-            let result = mbek.run_gof(frames, &mut device);
-            let per_frame = (sched_ms + switch_ms + result.kernel_ms()) / frames.len() as f64;
-            for (truth, dets) in frames.iter().zip(result.per_frame.iter()) {
-                acc.add_frame(&to_gt_boxes(truth), &to_pred_boxes(dets));
-                lat.record(per_frame);
-            }
-            let n = frames.len() as f64;
-            scheduler.observe_latency(
-                d.branch_idx,
-                &light,
-                result.detector_ms / n,
-                result.tracker_ms / n,
-            );
-            scheduler.record_detection(t, result.first_frame_output.proposal_logits.clone());
-            boxes = result
-                .first_frame_output
-                .detections
-                .iter()
-                .map(|x| x.bbox)
-                .collect();
-            t = end;
-        }
-    }
-    (acc.finalize(0.5).map * 100.0, lat.p95())
+    let mut pipeline = StreamPipeline::new(
+        suite.val_videos.clone(),
+        suite.frcnn.clone(),
+        Policy::CostBenefit,
+        cfg,
+    );
+    pipeline.set_headroom(headroom);
+    while pipeline
+        .step_gof_obs(svc, &mut device, &mut NullSink)
+        .is_some()
+    {}
+    let r = pipeline.into_result();
+    (r.map_pct(), r.latency.p95())
 }

@@ -28,7 +28,7 @@ use litereconfig::{FeatureService, Policy, TrainedScheduler};
 use lr_bench::{scale_from_args, ExperimentScale, Suite};
 use lr_device::{DeviceKind, FaultConfig};
 use lr_eval::TextTable;
-use lr_serve::{serve, ServeConfig, ServeReport, SloClass, StreamSpec};
+use lr_serve::{serve_traced, ServeConfig, ServeReport, SloClass, StreamSpec};
 
 const ARTIFACT: &str = "results_faults.txt";
 
@@ -71,7 +71,7 @@ fn run_mode(
     cfg.fault_rate_threshold = 0.5;
     cfg.fault_backoff_ms = 250.0;
     let mut svc = FeatureService::with_raster_size(raster_size);
-    serve(specs, trained, Policy::CostBenefit, &cfg, &mut svc)
+    serve_traced(specs, trained, Policy::CostBenefit, &cfg, &mut svc).0
 }
 
 /// min / median / max of per-stream mean recovery time, over streams

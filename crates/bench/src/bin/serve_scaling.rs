@@ -24,7 +24,7 @@ use litereconfig::{Policy, TrainedScheduler};
 use lr_bench::{scale_from_args, ExperimentScale, Suite};
 use lr_device::DeviceKind;
 use lr_eval::TextTable;
-use lr_serve::{serve, ServeConfig, ServeReport, SloClass, StreamSpec};
+use lr_serve::{serve_traced, ServeConfig, ServeReport, SloClass, StreamSpec};
 
 const COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
@@ -74,8 +74,8 @@ fn run_point(
     let specs = mixed_specs(n, frames);
 
     // The seed replicas (and the adaptation-frozen probe replicas) are
-    // independent serve() runs, so fan them out. Each worker keeps its
-    // own FeatureService: rasters and features are pure functions of
+    // independent serve_traced runs, so fan them out. Each worker keeps
+    // its own FeatureService: rasters and features are pure functions of
     // (video, frame), so cache placement changes recompute counts but
     // never values, and `par_map_init` returns reports in cell order —
     // the merged stats below are byte-identical for any worker count.
@@ -100,7 +100,7 @@ fn run_point(
             cfg.admission_enabled = admission;
             cfg.contention_adaptive = !frozen;
             cfg.seed = seed;
-            serve(&specs, trained.clone(), Policy::CostBenefit, &cfg, svc)
+            serve_traced(&specs, trained.clone(), Policy::CostBenefit, &cfg, svc).0
         },
     );
     let frozen_runs: Vec<ServeReport> = runs.split_off(SEEDS.len());

@@ -24,7 +24,7 @@ use lr_bench::{scale_from_args, Suite};
 use lr_device::DeviceKind;
 use lr_kernels::DetectorFamily;
 use lr_nn::Matrix;
-use lr_serve::{serve, ServeConfig, SloClass, StreamSpec};
+use lr_serve::{serve_traced, ServeConfig, SloClass, StreamSpec};
 
 const LEDGER: &str = "BENCH_PIPELINE.json";
 /// A fresh speedup below this fraction of the committed one is a
@@ -117,7 +117,7 @@ fn main() {
             cfg.seed = 42;
             cfg.pool_threads = threads;
             let mut svc = FeatureService::with_raster_size(raster_size);
-            serve(&specs, trained.clone(), Policy::CostBenefit, &cfg, &mut svc);
+            serve_traced(&specs, trained.clone(), Policy::CostBenefit, &cfg, &mut svc);
         };
         run(1); // warm-up
         let serial = time_ms(|| run(1));

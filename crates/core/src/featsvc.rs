@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use lr_features::{cpop, hoc, hog, DeepExtractors, FeatureKind, LightFeatures};
 use lr_video::raster::{rasterize, DEFAULT_RASTER_SIZE};
-use lr_video::{BBox, Video};
+use lr_video::{BBox, RgbFrame, Video};
 
 /// Cache key: `(video seed, frame index, feature kind)`.
 ///
@@ -73,11 +73,6 @@ impl FeatureService {
     /// The configured raster edge length.
     pub fn raster_size(&self) -> usize {
         self.raster_size
-    }
-
-    /// The deep stand-ins every service extracts through.
-    fn deep(&self) -> &'static DeepExtractors {
-        DeepExtractors::shared()
     }
 
     /// Evicts least-recently-used entries until an insert fits the bound.
@@ -154,23 +149,20 @@ impl FeatureService {
         frame_idx: usize,
         proposal_logits: Option<&[Vec<f32>]>,
     ) -> Option<Vec<f32>> {
-        match kind {
+        let extract: fn(&RgbFrame) -> Vec<f32> = match kind {
             FeatureKind::Light => return None,
             FeatureKind::CPoP => return proposal_logits.map(cpop::cpop_vector),
-            _ => {}
-        }
+            FeatureKind::HoC => hoc::extract,
+            FeatureKind::Hog => hog::extract,
+            FeatureKind::ResNet50 => |raster| DeepExtractors::shared().resnet50(raster),
+            FeatureKind::MobileNetV2 => |raster| DeepExtractors::shared().mobilenetv2(raster),
+        };
         let key = (video.spec.seed, frame_idx as u32, kind);
         if let Some(v) = self.cache_touch(&key) {
             return Some(v.to_vec());
         }
         let raster = rasterize(&video.frames[frame_idx], &video.style, self.raster_size);
-        let value = match kind {
-            FeatureKind::HoC => hoc::extract(&raster),
-            FeatureKind::Hog => hog::extract(&raster),
-            FeatureKind::ResNet50 => self.deep().resnet50(&raster),
-            FeatureKind::MobileNetV2 => self.deep().mobilenetv2(&raster),
-            FeatureKind::Light | FeatureKind::CPoP => unreachable!("handled above"),
-        };
+        let value = extract(&raster);
         self.cache_insert(key, value.clone());
         Some(value)
     }
@@ -314,11 +306,12 @@ mod tests {
 
     #[test]
     fn services_share_one_copy_of_the_deep_weights() {
+        // A service holds no weights: `extract_heavy` reads the deep
+        // stand-ins from `DeepExtractors::shared()`, so two services
+        // agree on every deep feature.
         let v = video();
         let mut a = FeatureService::new();
         let mut b = FeatureService::new();
-        assert!(std::ptr::eq(a.deep(), b.deep()));
-        assert!(std::ptr::eq(a.deep(), DeepExtractors::shared()));
         let x = a.extract_heavy(FeatureKind::ResNet50, &v, 0, None).unwrap();
         let y = b.extract_heavy(FeatureKind::ResNet50, &v, 0, None).unwrap();
         assert_eq!(x, y);

@@ -13,6 +13,7 @@ use lr_device::{DeviceKind, DeviceSim};
 use lr_eval::{GtBox, MapAccumulator, PredBox};
 use lr_features::FeatureKind;
 use lr_kernels::{Branch, Detection, DetectorFamily, Mbek};
+use lr_obs::NullSink;
 use lr_video::{FrameTruth, Video};
 
 use crate::featsvc::FeatureService;
@@ -138,7 +139,6 @@ pub fn profile_videos(
     assert!(cfg.snippet_len > 0, "snippet length must be positive");
     assert!(!cfg.catalog.is_empty(), "empty catalog");
     let mut device = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, cfg.seed);
-    let mut mbek = Mbek::new(cfg.family);
     let reference = lr_kernels::DetectorSim::new(cfg.family);
 
     let mut records = Vec::new();
@@ -166,7 +166,7 @@ pub fn profile_videos(
             let mut branch_trk_ms = Vec::with_capacity(cfg.catalog.len());
             for &branch in &cfg.catalog {
                 let (map, det_ms, trk_ms) =
-                    run_branch_on_snippet(&mut mbek, branch, snippet, &mut device);
+                    run_branch_on_snippet(cfg.family, branch, snippet, &mut device);
                 branch_map.push(map);
                 branch_det_ms.push(det_ms);
                 branch_trk_ms.push(trk_ms);
@@ -192,13 +192,18 @@ pub fn profile_videos(
 
 /// Runs one branch over a snippet; returns (snippet mAP, mean detector
 /// ms/frame, mean tracker ms/frame).
+///
+/// # Panics
+///
+/// Panics if a detection op fails, which `device` (fault-free by
+/// construction in [`profile_videos`]) never does.
 fn run_branch_on_snippet(
-    mbek: &mut Mbek,
+    family: DetectorFamily,
     branch: Branch,
     snippet: &[FrameTruth],
     device: &mut DeviceSim,
 ) -> (f32, f64, f64) {
-    mbek.set_branch(branch);
+    let mut mbek = Mbek::new(family, branch);
     let mut acc = MapAccumulator::new();
     let mut det_ms = 0.0;
     let mut trk_ms = 0.0;
@@ -206,7 +211,10 @@ fn run_branch_on_snippet(
     let mut t = 0;
     while t < snippet.len() {
         let end = (t + gof).min(snippet.len());
-        let result = mbek.run_gof(&snippet[t..end], device);
+        let result = match mbek.run_gof(&snippet[t..end], device, None, &mut NullSink) {
+            Ok(result) => result,
+            Err(e) => panic!("{e}"),
+        };
         det_ms += result.detector_ms;
         trk_ms += result.tracker_ms;
         for (truth, dets) in snippet[t..end].iter().zip(result.per_frame.iter()) {

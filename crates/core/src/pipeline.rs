@@ -2,7 +2,7 @@
 //!
 //! The loop is factored as a steppable [`StreamPipeline`]: one pipeline
 //! owns one stream's scheduler, kernel, and accounting state, and
-//! advances one GoF per [`StreamPipeline::step_gof`] call. The
+//! advances one GoF per [`StreamPipeline::step_gof_obs`] call. The
 //! single-stream entry point [`run_adaptive`] drives one pipeline to
 //! completion on a private device; a serving layer (the `lr-serve`
 //! crate) interleaves many pipelines on a shared device, stepping each
@@ -12,14 +12,14 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use lr_device::switching::OnlineSwitchSampler;
-use lr_device::{DeviceKind, DeviceSim, OpUnit};
+use lr_device::{DeviceKind, DeviceSim, OpError, OpUnit};
 use lr_eval::{LatencyStats, MapAccumulator};
 use lr_obs::{DecisionRecord, NullSink, ObsSink, SpanKind};
 use lr_video::{BBox, Video};
 
 use crate::featsvc::FeatureService;
 use crate::offline::{to_gt_boxes, to_pred_boxes};
-use crate::scheduler::{Policy, Scheduler, TrainedScheduler};
+use crate::scheduler::{argmin, Policy, Scheduler, TrainedScheduler};
 
 /// Configuration of one online run.
 #[derive(Debug, Clone)]
@@ -204,7 +204,7 @@ impl RunResult {
     }
 }
 
-/// What one [`StreamPipeline::step_gof`] call processed.
+/// What one [`StreamPipeline::step_gof_obs`] call processed.
 #[derive(Debug, Clone, Copy)]
 pub struct GofStep {
     /// Index of the video within the pipeline's playlist.
@@ -269,6 +269,10 @@ pub struct StreamPipeline {
 impl StreamPipeline {
     /// Creates a pipeline over a playlist of videos.
     ///
+    /// The kernel starts on `catalog[0]` as a placeholder: the scheduler
+    /// has no current branch yet, so the first GoF always switches (and
+    /// resets the kernel) to the branch it decides on.
+    ///
     /// # Panics
     ///
     /// Panics if `videos` is empty.
@@ -279,8 +283,8 @@ impl StreamPipeline {
         cfg: &RunConfig,
     ) -> Self {
         assert!(!videos.is_empty(), "a stream needs at least one video");
-        let mbek =
-            lr_kernels::Mbek::new(trained.family).with_latency_factor(cfg.kernel_latency_factor);
+        let mbek = lr_kernels::Mbek::new(trained.family, trained.catalog[0])
+            .with_latency_factor(cfg.kernel_latency_factor);
         let mut scheduler = Scheduler::new(trained.clone(), policy, cfg.slo_ms);
         if !cfg.contention_adaptive {
             scheduler = scheduler.with_frozen_latency_model();
@@ -367,19 +371,12 @@ impl StreamPipeline {
     /// Runs one GoF: decision, optional branch switch, kernel execution,
     /// accounting, and feedback. Returns `None` when the stream is
     /// already finished.
-    pub fn step_gof(
-        &mut self,
-        svc: &mut FeatureService,
-        device: &mut DeviceSim,
-    ) -> Option<GofStep> {
-        self.step_gof_obs(svc, device, &mut NullSink)
-    }
-
-    /// [`StreamPipeline::step_gof`] with an observer: emits one
-    /// [`DecisionRecord`] per GoF (joining the scheduler's explain with
-    /// the GoF's actual outcome) plus spans around the switch and the
-    /// kernel phases. Observation only reads the virtual clock — with a
-    /// [`NullSink`] this is byte-for-byte the plain `step_gof`.
+    ///
+    /// The observer receives one [`DecisionRecord`] per GoF (joining the
+    /// scheduler's explain with the GoF's actual outcome) plus spans
+    /// around the switch and the kernel phases. Observation only reads
+    /// the virtual clock: callers that do not observe pass a
+    /// [`NullSink`], which changes nothing.
     pub fn step_gof_obs(
         &mut self,
         svc: &mut FeatureService,
@@ -402,7 +399,7 @@ impl StreamPipeline {
         let before = device.now_ms();
         let mut decision = self
             .scheduler
-            .decide_obs(video, t, &self.boxes, svc, device, obs);
+            .decide(video, t, &self.boxes, svc, device, obs);
         let sched_ms = device.now_ms() - before;
         self.decisions += 1;
         if !decision.feasible {
@@ -416,8 +413,7 @@ impl StreamPipeline {
         // Branch switch if needed.
         let mut switch_ms = 0.0;
         let dst_key = self.trained.catalog[decision.branch_idx].key();
-        let need_switch = self.scheduler.current_branch() != Some(decision.branch_idx)
-            || self.mbek.branch().is_none();
+        let need_switch = self.scheduler.current_branch() != Some(decision.branch_idx);
         if need_switch {
             switch_ms = self.switch_to(decision.branch_idx, device, obs);
         }
@@ -432,11 +428,9 @@ impl StreamPipeline {
         let branch = self.trained.catalog[decision.branch_idx];
         let end = (t + branch.gof_size.max(1) as usize).min(video.len());
         let frames = &video.frames[t..end];
-        let opts = lr_kernels::GofOptions {
-            deadline_ms: self
-                .gof_deadline_factor
-                .map(|f| f * self.scheduler.slo_ms() * frames.len() as f64),
-        };
+        let deadline_ms = self
+            .gof_deadline_factor
+            .map(|f| f * self.scheduler.slo_ms() * frames.len() as f64);
         let mut gof_faults = decision.faults;
         let mut wasted_ms = 0.0;
         let mut fallback_gof = false;
@@ -449,15 +443,15 @@ impl StreamPipeline {
                 wasted_ms: 0.0,
             });
         }
-        let result = match self.mbek.try_run_gof_obs(frames, device, &opts, obs) {
+        let result = match self.mbek.run_gof(frames, device, deadline_ms, obs) {
             Ok(r) => r,
-            Err(lr_kernels::GofError::DetectorFault { wasted_ms: w }) => {
+            Err(OpError::Transient { wasted_ms: w }) => {
                 gof_faults += 1;
                 wasted_ms += w;
                 // Rung 1: one bounded retry on the cheapest branch — a
                 // shorter detector op, less exposure to the fault episode
                 // — unless we are already on it.
-                let cheapest = Self::cheapest_catalog_branch(&self.trained.det_inference_ms);
+                let cheapest = argmin(&self.trained.det_inference_ms);
                 let mut retried = None;
                 if cheapest != exec_branch_idx {
                     switch_ms += self.switch_to(cheapest, device, obs);
@@ -468,13 +462,12 @@ impl StreamPipeline {
                         kind: DegradeKind::CheaperRetry,
                         wasted_ms: w,
                     });
-                    match self.mbek.try_run_gof_obs(frames, device, &opts, obs) {
+                    match self.mbek.run_gof(frames, device, deadline_ms, obs) {
                         Ok(r) => retried = Some(r),
-                        Err(lr_kernels::GofError::DetectorFault { wasted_ms: w2 }) => {
+                        Err(OpError::Transient { wasted_ms: w2 }) => {
                             gof_faults += 1;
                             wasted_ms += w2;
                         }
-                        Err(lr_kernels::GofError::NoBranch) => {}
                     }
                 }
                 match retried {
@@ -490,14 +483,10 @@ impl StreamPipeline {
                             wasted_ms,
                         });
                         let seed = self.last_detections.clone();
-                        match self.mbek.run_gof_fallback_obs(frames, device, &seed, obs) {
-                            Ok(r) => r,
-                            Err(_) => unreachable!("branch configured above"),
-                        }
+                        self.mbek.run_gof_fallback(frames, device, &seed, obs)
                     }
                 }
             }
-            Err(lr_kernels::GofError::NoBranch) => unreachable!("branch configured above"),
         };
         gof_faults += result.absorbed_faults;
         if result.deadline_aborted {
@@ -654,18 +643,6 @@ impl StreamPipeline {
         ms
     }
 
-    /// Index of the catalog branch with the lightest steady-state
-    /// detector (total order over floats; 0 for an empty slice).
-    fn cheapest_catalog_branch(det_inference_ms: &[f64]) -> usize {
-        let mut best = 0usize;
-        for (i, v) in det_inference_ms.iter().enumerate().skip(1) {
-            if v.total_cmp(&det_inference_ms[best]) == std::cmp::Ordering::Less {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Consumes the pipeline and produces the run result.
     pub fn into_result(self) -> RunResult {
         RunResult {
@@ -693,26 +670,15 @@ pub fn run_adaptive(
     cfg: &RunConfig,
     svc: &mut FeatureService,
 ) -> RunResult {
-    run_adaptive_obs(videos, trained, policy, cfg, svc, &mut NullSink)
-}
-
-/// [`run_adaptive`] with an observer attached to the stream's pipeline.
-/// With a [`NullSink`] (or any disabled sink) the result is
-/// byte-identical to `run_adaptive`.
-pub fn run_adaptive_obs(
-    videos: &[Video],
-    trained: Arc<TrainedScheduler>,
-    policy: Policy,
-    cfg: &RunConfig,
-    svc: &mut FeatureService,
-    obs: &mut impl ObsSink,
-) -> RunResult {
     let mut device = DeviceSim::new(cfg.device, cfg.contention_pct, cfg.seed);
     if let Some(fault) = cfg.fault {
         device.set_fault_plan(Some(lr_device::FaultPlan::generate(fault)));
     }
     let mut pipeline = StreamPipeline::new(videos.to_vec(), trained, policy, cfg);
-    while pipeline.step_gof_obs(svc, &mut device, obs).is_some() {}
+    while pipeline
+        .step_gof_obs(svc, &mut device, &mut NullSink)
+        .is_some()
+    {}
     pipeline.into_result()
 }
 
@@ -727,6 +693,12 @@ mod tests {
     use lr_video::VideoSpec;
 
     fn setup() -> (Arc<TrainedScheduler>, Vec<Video>, FeatureService) {
+        setup_with(small_catalog())
+    }
+
+    fn setup_with(
+        catalog: Vec<lr_kernels::Branch>,
+    ) -> (Arc<TrainedScheduler>, Vec<Video>, FeatureService) {
         let train_videos: Vec<Video> = (0..2)
             .map(|i| {
                 Video::generate(VideoSpec {
@@ -741,7 +713,7 @@ mod tests {
         let mut svc = FeatureService::new();
         let cfg = OfflineConfig {
             snippet_len: 40,
-            catalog: small_catalog(),
+            catalog,
             family: DetectorFamily::FasterRcnn,
             reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 11,
@@ -855,6 +827,22 @@ mod tests {
     }
 
     #[test]
+    fn one_branch_catalog_switches_once_from_the_placeholder() {
+        // Every decision is catalog index 0, the kernel's placeholder
+        // branch: the first GoF must still switch (the scheduler starts
+        // with no current branch), and no later GoF may.
+        let (trained, videos, mut svc) = setup_with(small_catalog()[..1].to_vec());
+        assert_eq!(trained.catalog.len(), 1);
+        let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 12);
+        let r = run_adaptive(&videos, trained, Policy::MinCost, &cfg, &mut svc);
+        assert_eq!(r.switches.len(), 1, "exactly the first configuration");
+        assert_eq!(r.switches[0].src_key, 0, "switched from no branch");
+        let total_frames: usize = videos.iter().map(Video::len).sum();
+        assert_eq!(r.breakdown.frames, total_frames, "every frame covered");
+        assert_eq!(r.latency.count(), total_frames);
+    }
+
+    #[test]
     fn stepping_matches_run_adaptive_totals() {
         let (trained, videos, mut svc) = setup();
         let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 7);
@@ -863,7 +851,7 @@ mod tests {
         let mut steps = 0usize;
         let mut frames = 0usize;
         let mut gof_ms_total = 0.0;
-        while let Some(step) = p.step_gof(&mut svc, &mut device) {
+        while let Some(step) = p.step_gof_obs(&mut svc, &mut device, &mut NullSink) {
             steps += 1;
             frames += step.frames;
             gof_ms_total += step.gof_ms;
@@ -871,7 +859,9 @@ mod tests {
             assert!(step.gpu_demand_ms >= 0.0);
         }
         assert!(p.finished());
-        assert!(p.step_gof(&mut svc, &mut device).is_none());
+        assert!(p
+            .step_gof_obs(&mut svc, &mut device, &mut NullSink)
+            .is_none());
         let total_frames: usize = videos.iter().map(Video::len).sum();
         assert_eq!(frames, total_frames);
         let r = p.into_result();
@@ -886,7 +876,9 @@ mod tests {
         let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 8);
         let mut device = DeviceSim::new(cfg.device, cfg.contention_pct, cfg.seed);
         let mut p = StreamPipeline::new(videos, trained, Policy::MinCost, &cfg);
-        let step = p.step_gof(&mut svc, &mut device).expect("first GoF");
+        let step = p
+            .step_gof_obs(&mut svc, &mut device, &mut NullSink)
+            .expect("first GoF");
         // Every GoF runs the detector at least once: GPU demand is real.
         assert!(step.gpu_demand_ms > 0.0);
         assert!((device.gpu_demand_ms() - step.gpu_demand_ms).abs() < 1e-9);

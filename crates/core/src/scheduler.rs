@@ -27,7 +27,7 @@ use std::sync::Arc;
 use lr_device::{DeviceSim, OpError, OpUnit, SwitchingCostModel};
 use lr_features::{FeatureKind, HEAVY_FEATURE_KINDS};
 use lr_kernels::{Branch, DetectorFamily};
-use lr_obs::{DecisionExplain, FeatureBen, NullSink, ObsSink, SpanKind};
+use lr_obs::{DecisionExplain, FeatureBen, ObsSink, SpanKind};
 use lr_video::{BBox, Video};
 
 use crate::bentable::BenTable;
@@ -169,12 +169,6 @@ impl Scheduler {
         self
     }
 
-    /// Overrides the feasibility headroom factor.
-    pub fn with_headroom(mut self, headroom: f64) -> Self {
-        self.set_headroom(headroom);
-        self
-    }
-
     /// Changes the feasibility headroom mid-run (a serving layer's
     /// admission controller tightens it to degrade a stream under
     /// overload).
@@ -252,16 +246,13 @@ impl Scheduler {
             return;
         }
         let (pred_det, pred_trk) = self.trained.latency.predict_parts(branch_idx, light);
-        const ALPHA: f64 = 0.25;
         if pred_det > 0.05 && observed_det_per_frame > 0.0 {
-            let ratio = (observed_det_per_frame / pred_det).clamp(0.2, 10.0);
-            self.gpu_ratio_mean = (1.0 - ALPHA) * self.gpu_ratio_mean + ALPHA * ratio;
-            self.gpu_ratio_sq = (1.0 - ALPHA) * self.gpu_ratio_sq + ALPHA * ratio * ratio;
+            let ratio = observed_det_per_frame / pred_det;
+            ewma_ratio(&mut self.gpu_ratio_mean, &mut self.gpu_ratio_sq, ratio);
         }
         if pred_trk > 0.05 && observed_trk_per_frame > 0.0 {
-            let ratio = (observed_trk_per_frame / pred_trk).clamp(0.2, 10.0);
-            self.cpu_ratio_mean = (1.0 - ALPHA) * self.cpu_ratio_mean + ALPHA * ratio;
-            self.cpu_ratio_sq = (1.0 - ALPHA) * self.cpu_ratio_sq + ALPHA * ratio * ratio;
+            let ratio = observed_trk_per_frame / pred_trk;
+            ewma_ratio(&mut self.cpu_ratio_mean, &mut self.cpu_ratio_sq, ratio);
         }
     }
 
@@ -280,10 +271,7 @@ impl Scheduler {
         if !self.adaptive_latency {
             return;
         }
-        let ratio = slowdown.clamp(0.2, 10.0);
-        const ALPHA: f64 = 0.25;
-        self.gpu_ratio_mean = (1.0 - ALPHA) * self.gpu_ratio_mean + ALPHA * ratio;
-        self.gpu_ratio_sq = (1.0 - ALPHA) * self.gpu_ratio_sq + ALPHA * ratio * ratio;
+        ewma_ratio(&mut self.gpu_ratio_mean, &mut self.gpu_ratio_sq, slowdown);
     }
 
     /// Expected switching cost from the current branch to `dst`.
@@ -315,23 +303,13 @@ impl Scheduler {
     /// `boxes` are the kernel's current tracked boxes (the free source of
     /// the object-count/size light features). All scheduler costs are
     /// charged to `device`.
+    ///
+    /// The observer sees spans around the light pass, each heavy-feature
+    /// pass, and the solve; when it is enabled, the returned decision
+    /// also carries a [`DecisionExplain`]. Observation only *reads* the
+    /// virtual clock: callers that do not observe pass a
+    /// [`lr_obs::NullSink`], which changes nothing.
     pub fn decide(
-        &mut self,
-        video: &Video,
-        frame_idx: usize,
-        boxes: &[BBox],
-        svc: &mut FeatureService,
-        device: &mut DeviceSim,
-    ) -> Decision {
-        self.decide_obs(video, frame_idx, boxes, svc, device, &mut NullSink)
-    }
-
-    /// [`Scheduler::decide`] with an observer: spans around the light
-    /// pass, each heavy-feature pass, and the solve, plus a
-    /// [`DecisionExplain`] on the returned decision when the sink is
-    /// enabled. Observation only *reads* the virtual clock — with a
-    /// [`NullSink`] this is byte-for-byte the plain `decide`.
-    pub fn decide_obs(
         &mut self,
         video: &Video,
         frame_idx: usize,
@@ -490,7 +468,7 @@ impl Scheduler {
                 .min_by(|&i, &j| kernel_pred[i].total_cmp(&kernel_pred[j]))
             {
                 Some(b) => (b, true),
-                None => (Self::cheapest_branch(&kernel_pred), false),
+                None => (argmin(&kernel_pred), false),
             }
         } else {
             let mut best: Option<(usize, f32)> = None;
@@ -502,7 +480,7 @@ impl Scheduler {
             match best {
                 Some((b, _)) => (b, true),
                 // Fallback: the cheapest branch.
-                None => (Self::cheapest_branch(&kernel_pred), false),
+                None => (argmin(&kernel_pred), false),
             }
         };
 
@@ -549,19 +527,6 @@ impl Scheduler {
             cost_only,
             explain,
         }
-    }
-
-    /// Index of the branch with the lowest predicted kernel latency
-    /// (total order over floats; index 0 for an empty slice, which the
-    /// non-empty catalog invariant rules out).
-    fn cheapest_branch(kernel_pred: &[f64]) -> usize {
-        let mut best = 0usize;
-        for (i, v) in kernel_pred.iter().enumerate().skip(1) {
-            if v.total_cmp(&kernel_pred[best]) == std::cmp::Ordering::Less {
-                best = i;
-            }
-        }
-        best
     }
 
     /// True if a heavy feature can be recruited right now.
@@ -658,6 +623,29 @@ impl Scheduler {
     }
 }
 
+/// One EWMA step of a latency-ratio correction: `ratio` is clamped to
+/// `[0.2, 10]`, then folded into the running mean and mean square.
+fn ewma_ratio(mean: &mut f64, sq: &mut f64, ratio: f64) {
+    const ALPHA: f64 = 0.25;
+    let ratio = ratio.clamp(0.2, 10.0);
+    *mean = (1.0 - ALPHA) * *mean + ALPHA * ratio;
+    *sq = (1.0 - ALPHA) * *sq + ALPHA * ratio * ratio;
+}
+
+/// Index of the smallest value in `values` under [`f64::total_cmp`]
+/// (the first such index on ties; 0 for an empty slice, which the
+/// non-empty catalog invariant rules out). The cheapest-branch fallback
+/// of both the scheduler and the pipeline's retry rung.
+pub(crate) fn argmin(values: &[f64]) -> usize {
+    let mut best = 0usize;
+    for (i, v) in values.iter().enumerate().skip(1) {
+        if v.total_cmp(&values[best]) == std::cmp::Ordering::Less {
+            best = i;
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,6 +654,7 @@ mod tests {
     use crate::predictor::{AccuracyModel, AccuracyModelConfig, LatencyModel};
     use lr_device::DeviceKind;
     use lr_kernels::branch::small_catalog;
+    use lr_obs::NullSink;
     use lr_video::VideoSpec;
 
     fn trained() -> Arc<TrainedScheduler> {
@@ -750,7 +739,7 @@ mod tests {
         let v = test_video();
         let mut svc = FeatureService::new();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 1);
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(d.features.is_empty());
         assert!(d.scheduler_ms > 0.0, "light costs must be charged");
         assert!(d.scheduler_ms < 10.0, "MinCost must be cheap");
@@ -765,8 +754,8 @@ mod tests {
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 2);
         let mut tight = Scheduler::new(t.clone(), Policy::MinCost, 15.0);
         let mut loose = Scheduler::new(t, Policy::MinCost, 200.0);
-        let dt = tight.decide(&v, 0, &[], &mut svc, &mut dev);
-        let dl = loose.decide(&v, 0, &[], &mut svc, &mut dev);
+        let dt = tight.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
+        let dl = loose.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(dt.predicted_kernel_ms <= dl.predicted_kernel_ms + 1e-6);
     }
 
@@ -777,7 +766,7 @@ mod tests {
         let mut svc = FeatureService::new();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 3);
         let mut s = Scheduler::new(t, Policy::MaxContent(FeatureKind::MobileNetV2), 100.0);
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert_eq!(d.features, vec![FeatureKind::MobileNetV2]);
         // 153.96 extract + 9.33 predict, plus light costs.
         assert!(d.scheduler_ms > 150.0, "scheduler cost {}", d.scheduler_ms);
@@ -791,7 +780,7 @@ mod tests {
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 4);
         let mut s = Scheduler::new(t, Policy::ForcedFeatureFree(FeatureKind::MobileNetV2), 33.3);
         let before = dev.now_ms();
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert_eq!(dev.now_ms(), before, "free mode must not charge");
         assert_eq!(d.scheduler_ms, 0.0);
         assert_eq!(d.features, vec![FeatureKind::MobileNetV2]);
@@ -808,7 +797,7 @@ mod tests {
         let mut svc = FeatureService::new();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 5);
         let mut s = Scheduler::new(t, Policy::CostBenefit, 6.0);
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(
             !d.features.contains(&FeatureKind::MobileNetV2),
             "MobileNetV2 selected under a 6 ms SLO: {:?}",
@@ -823,7 +812,7 @@ mod tests {
         let mut svc = FeatureService::new();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 6);
         let mut s = Scheduler::new(t, Policy::CostBenefit, 100.0);
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(
             !d.features.is_empty(),
             "a 100 ms SLO affords content features"
@@ -838,7 +827,7 @@ mod tests {
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 7);
         let mut s = Scheduler::new(t, Policy::MaxContent(FeatureKind::ResNet50), 100.0);
         // No detection recorded yet: falls back to light-only.
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(d.features.is_empty());
     }
 
@@ -884,7 +873,7 @@ mod tests {
             },
         )));
         let mut s = Scheduler::new(t, Policy::CostBenefit, 50.0);
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(d.cost_only, "faulted predict op must force cost-only");
         assert!(d.faults >= 1);
         assert!(d.scheduler_ms > 0.0, "wasted op time must be accounted");
@@ -897,16 +886,16 @@ mod tests {
         let mut svc = FeatureService::new();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 9);
         let mut s = Scheduler::new(t, Policy::CostBenefit, 50.0);
-        let d = s.decide(&v, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert_eq!(d.faults, 0);
         assert!(!d.cost_only);
     }
 
     #[test]
-    fn cheapest_branch_ignores_nan_predictions() {
-        assert_eq!(Scheduler::cheapest_branch(&[3.0, f64::NAN, 1.0, 2.0]), 2);
-        assert_eq!(Scheduler::cheapest_branch(&[f64::NAN, 5.0]), 1);
-        assert_eq!(Scheduler::cheapest_branch(&[4.0]), 0);
+    fn argmin_ignores_nan_predictions() {
+        assert_eq!(argmin(&[3.0, f64::NAN, 1.0, 2.0]), 2);
+        assert_eq!(argmin(&[f64::NAN, 5.0]), 1);
+        assert_eq!(argmin(&[4.0]), 0);
     }
 
     #[test]

@@ -171,16 +171,6 @@ impl DeviceSim {
         self.contention.gpu_level_pct()
     }
 
-    /// Changes the contention level mid-run (the paper's CG is toggled
-    /// between experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pct` is outside `[0, 99]`.
-    pub fn set_contention_pct(&mut self, pct: f64) {
-        self.contention = ContentionGenerator::new(pct);
-    }
-
     /// Supplies an endogenous GPU slowdown factor (≥ 1) measured by a
     /// serving layer from co-scheduled streams' GPU occupancy. While set
     /// it replaces the static contention generator for GPU ops.

@@ -40,5 +40,5 @@ pub mod tracker;
 
 pub use branch::{Branch, DetectorConfig, TrackerKind};
 pub use detector::{Detection, DetectorFamily, DetectorSim};
-pub use mbek::{GofError, GofOptions, GofResult, Mbek};
+pub use mbek::{GofResult, Mbek};
 pub use tracker::TrackerSim;

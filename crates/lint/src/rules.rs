@@ -299,10 +299,10 @@ pub fn scan_source(path: &str, src: &str) -> FileScan {
                 }
                 "HashMap" | "HashSet" if !in_use[idx] => report(RuleId::D2, tok.line),
                 "thread_rng" | "from_entropy" | "OsRng" => report(RuleId::D3, tok.line),
-                "println" | "eprintln" | "print" | "eprint" | "dbg" if !path_allows_print(path) => {
-                    if next(1).is_some_and(|t| t.is_punct('!')) {
-                        report(RuleId::O1, tok.line);
-                    }
+                "println" | "eprintln" | "print" | "eprint" | "dbg"
+                    if !path_allows_print(path) && next(1).is_some_and(|t| t.is_punct('!')) =>
+                {
+                    report(RuleId::O1, tok.line);
                 }
                 "partial_cmp" => report(RuleId::N1, tok.line),
                 "unwrap" | "expect" => {
@@ -416,7 +416,7 @@ fn read_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
         }
         j += 1;
     }
-    let has = |w: &str| idents.iter().any(|&s| s == w);
+    let has = |w: &str| idents.contains(&w);
     let marking = idents.as_slice() == ["test"] || (has("cfg") && has("test") && !has("not"));
     (j.min(tokens.len().saturating_sub(1)), marking)
 }

@@ -2,7 +2,8 @@
 //!
 //! NaN and infinity propagate silently through matmuls and training
 //! steps, surfacing only much later as a garbage accuracy table or a
-//! scheduler that always picks branch 0. The [`debug_assert_finite!`]
+//! scheduler that always picks branch 0. The
+//! [`debug_assert_finite!`](crate::debug_assert_finite)
 //! macro catches them at the op that *produced* them: it is wired into
 //! the tensor kernels, dense-layer forward passes, and loss values, and
 //! compiles to nothing in release builds (the bench and serving paths

@@ -228,19 +228,11 @@ fn stream_seed(base: u64, salt: u64) -> u64 {
 ///
 /// `svc` is used as a template (raster size) for the per-stream feature
 /// services; its cache is neither read nor written here.
-pub fn serve(
-    specs: &[StreamSpec],
-    trained: Arc<TrainedScheduler>,
-    policy: Policy,
-    cfg: &ServeConfig,
-    svc: &mut FeatureService,
-) -> ServeReport {
-    serve_traced(specs, trained, policy, cfg, svc).0
-}
-
-/// [`serve`], additionally returning the run's [`ObsBundle`]: merged
+///
+/// Alongside the report, returns the run's [`ObsBundle`]: merged
 /// metrics plus (under [`ObsMode::Trace`]) the ordered event stream —
 /// spans, scheduler decision records, and dispatch-round records.
+/// Callers that only want the report take `.0`.
 ///
 /// Events are buffered per stream during the run (no cross-worker
 /// synchronization) and drained serially in spec order afterwards, so
@@ -432,7 +424,7 @@ pub fn serve_traced(
         // the degraded mode mid-run.
         for (s, (start, end, slowdown, step)) in round.iter_mut().zip(outcomes) {
             shared.clear_reservation(s.slot);
-            // Round members are filtered on !finished(), so step_gof
+            // Round members are filtered on !finished(), so step_gof_obs
             // returns Some; a None (impossible by construction) would
             // mean the stream made no progress — skip its bookkeeping
             // rather than panic inside the serving loop.
@@ -604,7 +596,7 @@ mod tests {
         let mut svc = FeatureService::new();
         let specs = vec![StreamSpec::synthetic(0, SloClass::Bronze, 64)];
         let cfg = ServeConfig::new(DeviceKind::JetsonTx2);
-        let r = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        let r = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
         assert_eq!(r.offered(), 1);
         assert_eq!(r.rejected(), 0);
         let s = &r.streams[0];
@@ -623,8 +615,8 @@ mod tests {
             .collect();
         let cfg = ServeConfig::new(DeviceKind::JetsonTx2);
         let mut svc = FeatureService::new();
-        let a = serve(&specs, t.clone(), Policy::MinCost, &cfg, &mut svc);
-        let b = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        let a = serve_traced(&specs, t.clone(), Policy::MinCost, &cfg, &mut svc).0;
+        let b = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
         for (x, y) in a.streams.iter().zip(&b.streams) {
             assert_eq!(x.frames, y.frames);
             assert_eq!(x.gofs, y.gofs);
@@ -650,7 +642,7 @@ mod tests {
         cfg.fault_window_gofs = 3;
         cfg.fault_rate_threshold = 0.34;
         cfg.fault_backoff_ms = 100.0;
-        let r = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        let r = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
         assert!(r.total_faults() > 0, "30% transient rate must fault");
         assert!(r.degraded_gof_fraction() > 0.0);
         // Every admitted, non-terminally-evicted stream finishes.
@@ -674,7 +666,7 @@ mod tests {
             ..lr_device::FaultConfig::moderate(77)
         });
         cfg.fault_window_gofs = 0;
-        let r = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        let r = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
         assert!(r.total_faults() > 0, "30% transient rate must fault");
         assert_eq!(r.total_evictions(), 0);
         for s in &r.streams {
@@ -698,8 +690,8 @@ mod tests {
         cfg.fault_rate_threshold = 0.34;
         cfg.fault_backoff_ms = 100.0;
         let mut svc = FeatureService::new();
-        let a = serve(&specs, t.clone(), Policy::MinCost, &cfg, &mut svc);
-        let b = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        let a = serve_traced(&specs, t.clone(), Policy::MinCost, &cfg, &mut svc).0;
+        let b = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
         for (x, y) in a.streams.iter().zip(&b.streams) {
             assert_eq!(x.frames, y.frames);
             assert_eq!(x.gofs, y.gofs);
@@ -718,7 +710,7 @@ mod tests {
         let mut svc = FeatureService::new();
         let specs = vec![StreamSpec::synthetic(0, SloClass::Bronze, 64)];
         let cfg = ServeConfig::new(DeviceKind::JetsonTx2);
-        let r = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        let r = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
         assert_eq!(r.total_faults(), 0);
         assert_eq!(r.total_evictions(), 0);
         assert_eq!(r.degraded_gof_fraction(), 0.0);
@@ -732,7 +724,7 @@ mod tests {
             .map(|i| StreamSpec::synthetic(i, SloClass::Gold, 32))
             .collect();
         let cfg = ServeConfig::new(DeviceKind::JetsonTx2).without_admission();
-        let r = serve(&specs, t, Policy::MinCost, &cfg, &mut svc);
+        let r = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
         assert_eq!(r.admitted(), 6);
         assert_eq!(r.rejected(), 0);
         // Six co-scheduled streams: everyone observes real contention.
@@ -747,14 +739,15 @@ mod tests {
         let mut svc = FeatureService::new();
         let cfg = ServeConfig::new(DeviceKind::JetsonTx2).without_admission();
 
-        let alone = serve(
+        let alone = serve_traced(
             &[StreamSpec::synthetic(0, SloClass::Bronze, 48)],
             t.clone(),
             Policy::MinCost,
             &cfg,
             &mut svc,
-        );
-        let together = serve(
+        )
+        .0;
+        let together = serve_traced(
             &[
                 StreamSpec::synthetic(0, SloClass::Bronze, 48),
                 StreamSpec::synthetic(1, SloClass::Bronze, 48),
@@ -764,7 +757,8 @@ mod tests {
             Policy::MinCost,
             &cfg,
             &mut svc,
-        );
+        )
+        .0;
         let solo_mean = alone.streams[0].latency.mean();
         let shared_mean = together.streams[0].latency.mean();
         assert!(

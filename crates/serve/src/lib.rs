@@ -17,11 +17,12 @@
 //!   ([`SloClass`]) and rejects — or degrades, for classes that allow
 //!   it — streams whose predicted GPU demand would push aggregate
 //!   occupancy past capacity.
-//! - [`serve`] is the round-based dispatcher: it steps all admitted
-//!   streams GoF-by-GoF in virtual time with priority aging and
-//!   violation-driven backpressure, and produces a [`ServeReport`]
-//!   (per-stream mAP, p50/p95/p99 GoF latency, SLO-violation rate,
-//!   admission counts).
+//! - [`serve_traced`] is the round-based dispatcher and the crate's one
+//!   entry point: it steps all admitted streams GoF-by-GoF in virtual
+//!   time with priority aging and violation-driven backpressure, and
+//!   produces a [`ServeReport`] (per-stream mAP, p50/p95/p99 GoF
+//!   latency, SLO-violation rate, admission counts) together with the
+//!   run's [`ObsBundle`] (empty under [`ObsMode::Off`]).
 //!
 //! Each admitted stream keeps its own `litereconfig` scheduler, whose
 //! latency predictor consumes the measured slowdown through
@@ -39,7 +40,7 @@ pub mod shared;
 pub mod slo;
 
 pub use admission::{AdmissionController, AdmissionDecision};
-pub use dispatch::{serve, serve_traced, ServeConfig};
+pub use dispatch::{serve_traced, ServeConfig};
 pub use lr_obs::{ObsBundle, ObsMode};
 pub use report::{ServeReport, StreamReport};
 pub use shared::SharedDevice;

@@ -11,7 +11,7 @@ use litereconfig::{FeatureService, Policy, TrainedScheduler};
 use lr_device::DeviceKind;
 use lr_kernels::branch::small_catalog;
 use lr_kernels::DetectorFamily;
-use lr_serve::{serve, ServeConfig, SloClass, StreamSpec};
+use lr_serve::{serve_traced, ServeConfig, SloClass, StreamSpec};
 use lr_video::{Video, VideoSpec};
 
 fn trained() -> Arc<TrainedScheduler> {
@@ -57,21 +57,23 @@ fn two_co_scheduled_streams_each_observe_higher_gof_latency_than_alone() {
     let mut cfg = ServeConfig::new(DeviceKind::JetsonTx2).without_admission();
     cfg.contention_adaptive = false;
 
-    let a_alone = serve(
+    let a_alone = serve_traced(
         std::slice::from_ref(&a),
         t.clone(),
         Policy::MinCost,
         &cfg,
         &mut svc,
-    );
-    let b_alone = serve(
+    )
+    .0;
+    let b_alone = serve_traced(
         std::slice::from_ref(&b),
         t.clone(),
         Policy::MinCost,
         &cfg,
         &mut svc,
-    );
-    let together = serve(&[a, b], t, Policy::MinCost, &cfg, &mut svc);
+    )
+    .0;
+    let together = serve_traced(&[a, b], t, Policy::MinCost, &cfg, &mut svc).0;
 
     // Alone, a stream observes no contention at all.
     assert!((a_alone.streams[0].mean_slowdown - 1.0).abs() < 1e-9);
@@ -112,8 +114,8 @@ fn adaptive_schedulers_absorb_contention_by_reconfiguring() {
     frozen_cfg.contention_adaptive = false;
     let adaptive_cfg = ServeConfig::new(DeviceKind::JetsonTx2).without_admission();
 
-    let frozen = serve(&specs, t.clone(), Policy::MinCost, &frozen_cfg, &mut svc);
-    let adaptive = serve(&specs, t, Policy::MinCost, &adaptive_cfg, &mut svc);
+    let frozen = serve_traced(&specs, t.clone(), Policy::MinCost, &frozen_cfg, &mut svc).0;
+    let adaptive = serve_traced(&specs, t, Policy::MinCost, &adaptive_cfg, &mut svc).0;
 
     // Both observe real contention, but the adaptive schedulers react to
     // it and hold their P95 at or below the frozen ones'.

@@ -1,4 +1,4 @@
-//! The parallel dispatcher's determinism contract: `serve()` must
+//! The parallel dispatcher's determinism contract: `serve_traced` must
 //! produce bit-identical reports no matter how many pool workers step a
 //! round, because round membership, the occupancy snapshot, and the
 //! record/backpressure post-pass are all computed serially and every
@@ -12,7 +12,7 @@ use litereconfig::{FeatureService, Policy, TrainedScheduler};
 use lr_device::DeviceKind;
 use lr_kernels::branch::small_catalog;
 use lr_kernels::DetectorFamily;
-use lr_serve::{serve, serve_traced, ObsMode, ServeConfig, ServeReport, SloClass, StreamSpec};
+use lr_serve::{serve_traced, ObsMode, ServeConfig, ServeReport, SloClass, StreamSpec};
 use lr_video::{Video, VideoSpec};
 
 fn trained() -> Arc<TrainedScheduler> {
@@ -135,7 +135,7 @@ fn serve_reports_are_identical_for_one_and_four_workers() {
                 cfg.seed = seed;
                 cfg.pool_threads = threads;
                 let mut svc = FeatureService::new();
-                serve(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc)
+                serve_traced(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc).0
             };
             let serial = run(1);
             let parallel = run(4);
@@ -162,7 +162,7 @@ fn faulted_serving_is_thread_count_invariant() {
         cfg.fault_rate_threshold = 0.34;
         cfg.fault_backoff_ms = 120.0;
         let mut svc = FeatureService::new();
-        serve(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc)
+        serve_traced(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc).0
     };
     let serial = run(1);
     assert!(
@@ -310,7 +310,7 @@ fn overload_without_admission_is_also_thread_count_invariant() {
         cfg.seed = 11;
         cfg.pool_threads = threads;
         let mut svc = FeatureService::new();
-        serve(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc)
+        serve_traced(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc).0
     };
     let serial = run(1);
     for threads in [2, 4] {

@@ -31,7 +31,6 @@ pub mod object;
 pub mod raster;
 pub mod regime;
 pub mod scene;
-pub mod trace;
 pub mod video;
 
 pub use classes::ObjectClass;

@@ -21,7 +21,7 @@ use litereconfig::{FeatureService, Policy};
 use lr_device::DeviceKind;
 use lr_kernels::branch::small_catalog;
 use lr_kernels::DetectorFamily;
-use lr_serve::{serve, ServeConfig, SloClass, StreamSpec};
+use lr_serve::{serve_traced, ServeConfig, SloClass, StreamSpec};
 use lr_video::{Dataset, DatasetConfig, Split};
 
 fn main() {
@@ -68,7 +68,7 @@ fn main() {
     }
 
     let cfg = ServeConfig::new(DeviceKind::JetsonTx2);
-    let report = serve(&specs, trained, Policy::CostBenefit, &cfg, &mut svc);
+    let report = serve_traced(&specs, trained, Policy::CostBenefit, &cfg, &mut svc).0;
 
     println!("\n=== serve report (TX2, admission on) ===");
     print!("{}", report.format_table());

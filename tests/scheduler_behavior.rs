@@ -10,6 +10,7 @@ use lr_device::{DeviceKind, DeviceSim};
 use lr_features::FeatureKind;
 use lr_kernels::branch::small_catalog;
 use lr_kernels::DetectorFamily;
+use lr_obs::NullSink;
 use lr_video::{Dataset, DatasetConfig, Split, Video};
 
 fn build() -> (Arc<TrainedScheduler>, Video, FeatureService) {
@@ -50,7 +51,7 @@ fn decisions_are_well_formed_across_slos() {
     for slo in [10.0, 20.0, 33.3, 50.0, 100.0, 500.0] {
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 1);
         let mut s = Scheduler::new(trained.clone(), Policy::CostBenefit, slo);
-        let d = s.decide(&video, 0, &[], &mut svc, &mut dev);
+        let d = s.decide(&video, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(d.branch_idx < trained.catalog.len());
         assert!(d.scheduler_ms >= 0.0 && d.scheduler_ms < 500.0);
         assert!(d.predicted_kernel_ms >= 0.0);
@@ -64,7 +65,7 @@ fn impossible_slo_falls_back_to_cheapest_branch() {
     let (trained, video, mut svc) = build();
     let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 2);
     let mut s = Scheduler::new(trained.clone(), Policy::MinCost, 0.2);
-    let d = s.decide(&video, 0, &[], &mut svc, &mut dev);
+    let d = s.decide(&video, 0, &[], &mut svc, &mut dev, &mut NullSink);
     assert!(!d.feasible, "0.2 ms cannot be feasible");
     // The fallback is the branch with minimum predicted latency.
     let light = svc.light(&video, 0, &[]);
@@ -90,10 +91,10 @@ fn byproduct_features_unlock_after_detection() {
         Policy::MaxContent(FeatureKind::CPoP),
         100.0,
     );
-    let d0 = s.decide(&video, 0, &[], &mut svc, &mut dev);
+    let d0 = s.decide(&video, 0, &[], &mut svc, &mut dev, &mut NullSink);
     assert!(d0.features.is_empty(), "CPoP cannot be available yet");
     s.record_detection(0, vec![vec![0.0; 31]; 4]);
-    let d1 = s.decide(&video, 8, &[], &mut svc, &mut dev);
+    let d1 = s.decide(&video, 8, &[], &mut svc, &mut dev, &mut NullSink);
     assert_eq!(d1.features, vec![FeatureKind::CPoP]);
 }
 
@@ -108,10 +109,10 @@ fn stream_reset_clears_byproducts() {
         100.0,
     );
     s.record_detection(0, vec![vec![0.0; 31]; 4]);
-    let before = s.decide(&video, 8, &[], &mut svc, &mut dev);
+    let before = s.decide(&video, 8, &[], &mut svc, &mut dev, &mut NullSink);
     assert!(!before.features.is_empty());
     s.reset_stream();
-    let after = s.decide(&video, 8, &[], &mut svc, &mut dev);
+    let after = s.decide(&video, 8, &[], &mut svc, &mut dev, &mut NullSink);
     assert!(after.features.is_empty());
 }
 
@@ -164,9 +165,9 @@ fn feature_counts_respect_policy_caps() {
         Scheduler::new(trained.clone(), Policy::MaxContent(FeatureKind::HoC), 200.0);
     let mut cost_benefit = Scheduler::new(trained.clone(), Policy::CostBenefit, 200.0);
     for t in [0usize, 8, 16] {
-        let d = max_content.decide(&video, t, &[], &mut svc, &mut dev);
+        let d = max_content.decide(&video, t, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(d.features.len() <= 1);
-        let d = cost_benefit.decide(&video, t, &[], &mut svc, &mut dev);
+        let d = cost_benefit.decide(&video, t, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(d.features.len() <= 2);
     }
 }
