@@ -9,11 +9,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use litereconfig::offline::{profile_videos, OfflineConfig};
+use litereconfig::offline::{gt_boxes, pred_boxes, profile_videos, OfflineConfig};
 use litereconfig::trainer::{train_scheduler, TrainConfig};
 use litereconfig::{FeatureService, Policy, Scheduler};
 use lr_device::{DeviceKind, DeviceSim};
-use lr_eval::MapAccumulator;
+use lr_eval::{MapAccumulator, PredBox};
 use lr_features::FeatureKind;
 use lr_kernels::branch::small_catalog;
 use lr_kernels::{Branch, DetectorFamily, Mbek, TrackerKind};
@@ -134,22 +134,19 @@ fn bench_eval() {
     let v = test_video();
     let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 3);
     let det = lr_kernels::DetectorSim::new(DetectorFamily::FasterRcnn);
-    let frames: Vec<_> = v
+    let preds: Vec<Vec<PredBox>> = v
         .frames
         .iter()
         .map(|f| {
             let out = det.detect(f, lr_kernels::DetectorConfig::new(448, 100), dev.rng());
-            (
-                litereconfig::offline::to_gt_boxes(f),
-                litereconfig::offline::to_pred_boxes(&out.detections),
-            )
+            pred_boxes(&out.detections).collect()
         })
         .collect();
 
     bench("eval/map_64_frames", || {
         let mut acc = MapAccumulator::new();
-        for (gt, pred) in &frames {
-            acc.add_frame(gt, pred);
+        for (f, p) in v.frames.iter().zip(&preds) {
+            acc.add_frame(gt_boxes(f), p.iter().copied());
         }
         acc.finalize(0.5).map
     });

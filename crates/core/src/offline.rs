@@ -103,27 +103,21 @@ impl OfflineDataset {
     }
 }
 
-/// Converts ground truth to evaluation boxes.
-pub fn to_gt_boxes(truth: &FrameTruth) -> Vec<GtBox> {
-    truth
-        .objects
-        .iter()
-        .map(|o| GtBox {
-            class: o.class.index(),
-            bbox: o.bbox,
-        })
-        .collect()
+/// A frame's ground truth as evaluation boxes.
+pub fn gt_boxes(truth: &FrameTruth) -> impl Iterator<Item = GtBox> + '_ {
+    truth.objects.iter().map(|o| GtBox {
+        class: o.class.index(),
+        bbox: o.bbox,
+    })
 }
 
-/// Converts detections to evaluation boxes.
-pub fn to_pred_boxes(dets: &[Detection]) -> Vec<PredBox> {
-    dets.iter()
-        .map(|d| PredBox {
-            class: d.class.index(),
-            bbox: d.bbox,
-            score: d.score,
-        })
-        .collect()
+/// Detections as evaluation boxes.
+pub fn pred_boxes(dets: &[Detection]) -> impl Iterator<Item = PredBox> + '_ {
+    dets.iter().map(|d| PredBox {
+        class: d.class.index(),
+        bbox: d.bbox,
+        score: d.score,
+    })
 }
 
 /// Profiles a set of videos into an offline dataset.
@@ -160,13 +154,18 @@ pub fn profile_videos(
                 }
             }
 
-            // Label every branch on this snippet.
+            // Label every branch on this snippet against one ground-truth
+            // index: each branch only swaps in its predictions.
+            let mut acc = MapAccumulator::new();
+            for truth in snippet {
+                acc.add_frame(gt_boxes(truth), []);
+            }
             let mut branch_map = Vec::with_capacity(cfg.catalog.len());
             let mut branch_det_ms = Vec::with_capacity(cfg.catalog.len());
             let mut branch_trk_ms = Vec::with_capacity(cfg.catalog.len());
             for &branch in &cfg.catalog {
                 let (map, det_ms, trk_ms) =
-                    run_branch_on_snippet(cfg.family, branch, snippet, &mut device);
+                    run_branch_on_snippet(cfg.family, branch, snippet, &mut acc, &mut device);
                 branch_map.push(map);
                 branch_det_ms.push(det_ms);
                 branch_trk_ms.push(trk_ms);
@@ -190,8 +189,9 @@ pub fn profile_videos(
     }
 }
 
-/// Runs one branch over a snippet; returns (snippet mAP, mean detector
-/// ms/frame, mean tracker ms/frame).
+/// Runs one branch over a snippet and scores it against `acc`, which
+/// holds the snippet's ground truth (its predictions are replaced).
+/// Returns (snippet mAP, mean detector ms/frame, mean tracker ms/frame).
 ///
 /// # Panics
 ///
@@ -201,10 +201,11 @@ fn run_branch_on_snippet(
     family: DetectorFamily,
     branch: Branch,
     snippet: &[FrameTruth],
+    acc: &mut MapAccumulator,
     device: &mut DeviceSim,
 ) -> (f32, f64, f64) {
     let mut mbek = Mbek::new(family, branch);
-    let mut acc = MapAccumulator::new();
+    acc.clear_predictions();
     let mut det_ms = 0.0;
     let mut trk_ms = 0.0;
     let gof = branch.gof_size.max(1) as usize;
@@ -217,8 +218,8 @@ fn run_branch_on_snippet(
         };
         det_ms += result.detector_ms;
         trk_ms += result.tracker_ms;
-        for (truth, dets) in snippet[t..end].iter().zip(result.per_frame.iter()) {
-            acc.add_frame(&to_gt_boxes(truth), &to_pred_boxes(dets));
+        for (frame, dets) in (t..end).zip(&result.per_frame) {
+            acc.add_predictions(frame, pred_boxes(dets));
         }
         t = end;
     }

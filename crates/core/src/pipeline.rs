@@ -18,7 +18,7 @@ use lr_obs::{DecisionRecord, NullSink, ObsSink, SpanKind};
 use lr_video::{BBox, Video};
 
 use crate::featsvc::FeatureService;
-use crate::offline::{to_gt_boxes, to_pred_boxes};
+use crate::offline::{gt_boxes, pred_boxes};
 use crate::scheduler::{argmin, Policy, Scheduler, TrainedScheduler};
 
 /// Configuration of one online run.
@@ -512,8 +512,7 @@ impl StreamPipeline {
         let gof_total = sched_ms + switch_ms + result.kernel_ms() + wasted_ms + overhead_ms;
         let per_frame = gof_total / frames.len() as f64;
         for (truth, dets) in frames.iter().zip(result.per_frame.iter()) {
-            self.acc
-                .add_frame(&to_gt_boxes(truth), &to_pred_boxes(dets));
+            self.acc.add_frame(gt_boxes(truth), pred_boxes(dets));
             self.latency.record(per_frame);
         }
         self.breakdown.detector_ms += result.detector_ms + wasted_ms;
@@ -644,7 +643,7 @@ impl StreamPipeline {
     }
 
     /// Consumes the pipeline and produces the run result.
-    pub fn into_result(self) -> RunResult {
+    pub fn into_result(mut self) -> RunResult {
         RunResult {
             map: self.acc.finalize(0.5).map,
             latency: self.latency,

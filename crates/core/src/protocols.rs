@@ -16,7 +16,7 @@ use lr_kernels::heavy::HeavyModel;
 use lr_kernels::{latency, DetectorConfig, DetectorFamily, DetectorSim};
 use lr_video::Video;
 
-use crate::offline::{to_gt_boxes, to_pred_boxes};
+use crate::offline::{gt_boxes, pred_boxes};
 use crate::pipeline::{run_adaptive, Breakdown, RunConfig, RunResult};
 use crate::scheduler::{Policy, TrainedScheduler};
 use crate::FeatureService;
@@ -186,7 +186,7 @@ pub fn run_static_detector(
         for truth in &video.frames {
             let ms = device.charge(OpUnit::Gpu, latency::detector_base_ms(family, cfg));
             let out = sim.detect(truth, cfg, device.rng());
-            acc.add_frame(&to_gt_boxes(truth), &to_pred_boxes(&out.detections));
+            acc.add_frame(gt_boxes(truth), pred_boxes(&out.detections));
             stats.record(ms);
             breakdown.detector_ms += ms;
             breakdown.frames += 1;
@@ -224,7 +224,7 @@ pub fn run_adascale_ms(videos: &[Video], device_kind: DeviceKind, seed: u64) -> 
                 latency::detector_base_ms(DetectorFamily::AdaScale, cfg),
             );
             let out = ms.step(truth, device.rng());
-            acc.add_frame(&to_gt_boxes(truth), &to_pred_boxes(&out.detections));
+            acc.add_frame(gt_boxes(truth), pred_boxes(&out.detections));
             stats.record(charged);
             breakdown.detector_ms += charged;
             breakdown.frames += 1;
@@ -268,7 +268,7 @@ pub fn run_heavy_model(
         for truth in &video.frames {
             let ms = device.charge(OpUnit::Gpu, base);
             let dets = model.detect(truth, device.rng());
-            acc.add_frame(&to_gt_boxes(truth), &to_pred_boxes(&dets));
+            acc.add_frame(gt_boxes(truth), pred_boxes(&dets));
             stats.record(ms);
             breakdown.detector_ms += ms;
             breakdown.frames += 1;

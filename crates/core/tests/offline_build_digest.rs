@@ -1,8 +1,8 @@
 //! Pins the offline build bit for bit: profiling two generated videos
 //! with every heavy feature (the conv stand-ins included) and training
 //! an accuracy model per feature must reproduce the committed digests.
-//! A kernel change that moves one bit of a profiled feature or of a
-//! trained weight changes a digest and fails here.
+//! A kernel change that moves one bit of a profiled feature, of a
+//! branch label or of a trained weight changes a digest and fails here.
 
 use litereconfig::offline::{profile_videos, OfflineConfig};
 use litereconfig::predictor::AccuracyModelConfig;
@@ -19,6 +19,10 @@ use lr_video::{Video, VideoSpec};
 const FEATURES_DIGEST: u64 = 0xc2f9_4f69_05c2_d8de;
 /// Digest of every accuracy model's predictions on the first records.
 const PREDICTIONS_DIGEST: u64 = 0xe481_6bf4_229d_07dd;
+/// Digest of every record's labels: per-branch mAP, detector ms and
+/// tracker ms. Recorded with the `BTreeMap`-based mAP accumulator,
+/// before it moved to dense per-class storage.
+const LABELS_DIGEST: u64 = 0x3a2d_4140_ea52_3408;
 
 /// 64-bit FNV-1a over the bit patterns of a stream of `f32`s.
 struct Fnv1a(u64);
@@ -30,10 +34,20 @@ impl Fnv1a {
 
     fn add(&mut self, values: &[f32]) {
         for v in values {
-            for byte in v.to_bits().to_le_bytes() {
-                self.0 ^= u64::from(byte);
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    fn add_f64(&mut self, values: &[f64]) {
+        for v in values {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }
@@ -61,12 +75,16 @@ fn offline_build_matches_the_pinned_digests() {
     let dataset = profile_videos(&videos, &offline, &mut FeatureService::new());
 
     let mut features = Fnv1a::new();
+    let mut labels = Fnv1a::new();
     for record in &dataset.records {
         assert_eq!(record.heavy.len(), lr_features::HEAVY_FEATURE_KINDS.len());
         features.add(&record.light);
         for vector in record.heavy.values() {
             features.add(vector);
         }
+        labels.add(&record.branch_map);
+        labels.add_f64(&record.branch_det_ms);
+        labels.add_f64(&record.branch_trk_ms);
     }
 
     let cfg = TrainConfig {
@@ -85,10 +103,11 @@ fn offline_build_matches_the_pinned_digests() {
     }
 
     assert_eq!(
-        (features.0, predictions.0),
-        (FEATURES_DIGEST, PREDICTIONS_DIGEST),
-        "offline build moved: features {:#018x}, predictions {:#018x}",
+        (features.0, labels.0, predictions.0),
+        (FEATURES_DIGEST, LABELS_DIGEST, PREDICTIONS_DIGEST),
+        "offline build moved: features {:#018x}, labels {:#018x}, predictions {:#018x}",
         features.0,
+        labels.0,
         predictions.0
     );
 }

@@ -14,7 +14,6 @@
 
 pub mod latency;
 pub mod map;
-pub mod report;
 pub mod table;
 
 pub use latency::LatencyStats;

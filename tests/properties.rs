@@ -81,7 +81,7 @@ fn map_is_bounded() {
                 score: rng.gen_range(0.01f32..1.0),
             })
             .collect();
-        acc.add_frame(&gt, &preds);
+        acc.add_frame(gt, preds);
         let r = acc.finalize(0.5);
         assert!((0.0..=1.0).contains(&r.map), "mAP {} out of bounds", r.map);
     }
@@ -108,7 +108,7 @@ fn perfect_predictions_score_one() {
                 score: 0.9,
             })
             .collect();
-        acc.add_frame(&gt, &preds);
+        acc.add_frame(gt, preds);
         let r = acc.finalize(0.5);
         assert!(r.map > 0.99, "mAP {} for perfect predictions", r.map);
     }
