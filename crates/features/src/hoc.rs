@@ -13,19 +13,41 @@ pub const BINS: usize = 256;
 /// Output dimensionality (3 channels x 256 bins).
 pub const DIM: usize = 3 * BINS;
 
+/// The bin of a channel value: `v * 255` truncated, NaN and negatives in
+/// bin 0, everything at or above 255 in the last bin — for every `f32`,
+/// exactly `((v * 255.0) as usize).min(BINS - 1)`.
+///
+/// Float-to-int casts saturate in Rust, and on the x86-64 baseline (SSE2)
+/// the compiler emits them one lane at a time. This version uses only
+/// lane-wise float ops and a bit cast, so the bin pass vectorises:
+/// `max`/`min` clamp to `[0, 255]` and send NaN to 0; adding 2^23 rounds
+/// `x` to the nearest integer `r`, which then sits in the low mantissa
+/// bits; and `r - (r > x)` turns the rounding into truncation.
+fn bin(v: f32) -> u8 {
+    // 2^23, where consecutive f32 values are 1 apart.
+    const SHIFT: f32 = 8_388_608.0;
+    // Not `clamp`, which keeps NaN: `max` sends it to 0.
+    let x = (v * 255.0).max(0.0);
+    let x = x.min(255.0);
+    let t = x + SHIFT;
+    let r = t.to_bits() - SHIFT.to_bits();
+    (r - u32::from(t - SHIFT > x)) as u8
+}
+
 /// Extracts the 768-dimensional HoC feature from a frame.
 ///
-/// Bins are counted as integers; a count of at most 2^24 pixels converts
-/// to `f32` exactly, so each value is `count * (1 / pixels)` just as if
-/// the histogram had been accumulated in `f32`.
+/// The bins are computed in one pass and counted as integers in a second;
+/// a count of at most 2^24 pixels converts to `f32` exactly, so each value
+/// is `count * (1 / pixels)` just as if the histogram had been accumulated
+/// in `f32`.
 pub fn extract(frame: &RgbFrame) -> Vec<f32> {
+    let data = frame.as_slice();
+    let bins: Vec<u8> = data.iter().map(|&v| bin(v)).collect();
     let mut counts = [[0u32; BINS]; 3];
     let n = frame.width() * frame.height();
-    let data = frame.as_slice();
-    for (c, hist) in counts.iter_mut().enumerate() {
-        for &v in &data[c * n..(c + 1) * n] {
-            let bin = ((v * 255.0) as usize).min(BINS - 1);
-            hist[bin] += 1;
+    for (hist, plane) in counts.iter_mut().zip(bins.chunks_exact(n)) {
+        for &b in plane {
+            hist[usize::from(b)] += 1;
         }
     }
     let inv = 1.0 / n as f32;
@@ -116,6 +138,57 @@ mod tests {
         assert_same_bits(&h, &extract_f32_sums(&img), "bin edges");
         assert_eq!(h[2 * BINS], 0.5);
         assert_eq!(h[3 * BINS - 1], 0.5);
+    }
+
+    #[test]
+    fn bin_matches_the_clamped_usize_cast() {
+        // `RgbFrame::set` clamps, so frames never carry these edge cases;
+        // the bin expression is tested on the values directly.
+        let mut values = vec![
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            -f32::MIN_POSITIVE,
+            -1e-30,
+            -0.5,
+            -1.0,
+            -255.0,
+            f32::MIN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            f32::MAX,
+            1e30,
+            256.0,
+            255.0,
+            2.0,
+            1.004,
+            1.003,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+        ];
+        for k in 0..=256u32 {
+            let edge = k as f32 / 255.0;
+            values.extend([edge.next_down(), edge, edge.next_up()]);
+            // Wider neighbourhoods of each edge, and of each edge of the
+            // rounding step inside `bin` (halfway between two bins).
+            for centre in [edge, (k as f32 + 0.5) / 255.0] {
+                let bits = centre.to_bits();
+                values.extend((bits.saturating_sub(64)..=bits + 64).map(f32::from_bits));
+            }
+        }
+        // A stride through every bit pattern: both signs, subnormals,
+        // NaN payloads and infinities.
+        values.extend((0..=u32::MAX).step_by(4093).map(f32::from_bits));
+        for v in values {
+            let clamped = ((v * 255.0) as usize).min(BINS - 1);
+            assert_eq!(
+                usize::from(bin(v)),
+                clamped,
+                "value {v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! cheapest and most fragile, with KCF and optical flow in between (and
 //! optical flow especially blur-sensitive).
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use lr_video::{BBox, FrameTruth, ObjectClass};
@@ -168,14 +166,16 @@ impl TrackerSim {
         let p = self.kind.params();
         let ds_drift = (self.downsample as f32).sqrt();
         let ds_loss = 1.0 + p.ds_loss_coeff * (self.downsample as f32 - 1.0);
-        // lr-lint: allow(d2) — pure per-id lookup, never iterated.
-        let by_id: HashMap<u32, &lr_video::GtObject> =
-            truth.objects.iter().map(|o| (o.id, o)).collect();
         let short_side = truth.width.min(truth.height).max(1.0);
 
         let mut out = Vec::with_capacity(self.tracks.len());
         for track in &mut self.tracks {
-            let gt = track.gt_id.and_then(|id| by_id.get(&id));
+            // A frame holds a handful of objects, so a scan beats a map.
+            // Scanning from the back picks the last object with a
+            // duplicated id, as an id-keyed map built in order would.
+            let gt = track
+                .gt_id
+                .and_then(|id| truth.objects.iter().rfind(|o| o.id == id));
             match gt {
                 Some(obj) if track.locked => {
                     let speed = obj.speed();
@@ -244,6 +244,8 @@ fn survival_uniform(stream: u64, obj: u32, frame: u32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use crate::branch::DetectorConfig;
     use crate::detector::{DetectorFamily, DetectorSim};
     use lr_video::{Video, VideoSpec};
@@ -258,6 +260,156 @@ mod tests {
             height: 480.0,
             num_frames: 200,
         })
+    }
+
+    /// [`TrackerSim::step`] with the ground truth looked up in an id-keyed
+    /// `HashMap`, built in object order once per frame.
+    fn step_with_map(
+        sim: &mut TrackerSim,
+        truth: &FrameTruth,
+        rng: &mut impl Rng,
+    ) -> Vec<Detection> {
+        let p = sim.kind.params();
+        let ds_drift = (sim.downsample as f32).sqrt();
+        let ds_loss = 1.0 + p.ds_loss_coeff * (sim.downsample as f32 - 1.0);
+        let by_id: HashMap<u32, &lr_video::GtObject> =
+            truth.objects.iter().map(|o| (o.id, o)).collect();
+        let short_side = truth.width.min(truth.height).max(1.0);
+        let mut out = Vec::with_capacity(sim.tracks.len());
+        for track in &mut sim.tracks {
+            match track.gt_id.and_then(|id| by_id.get(&id)) {
+                Some(obj) if track.locked => {
+                    let speed = obj.speed();
+                    let speed_rel = speed / short_side;
+                    let p_loss = ((p.base_loss + p.speed_loss * speed_rel) * ds_loss).min(0.5);
+                    track.hazard += p_loss;
+                    if track.hazard >= track.loss_threshold {
+                        track.locked = false;
+                    } else {
+                        let drift_mag = p.drift * speed * ds_drift;
+                        track.offset.0 = track.offset.0 * (1.0 - p.lock) + randn(rng) * drift_mag;
+                        track.offset.1 = track.offset.1 * (1.0 - p.lock) + randn(rng) * drift_mag;
+                        track.scale_err = track.scale_err * (1.0 - p.lock)
+                            + randn(rng) * p.drift * 0.05 * ds_drift;
+                        let (cx, cy) = obj.bbox.center();
+                        let s = (1.0 + track.scale_err).clamp(0.5, 2.0);
+                        track.bbox = BBox::from_center(
+                            cx + track.offset.0,
+                            cy + track.offset.1,
+                            obj.bbox.w * s,
+                            obj.bbox.h * s,
+                        )
+                        .clamped(truth.width, truth.height);
+                        track.score *= 0.997;
+                    }
+                }
+                _ => {
+                    track.locked = false;
+                    track.score *= 0.93;
+                }
+            }
+            if track.bbox.is_valid() && track.score > 0.02 {
+                out.push(Detection {
+                    bbox: track.bbox,
+                    class: track.class,
+                    score: track.score,
+                    gt_id: track.gt_id,
+                });
+            }
+        }
+        out
+    }
+
+    fn detection_bits(dets: &[Detection]) -> Vec<(Option<u32>, ObjectClass, [u32; 5])> {
+        dets.iter()
+            .map(|d| {
+                let b = d.bbox;
+                let bits = [b.x, b.y, b.w, b.h, d.score].map(f32::to_bits);
+                (d.gt_id, d.class, bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn step_matches_the_map_lookup_bit_for_bit() {
+        let det = DetectorSim::new(DetectorFamily::FasterRcnn);
+        let kinds = [
+            TrackerKind::MedianFlow,
+            TrackerKind::Kcf,
+            TrackerKind::Csrt,
+            TrackerKind::OpticalFlow,
+        ];
+        let mut duplicated = 0;
+        for seed in 0..8u64 {
+            let v = Video::generate(VideoSpec {
+                id: seed as u32,
+                seed: 900 + seed,
+                width: 640.0,
+                height: 480.0,
+                num_frames: 90,
+            });
+            let kind = kinds[seed as usize % kinds.len()];
+            let ds = 1 + seed as u32 % 4;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for start in (0..80).step_by(16) {
+                let out = det.detect(&v.frames[start], DetectorConfig::new(576, 100), &mut rng);
+                let mut fast = TrackerSim::new(kind, ds);
+                fast.reinit(&out.detections, &v.frames[start]);
+                let mut reference = fast.clone();
+                let mut reference_rng = rng.clone();
+                for (i, f) in v.frames[start + 1..start + 10].iter().enumerate() {
+                    // Every third frame repeats its first object's id on a
+                    // moved, faster copy placed last.
+                    let mut truth = f.clone();
+                    if i % 3 == 2 {
+                        if let Some(first) = truth.objects.first().cloned() {
+                            let mut copy = first;
+                            copy.bbox.x += 40.0;
+                            copy.velocity.0 += 9.0;
+                            truth.objects.push(copy);
+                            duplicated += 1;
+                        }
+                    }
+                    let got = fast.step(&truth, &mut rng);
+                    let want = step_with_map(&mut reference, &truth, &mut reference_rng);
+                    let what = format!("video {seed}, start {start}, frame {i}");
+                    assert_eq!(detection_bits(&got), detection_bits(&want), "{what}");
+                    assert_eq!(rng, reference_rng, "{what}: RNG state");
+                }
+            }
+        }
+        assert!(duplicated > 0, "no frame carried a duplicated object id");
+    }
+
+    #[test]
+    fn duplicated_ids_follow_the_last_object() {
+        // A hand-built frame: one tracked id appears twice, far apart; the
+        // track must follow the later copy, as the map lookup does.
+        let v = video();
+        let start = &v.frames[0];
+        let obj = start.objects[0].clone();
+        let seed = Detection {
+            bbox: obj.bbox,
+            class: obj.class,
+            score: 0.9,
+            gt_id: Some(obj.id),
+        };
+        let mut far = obj.clone();
+        far.bbox.x = (obj.bbox.x + 200.0) % (start.width - obj.bbox.w);
+        far.velocity = (6.0, -3.0);
+        let mut truth = start.clone();
+        truth.frame_index += 1;
+        truth.objects = vec![obj.clone(), far.clone()];
+        let mut fast = TrackerSim::new(TrackerKind::Csrt, 1);
+        fast.reinit(&[seed], start);
+        let mut reference = fast.clone();
+        let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        let got = fast.step(&truth, &mut rng);
+        let want = step_with_map(&mut reference, &truth, &mut reference_rng);
+        assert_eq!(detection_bits(&got), detection_bits(&want));
+        assert_eq!(rng, reference_rng);
+        assert_eq!(got.len(), 1);
+        assert!(got[0].bbox.iou(&far.bbox) > got[0].bbox.iou(&obj.bbox));
     }
 
     /// Mean IoU between tracked boxes and their ground-truth objects after

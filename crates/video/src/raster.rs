@@ -170,6 +170,13 @@ fn draw_objects(img: &mut RgbFrame, truth: &FrameTruth) {
 }
 
 /// Fills an axis-aligned ellipse with alpha blending.
+///
+/// A pixel is inside when `dx * dx + dy * dy <= 1`, with `dx` and `dy` its
+/// offsets from the centre in radii. That sum only falls and then rises
+/// along a row, so each row's inside pixels form one run; the run is found
+/// with the same test and each plane is blended over it by direct index.
+/// Every value is `cur * (1 - alpha) + color * alpha`, clamped, exactly as
+/// [`RgbFrame::blend`] computes it.
 fn fill_ellipse(
     img: &mut RgbFrame,
     cx: f32,
@@ -186,12 +193,24 @@ fn fill_ellipse(
     if x0 > x1 || y0 > y1 {
         return;
     }
+    let (width, plane) = (img.width, img.width * img.height);
+    let keep = 1.0 - alpha;
+    let paint = color.map(|col| col * alpha);
     for y in y0..=y1 {
-        for x in x0..=x1 {
+        let dy = (y as f32 - cy) / ry;
+        let dy2 = dy * dy;
+        let inside = |x: usize| {
             let dx = (x as f32 - cx) / rx;
-            let dy = (y as f32 - cy) / ry;
-            if dx * dx + dy * dy <= 1.0 {
-                img.blend(x, y, color, alpha);
+            dx * dx + dy2 <= 1.0
+        };
+        let Some(first) = (x0..=x1).find(|&x| inside(x)) else {
+            continue;
+        };
+        let last = (first..=x1).rfind(|&x| inside(x)).unwrap_or(first);
+        for (c, &add) in paint.iter().enumerate() {
+            let start = c * plane + y * width;
+            for px in &mut img.data[start + first..=start + last] {
+                *px = (*px * keep + add).clamp(0.0, 1.0);
             }
         }
     }
@@ -236,6 +255,56 @@ mod tests {
         }
     }
 
+    /// Object drawing as a per-pixel loop: the ellipse test and a
+    /// [`RgbFrame::blend`] for every pixel of the bounding box.
+    fn fill_ellipse_per_pixel(
+        img: &mut RgbFrame,
+        cx: f32,
+        cy: f32,
+        rx: f32,
+        ry: f32,
+        color: [f32; 3],
+        alpha: f32,
+    ) {
+        let x0 = ((cx - rx).floor().max(0.0)) as usize;
+        let x1 = ((cx + rx).ceil().min(img.width() as f32 - 1.0)) as usize;
+        let y0 = ((cy - ry).floor().max(0.0)) as usize;
+        let y1 = ((cy + ry).ceil().min(img.height() as f32 - 1.0)) as usize;
+        if x0 > x1 || y0 > y1 {
+            return;
+        }
+        for y in y0..=y1 {
+            for x in x0..=x1 {
+                let dx = (x as f32 - cx) / rx;
+                let dy = (y as f32 - cy) / ry;
+                if dx * dx + dy * dy <= 1.0 {
+                    img.blend(x, y, color, alpha);
+                }
+            }
+        }
+    }
+
+    /// [`draw_objects`] on top of [`fill_ellipse_per_pixel`].
+    fn draw_objects_per_pixel(img: &mut RgbFrame, truth: &FrameTruth) {
+        let sx = img.width() as f32 / truth.width;
+        let sy = img.height() as f32 / truth.height;
+        for obj in &truth.objects {
+            let color = obj.render_color();
+            let opacity = 1.0 - 0.65 * obj.difficulty;
+            let speed_px = (obj.velocity.0 * sx).hypot(obj.velocity.1 * sy);
+            let copies = 1 + (speed_px.min(6.0) as usize);
+            for k in 0..copies {
+                let frac = k as f32 / copies as f32;
+                let cx = (obj.bbox.x + obj.bbox.w / 2.0 - obj.velocity.0 * frac) * sx;
+                let cy = (obj.bbox.y + obj.bbox.h / 2.0 - obj.velocity.1 * frac) * sy;
+                let rx = (obj.bbox.w / 2.0 * sx).max(0.75);
+                let ry = (obj.bbox.h / 2.0 * sy).max(0.75);
+                let alpha = opacity / copies as f32 * if k == 0 { 2.0 } else { 1.0 };
+                fill_ellipse_per_pixel(img, cx, cy, rx, ry, color, alpha.min(1.0));
+            }
+        }
+    }
+
     fn assert_same_bits(a: &RgbFrame, b: &RgbFrame, what: &str) {
         assert_eq!(a.as_slice().len(), b.as_slice().len(), "{what}");
         for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -272,7 +341,7 @@ mod tests {
                     let tex_amp = truth.regime.clutter.texture_amplitude();
                     let phase = truth.frame_index as f32 * 0.05;
                     paint_background_per_pixel(&mut reference, &v.style, tex_amp, phase);
-                    draw_objects(&mut reference, truth);
+                    draw_objects_per_pixel(&mut reference, truth);
                     let what = format!("video {seed}, frame {}, size {size}", truth.frame_index);
                     assert_same_bits(&rasterize(truth, &v.style, size), &reference, &what);
                 }
@@ -283,6 +352,56 @@ mod tests {
             "{sparse} sparse / {cluttered} cluttered"
         );
         assert!(blurred > 0, "no object was drawn with motion-blur copies");
+    }
+
+    #[test]
+    fn ellipse_fill_matches_the_per_pixel_loop_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let v = sample_video();
+        let mut rng = StdRng::seed_from_u64(0xE11_1F5E);
+        let (mut clipped, mut outside, mut floored) = (0, 0, 0);
+        for case in 0..400 {
+            let size = [16, 32, 64][case % 3];
+            let extent = size as f32;
+            let mut fast = RgbFrame::new(size, size);
+            paint_background(&mut fast, &v.style, 0.25, case as f32 * 0.1);
+            let mut reference = fast.clone();
+            // Several overlapping ellipses per image, like smear copies.
+            for _ in 0..1 + case % 5 {
+                let mut cx = rng.gen_range(-0.5 * extent..1.5 * extent);
+                let mut cy = rng.gen_range(-0.5 * extent..1.5 * extent);
+                let (mut rx, mut ry) = if rng.gen_bool(0.3) {
+                    (0.75, rng.gen_range(0.75..3.0))
+                } else {
+                    (rng.gen_range(0.75..extent), rng.gen_range(0.75..extent))
+                };
+                if case % 4 == 0 {
+                    // Whole centres and radii put pixels exactly on the
+                    // rim, where the inside test is `<= 1`.
+                    (cx, cy, rx, ry) = (cx.round(), cy.round(), rx.ceil(), ry.ceil());
+                }
+                let alpha = match rng.gen_range(0..4) {
+                    0 => 1.0,
+                    1 => rng.gen_range(1e-6..1e-3),
+                    _ => rng.gen_range(0.0..1.0),
+                };
+                // Colours past [0, 1] exercise the clamp.
+                let color = [(); 3].map(|()| rng.gen_range(-0.5..1.5));
+                if rx == 0.75 {
+                    floored += 1;
+                }
+                if cx + rx < 0.0 || cy + ry < 0.0 || cx - rx > extent || cy - ry > extent {
+                    outside += 1;
+                } else if cx - rx < 0.0 || cy - ry < 0.0 || cx + rx > extent || cy + ry > extent {
+                    clipped += 1;
+                }
+                fill_ellipse(&mut fast, cx, cy, rx, ry, color, alpha);
+                fill_ellipse_per_pixel(&mut reference, cx, cy, rx, ry, color, alpha);
+            }
+            assert_same_bits(&fast, &reference, &format!("case {case}, size {size}"));
+        }
+        assert!(clipped > 0 && outside > 0 && floored > 0);
     }
 
     #[test]
