@@ -8,8 +8,7 @@
 
 use lr_device::{DeviceKind, DeviceSim, OpUnit};
 use lr_eval::TextTable;
-use lr_features::{FeatureKind, ALL_FEATURE_KINDS};
-use lr_video::{Video, VideoSpec};
+use lr_features::ALL_FEATURE_KINDS;
 
 fn main() {
     let mut table = TextTable::new(&[
@@ -60,33 +59,4 @@ fn main() {
     }
     println!("Charged-cost verification (200 samples, idle TX2):\n");
     println!("{}", check.render());
-
-    // Wall-clock of the real Rust implementations (informational only;
-    // virtual time is what the experiments charge).
-    let v = Video::generate(VideoSpec {
-        id: 0,
-        seed: 42,
-        width: 1280.0,
-        height: 720.0,
-        num_frames: 8,
-    });
-    let mut svc = litereconfig::FeatureService::new();
-    let logits = vec![vec![0.0f32; 31]; 8];
-    let mut wall = TextTable::new(&["Feature", "Rust wall-clock (ms/frame)"]);
-    for kind in ALL_FEATURE_KINDS {
-        if kind == FeatureKind::Light {
-            continue;
-        }
-        let t0 = std::time::Instant::now();
-        let mut n = 0;
-        for i in 0..8 {
-            if svc.extract_heavy(kind, &v, i, Some(&logits)).is_some() {
-                n += 1;
-            }
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1000.0 / n.max(1) as f64;
-        wall.add_row_owned(vec![kind.name().to_string(), format!("{ms:.2}")]);
-    }
-    println!("Reference: wall-clock of this reproduction's extractors:\n");
-    println!("{}", wall.render());
 }

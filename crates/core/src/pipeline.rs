@@ -344,11 +344,6 @@ impl StreamPipeline {
         self.breakdown.frames
     }
 
-    /// Total frames across the playlist.
-    pub fn frames_total(&self) -> usize {
-        self.videos.iter().map(Video::len).sum()
-    }
-
     /// Tightens the scheduler's feasibility headroom — the degraded
     /// operating mode a serving layer's admission controller imposes
     /// under overload (cheaper branches, longer GoFs).

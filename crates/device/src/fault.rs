@@ -255,11 +255,6 @@ impl FaultPlan {
             FaultEvent::None
         }
     }
-
-    /// GPU ops decided so far.
-    pub fn ops_decided(&self) -> u64 {
-        self.op_index
-    }
 }
 
 #[cfg(test)]

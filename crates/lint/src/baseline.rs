@@ -11,10 +11,13 @@
 //!
 //! Serialization is a hand-rolled, deterministic JSON subset (objects,
 //! strings, unsigned integers) — the workspace vendors no serde, and the
-//! baseline must produce byte-identical files for identical counts.
+//! baseline must produce byte-identical files for identical counts. It is
+//! read back with `lr-obs`'s std-only JSON parser.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use lr_obs::Value;
 
 use crate::rules::{Finding, RuleId, ALL_RULES};
 
@@ -102,24 +105,23 @@ impl Baseline {
     /// Parses a baseline from JSON. The redundant `total` field is
     /// ignored on input (recomputed from `files`).
     pub fn parse(src: &str) -> Result<Self, String> {
-        let value = json::parse(src)?;
-        let root = value.as_object().ok_or("baseline root must be an object")?;
+        let Value::Obj(root) = lr_obs::trace::parse_json(src)? else {
+            return Err("baseline root must be an object".into());
+        };
         let rules_val = root.get("rules").ok_or("missing \"rules\" key")?;
-        let rules_obj = rules_val.as_object().ok_or("\"rules\" must be an object")?;
+        let Value::Obj(rules_obj) = rules_val else {
+            return Err("\"rules\" must be an object".into());
+        };
         let mut rules = BTreeMap::new();
         for (name, v) in rules_obj {
-            let obj = v
-                .as_object()
-                .ok_or_else(|| format!("rule {name} must be an object"))?;
-            let allows = obj
-                .get("allows")
-                .and_then(json::Value::as_usize)
-                .unwrap_or(0);
+            let Value::Obj(obj) = v else {
+                return Err(format!("rule {name} must be an object"));
+            };
+            let allows = obj.get("allows").and_then(as_count).unwrap_or(0);
             let mut files = BTreeMap::new();
-            if let Some(files_obj) = obj.get("files").and_then(json::Value::as_object) {
+            if let Some(Value::Obj(files_obj)) = obj.get("files") {
                 for (file, count) in files_obj {
-                    let count = count
-                        .as_usize()
+                    let count = as_count(count)
                         .ok_or_else(|| format!("count for {file} must be an integer"))?;
                     files.insert(file.clone(), count);
                 }
@@ -128,6 +130,11 @@ impl Baseline {
         }
         Ok(Self { rules })
     }
+}
+
+/// A non-negative whole JSON number as a count.
+fn as_count(v: &Value) -> Option<usize> {
+    v.as_u64().map(|n| n as usize)
 }
 
 fn quote(s: &str) -> String {
@@ -143,150 +150,6 @@ fn quote(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// A minimal JSON reader: objects, strings, and unsigned integers — the
-/// exact subset the baseline format uses.
-mod json {
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Object(BTreeMap<String, Value>),
-        String(String),
-        Number(u64),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        pub fn as_usize(&self) -> Option<usize> {
-            match self {
-                Value::Number(n) => Some(*n as usize),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(src: &str) -> Result<Value, String> {
-        let chars: Vec<char> = src.chars().collect();
-        let mut p = Parser { chars, i: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i < p.chars.len() {
-            return Err(format!("trailing input at offset {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser {
-        chars: Vec<char>,
-        i: usize,
-    }
-
-    impl Parser {
-        fn skip_ws(&mut self) {
-            while self.chars.get(self.i).is_some_and(|c| c.is_whitespace()) {
-                self.i += 1;
-            }
-        }
-
-        fn consume(&mut self, c: char) -> Result<(), String> {
-            self.skip_ws();
-            if self.chars.get(self.i) == Some(&c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{c}' at offset {}", self.i))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.chars.get(self.i) {
-                Some('{') => self.object(),
-                Some('"') => Ok(Value::String(self.string()?)),
-                Some(c) if c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.consume('{')?;
-            let mut map = BTreeMap::new();
-            self.skip_ws();
-            if self.chars.get(self.i) == Some(&'}') {
-                self.i += 1;
-                return Ok(Value::Object(map));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.consume(':')?;
-                let val = self.value()?;
-                map.insert(key, val);
-                self.skip_ws();
-                match self.chars.get(self.i) {
-                    Some(',') => self.i += 1,
-                    Some('}') => {
-                        self.i += 1;
-                        break;
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-            Ok(Value::Object(map))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.consume('"')?;
-            let mut out = String::new();
-            loop {
-                match self.chars.get(self.i) {
-                    Some('"') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    Some('\\') => {
-                        self.i += 1;
-                        match self.chars.get(self.i) {
-                            Some('n') => out.push('\n'),
-                            Some(&c) => out.push(c),
-                            None => return Err("unterminated escape".into()),
-                        }
-                        self.i += 1;
-                    }
-                    Some(&c) => {
-                        out.push(c);
-                        self.i += 1;
-                    }
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let mut n: u64 = 0;
-            let start = self.i;
-            while let Some(c) = self.chars.get(self.i) {
-                if let Some(d) = c.to_digit(10) {
-                    n = n.saturating_mul(10).saturating_add(d as u64);
-                    self.i += 1;
-                } else {
-                    break;
-                }
-            }
-            if self.i == start {
-                return Err(format!("expected digits at offset {start}"));
-            }
-            Ok(Value::Number(n))
-        }
-    }
 }
 
 #[cfg(test)]

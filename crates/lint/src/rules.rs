@@ -6,7 +6,7 @@
 //! - **D1** — simulated latency comes from `DeviceSim`/profile models,
 //!   never wall-clock time. `Instant::now`/`SystemTime` are banned
 //!   outside the bench timing bins (`crates/bench/`), which measure
-//!   *host* walltime on purpose.
+//!   *host* wall-clock time on purpose.
 //! - **D2** — no `HashMap`/`HashSet` in non-test code: iteration order
 //!   is randomized per process, so a map that feeds results, reports, or
 //!   serialized output is one refactor away from nondeterministic bytes.
@@ -103,7 +103,7 @@ impl RuleId {
                  Instant::now and SystemTime read the host wall clock, which makes a run's\n\
                  output depend on machine load instead of the seeded simulation. The only\n\
                  legitimate users are the bench timing bins (crates/bench/), which measure\n\
-                 host walltime on purpose and are allowlisted by path.\n\
+                 host wall-clock time on purpose and are allowlisted by path.\n\
                  \n\
                  Fix: charge virtual time through DeviceSim (charge / idle_until / now_ms)\n\
                  or take a clock value as an argument. There is no per-site suppression\n\
@@ -213,7 +213,7 @@ fn path_is_test(path: &str) -> bool {
         .any(|seg| seg == "tests" || seg == "benches")
 }
 
-/// D1 allowlist: the bench harness measures host walltime on purpose.
+/// D1 allowlist: the bench harness measures host wall-clock time on purpose.
 fn path_allows_wall_clock(path: &str) -> bool {
     path.starts_with("crates/bench/")
 }

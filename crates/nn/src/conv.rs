@@ -258,11 +258,6 @@ impl ConvStack {
         Self { layers }
     }
 
-    /// Output embedding dimensionality.
-    pub fn embedding_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_channels
-    }
-
     /// Runs the stack and global-average-pools the final map into an
     /// embedding vector.
     pub fn embed(&self, input: &FeatureMap) -> Vec<f32> {

@@ -18,10 +18,6 @@
 //!   extractors.
 //!
 //! Everything is deterministic given a seed and contains no unsafe code.
-//! Host-side parallelism is opt-in via `lr-pool` (for example
-//! [`tensor::Matrix::matmul_with_pool`]) and is bit-identical to the
-//! serial path for any thread count: output rows are partitioned across
-//! workers and every element keeps the same f32 accumulation order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

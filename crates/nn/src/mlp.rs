@@ -87,27 +87,6 @@ impl Mlp {
         Self { layers, velocities }
     }
 
-    /// Builds a network from pre-constructed layers (for fixed-weight
-    /// stacks and tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if consecutive layer dimensions do not chain.
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
-        assert!(!layers.is_empty(), "at least one layer required");
-        for w in layers.windows(2) {
-            assert_eq!(
-                w[0].out_dim(),
-                w[1].in_dim(),
-                "layer dimension mismatch: {} -> {}",
-                w[0].out_dim(),
-                w[1].in_dim()
-            );
-        }
-        let velocities = layers.iter().map(Dense::zero_velocity).collect();
-        Self { layers, velocities }
-    }
-
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
         self.layers[0].in_dim()

@@ -134,12 +134,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// A mutable view of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {} out of bounds ({})", r, self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Matrix product `self * rhs`.
     ///
     /// Delegates to the blocked kernel ([`Matrix::matmul_into`]); the
@@ -206,40 +200,6 @@ impl Matrix {
             }
         }
         crate::debug_assert_finite!(out, "matmul_naive");
-        out
-    }
-
-    /// Matrix product `self * rhs` with output rows partitioned across a
-    /// worker pool. Each row's accumulation is independent and uses the
-    /// same kernel as [`Matrix::matmul`], so the result is bit-identical
-    /// to the serial product for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul_with_pool(&self, rhs: &Matrix, pool: &lr_pool::Pool) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let chunks = pool.threads().min(self.rows).max(1);
-        let per = self.rows.div_ceil(chunks);
-        let ranges: Vec<(usize, usize)> = (0..chunks)
-            .map(|c| (c * per, ((c + 1) * per).min(self.rows)))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
-        let parts = pool.par_map(&ranges, |&(lo, hi)| {
-            let mut buf = vec![0.0f32; (hi - lo) * rhs.cols];
-            self.matmul_rows_into(rhs, lo, hi, &mut buf);
-            buf
-        });
-        let mut data = Vec::with_capacity(self.rows * rhs.cols);
-        for part in parts {
-            data.extend_from_slice(&part);
-        }
-        let out = Matrix::from_vec(self.rows, rhs.cols, data);
-        crate::debug_assert_finite!(out, "matmul_with_pool");
         out
     }
 
@@ -457,11 +417,6 @@ impl Matrix {
         self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
     }
 
-    /// True if every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
-
     fn zip_with(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "row mismatch");
         assert_eq!(self.cols, rhs.cols, "col mismatch");
@@ -637,18 +592,6 @@ mod tests {
             let b = crate::init::he_uniform(k, n, &mut rng);
             a.matmul_into(&b, &mut scratch);
             assert_eq!(scratch, a.matmul(&b));
-        }
-    }
-
-    #[test]
-    fn pool_matmul_is_bit_identical_for_any_thread_count() {
-        let mut rng = crate::init::seeded_rng(55);
-        let a = crate::init::he_uniform(37, 90, &mut rng);
-        let b = crate::init::he_uniform(90, 23, &mut rng);
-        let serial = a.matmul(&b);
-        for threads in [1, 2, 4, 7] {
-            let pool = lr_pool::Pool::new(threads);
-            assert_eq!(a.matmul_with_pool(&b, &pool), serial);
         }
     }
 }

@@ -78,11 +78,6 @@ impl SharedDevice {
         self.streams.len() - 1
     }
 
-    /// Number of registered streams.
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Records a GoF's GPU demand for a stream.
     ///
     /// # Panics

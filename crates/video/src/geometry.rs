@@ -85,11 +85,6 @@ impl BBox {
         }
     }
 
-    /// Translates the box by `(dx, dy)`.
-    pub fn translated(&self, dx: f32, dy: f32) -> BBox {
-        BBox::new(self.x + dx, self.y + dy, self.w, self.h)
-    }
-
     /// Scales width and height about the center by `factor`.
     pub fn scaled_about_center(&self, factor: f32) -> BBox {
         let (cx, cy) = self.center();
