@@ -1,41 +1,35 @@
-//! Experiment harness: shared setup for regenerating every table and
-//! figure of the paper.
+//! Experiment harness: regenerates and byte-checks every committed
+//! `results_*.txt` of the reproduction.
 //!
-//! Each table/figure has a binary in `src/bin/` (see `DESIGN.md` for the
-//! index); this library holds the common machinery: dataset construction,
-//! offline profiling, scheduler training, and run bookkeeping.
+//! Each artifact is a library function that returns exactly the bytes of
+//! its committed file. One binary drives them all:
 //!
-//! Binaries accept an optional scale argument (`small` | `paper`,
-//! default `paper`): `small` completes in seconds for smoke-testing,
-//! `paper` runs the full configuration used in `EXPERIMENTS.md`. Always
-//! build with `--release`.
+//! ```text
+//! cargo run --release -p lr-bench --bin reproduce -- [small|paper] [--check] [ARTIFACT...]
+//! ```
+//!
+//! - With no artifact named, every artifact runs.
+//! - With no scale, each artifact runs at the scale of its committed file:
+//!   `small` for `trace` and `faults`, `paper` for the rest. `small` runs
+//!   in seconds for smoke tests.
+//! - A file is written only when its artifact runs at its committed
+//!   scale, and never under `--check`, which compares byte for byte
+//!   instead and exits non-zero on any difference.
+//!
+//! The driver builds each scale's suite (datasets, offline profiles,
+//! trained schedulers) once and shares it, and one worker pool, across
+//! the artifacts; every artifact's bytes are the same whether it runs
+//! alone or in the full run, and for any `LR_POOL_THREADS`. Always build
+//! with `--release`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod suite;
+mod ablations;
+mod figures;
+mod repro;
+mod serving;
+mod suite;
+mod tables;
 
-pub use suite::{ExperimentScale, Suite};
-
-/// Parses the scale from command-line args (position 1), defaulting to
-/// [`ExperimentScale::Paper`].
-pub fn scale_from_args() -> ExperimentScale {
-    match std::env::args().nth(1).as_deref() {
-        Some("small") => ExperimentScale::Small,
-        Some("paper") | None => ExperimentScale::Paper,
-        Some(other) => {
-            eprintln!("unknown scale '{other}', expected 'small' or 'paper'");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Formats an mAP-or-failure cell the way Table 2 does: the accuracy when
-/// the P95 latency met the SLO, "F" otherwise.
-pub fn map_cell(map_pct: f64, p95_ms: f64, slo_ms: f64) -> String {
-    if p95_ms <= slo_ms {
-        format!("{map_pct:.1}")
-    } else {
-        "F".to_string()
-    }
-}
+pub use repro::{run, Args, UsageError};

@@ -1,7 +1,7 @@
 //! Experiment suite: datasets, profiling, and trained schedulers shared
-//! by all table/figure binaries.
+//! by every artifact.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use litereconfig::offline::{profile_videos, OfflineConfig, OfflineDataset};
@@ -13,7 +13,7 @@ use lr_video::{Dataset, DatasetConfig, Split, Video};
 
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExperimentScale {
+pub(crate) enum ExperimentScale {
     /// Seconds-scale smoke test.
     Small,
     /// The configuration recorded in `EXPERIMENTS.md`.
@@ -22,7 +22,7 @@ pub enum ExperimentScale {
 
 impl ExperimentScale {
     /// Dataset split sizes for this scale.
-    pub fn dataset_config(self) -> DatasetConfig {
+    pub(crate) fn dataset_config(self) -> DatasetConfig {
         match self {
             ExperimentScale::Small => DatasetConfig {
                 train_vision: 2,
@@ -40,7 +40,7 @@ impl ExperimentScale {
     }
 
     /// Snippet length N.
-    pub fn snippet_len(self) -> usize {
+    pub(crate) fn snippet_len(self) -> usize {
         match self {
             ExperimentScale::Small => 50,
             ExperimentScale::Paper => 100,
@@ -48,7 +48,7 @@ impl ExperimentScale {
     }
 
     /// Branch catalog for the Faster R-CNN MBEK.
-    pub fn frcnn_catalog(self) -> Vec<lr_kernels::Branch> {
+    pub(crate) fn frcnn_catalog(self) -> Vec<lr_kernels::Branch> {
         match self {
             ExperimentScale::Small => small_catalog(),
             ExperimentScale::Paper => default_catalog(),
@@ -56,7 +56,7 @@ impl ExperimentScale {
     }
 
     /// Branch catalog for the one-stage baselines.
-    pub fn one_stage_catalog(self) -> Vec<lr_kernels::Branch> {
+    pub(crate) fn one_stage_catalog(self) -> Vec<lr_kernels::Branch> {
         match self {
             ExperimentScale::Small => small_catalog(),
             ExperimentScale::Paper => one_stage_catalog(),
@@ -64,7 +64,7 @@ impl ExperimentScale {
     }
 
     /// Scheduler training configuration.
-    pub fn train_config(self) -> TrainConfig {
+    pub(crate) fn train_config(self) -> TrainConfig {
         match self {
             ExperimentScale::Small => TrainConfig {
                 heavy_kinds: lr_features::HEAVY_FEATURE_KINDS.to_vec(),
@@ -75,25 +75,31 @@ impl ExperimentScale {
     }
 }
 
-/// Everything the experiment binaries need, built once.
-pub struct Suite {
+/// Everything the artifacts need at one scale, built once.
+///
+/// Feature services are not part of the suite: every run starts its own
+/// (`FeatureService::new`), because feature vectors are pure functions of
+/// (video, frame) and a cache only changes what is recomputed.
+pub(crate) struct Suite {
     /// The scale this suite was built at.
-    pub scale: ExperimentScale,
+    pub(crate) scale: ExperimentScale,
+    /// Scheduler-training videos (the offline profiling input).
+    pub(crate) train_videos: Vec<Video>,
     /// Validation videos (never seen by training).
-    pub val_videos: Vec<Video>,
-    /// Shared feature service (feature vectors cached across runs).
-    pub svc: FeatureService,
+    pub(crate) val_videos: Vec<Video>,
     /// Offline dataset for the Faster R-CNN MBEK.
-    pub frcnn_dataset: OfflineDataset,
+    pub(crate) frcnn_dataset: OfflineDataset,
     /// Trained scheduler for the Faster R-CNN MBEK (all content models).
-    pub frcnn: Arc<TrainedScheduler>,
+    pub(crate) frcnn: Arc<TrainedScheduler>,
+    ssd: OnceLock<Arc<TrainedScheduler>>,
+    yolo: OnceLock<Arc<TrainedScheduler>>,
 }
 
 impl Suite {
     /// Builds datasets, profiles the Faster R-CNN MBEK, and trains its
-    /// scheduler. Baseline-family schedulers are built on demand via
-    /// [`Suite::train_one_stage`].
-    pub fn build(scale: ExperimentScale) -> Self {
+    /// scheduler. Baseline-family schedulers are built on first use by
+    /// [`Suite::scheduler`].
+    pub(crate) fn build(scale: ExperimentScale) -> Self {
         let t0 = Instant::now();
         let dataset = Dataset::new(scale.dataset_config());
         eprintln!(
@@ -103,7 +109,6 @@ impl Suite {
         );
         let train_videos = dataset.videos(Split::TrainScheduler);
         let val_videos = dataset.videos(Split::Validation);
-        let mut svc = FeatureService::new();
 
         eprintln!(
             "[suite] profiling Faster R-CNN MBEK ({} branches)...",
@@ -113,7 +118,7 @@ impl Suite {
             snippet_len: scale.snippet_len(),
             ..OfflineConfig::paper(scale.frcnn_catalog(), DetectorFamily::FasterRcnn)
         };
-        let frcnn_dataset = profile_videos(&train_videos, &cfg, &mut svc);
+        let frcnn_dataset = profile_videos(&train_videos, &cfg, &mut FeatureService::new());
         eprintln!(
             "[suite] {} snippets profiled in {:.1}s; training scheduler...",
             frcnn_dataset.len(),
@@ -127,24 +132,34 @@ impl Suite {
         eprintln!("[suite] ready in {:.1}s", t0.elapsed().as_secs_f64());
         Self {
             scale,
+            train_videos,
             val_videos,
-            svc,
             frcnn_dataset,
             frcnn,
+            ssd: OnceLock::new(),
+            yolo: OnceLock::new(),
         }
     }
 
-    /// Profiles and trains a content-agnostic scheduler for a one-stage
-    /// baseline family (SSD+, YOLO+).
-    pub fn train_one_stage(&mut self, family: DetectorFamily) -> Arc<TrainedScheduler> {
-        let dataset = Dataset::new(self.scale.dataset_config());
-        let train_videos = dataset.videos(Split::TrainScheduler);
+    /// The trained scheduler for a detector family: the Faster R-CNN one
+    /// built with the suite, or a content-agnostic one-stage baseline
+    /// (SSD+, YOLO+), profiled and trained on its first request.
+    pub(crate) fn scheduler(&self, family: DetectorFamily) -> Arc<TrainedScheduler> {
+        let cell = match family {
+            DetectorFamily::Ssd => &self.ssd,
+            DetectorFamily::Yolo => &self.yolo,
+            _ => return self.frcnn.clone(),
+        };
+        cell.get_or_init(|| self.train_one_stage(family)).clone()
+    }
+
+    fn train_one_stage(&self, family: DetectorFamily) -> Arc<TrainedScheduler> {
         eprintln!("[suite] profiling {} MBEK...", family.name());
         let cfg = OfflineConfig {
             snippet_len: self.scale.snippet_len(),
             ..OfflineConfig::paper(self.scale.one_stage_catalog(), family)
         };
-        let ds = profile_videos(&train_videos, &cfg, &mut self.svc);
+        let ds = profile_videos(&self.train_videos, &cfg, &mut FeatureService::new());
         Arc::new(train_scheduler(
             &ds,
             family,

@@ -189,26 +189,6 @@ impl Dense {
         has_predecessor.then(|| dpre.matmul_transposed(&self.weights))
     }
 
-    /// Takes the stored parameter gradients `(dW, db)` out of the layer
-    /// (for external optimizers such as Adam). Returns `None` before any
-    /// `backward` call.
-    pub fn take_gradients(&mut self) -> Option<(Matrix, Matrix)> {
-        match (self.grad_weights.take(), self.grad_bias.take()) {
-            (Some(w), Some(b)) => Some((w, b)),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the weights (external optimizers).
-    pub fn weights_mut(&mut self) -> &mut Matrix {
-        &mut self.weights
-    }
-
-    /// Mutable access to the bias (external optimizers).
-    pub fn bias_mut(&mut self) -> &mut Matrix {
-        &mut self.bias
-    }
-
     /// Applies an SGD-with-momentum update using the stored gradients.
     ///
     /// `velocity` must hold one entry per parameter tensor (weights, bias)

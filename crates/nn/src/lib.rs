@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adam;
 pub mod conv;
 pub mod init;
 pub mod layers;

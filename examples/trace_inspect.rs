@@ -1,12 +1,12 @@
 //! Inspect one scheduler decision inside a serving trace: load a JSONL
-//! trace written by the `trace` bench (or any `ObsBundle::to_jsonl`
+//! trace written by the `trace` artifact (or any `ObsBundle::to_jsonl`
 //! output), pick one `(stream, gof)`, and print the full decision
 //! record — the Eq. 3 budget terms the scheduler saw, the features it
 //! paid for, the branch it chose — next to the span tree of what then
 //! actually ran on the virtual clock.
 //!
 //! ```sh
-//! cargo run --release -p lr-bench --bin trace -- small   # writes target/trace.jsonl
+//! cargo run --release -p lr-bench --bin reproduce -- trace   # writes target/trace.jsonl
 //! cargo run --release --example trace_inspect            # first decision
 //! cargo run --release --example trace_inspect -- target/trace.jsonl 2 5
 //! ```
@@ -164,7 +164,7 @@ fn main() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("trace_inspect: cannot read {path}: {e}");
-            eprintln!("run `cargo run --release -p lr-bench --bin trace -- small` first");
+            eprintln!("run `cargo run --release -p lr-bench --bin reproduce -- trace` first");
             std::process::exit(2);
         }
     };
