@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use lr_features::{cpop, hoc, hog, DeepExtractors, FeatureKind, LightFeatures};
+use lr_kernels::ProposalLogits;
 use lr_video::raster::{rasterize, DEFAULT_RASTER_SIZE};
 use lr_video::{BBox, RgbFrame, Video};
 
@@ -147,7 +148,7 @@ impl FeatureService {
         kind: FeatureKind,
         video: &Video,
         frame_idx: usize,
-        proposal_logits: Option<&[Vec<f32>]>,
+        proposal_logits: Option<&[ProposalLogits]>,
     ) -> Option<Vec<f32>> {
         let extract: fn(&RgbFrame) -> Vec<f32> = match kind {
             FeatureKind::Light => return None,
@@ -206,7 +207,7 @@ mod tests {
     fn cold_extraction_adds_exactly_one_entry() {
         let v = video();
         let mut svc = FeatureService::with_raster_size(16);
-        let logits = vec![vec![0.0f32; 31]; 3];
+        let logits = vec![[0.0f32; 31]; 3];
         for frame in [0, 5] {
             for kind in lr_features::HEAVY_FEATURE_KINDS {
                 let before = svc.cache.len();
@@ -222,7 +223,7 @@ mod tests {
     fn all_heavy_features_have_expected_dims() {
         let v = video();
         let mut svc = FeatureService::new();
-        let logits = vec![vec![0.0f32; 31]; 3];
+        let logits = vec![[0.0f32; 31]; 3];
         for kind in lr_features::HEAVY_FEATURE_KINDS {
             let f = svc
                 .extract_heavy(kind, &v, 0, Some(&logits))
@@ -299,7 +300,7 @@ mod tests {
         let b = svc.extract_heavy(FeatureKind::HoC, &v, 0, None).unwrap();
         assert_eq!(a, b, "cache hit must return the identical vector");
         // CPoP depends on caller-supplied logits and must never be cached.
-        let logits = vec![vec![0.0f32; 31]; 3];
+        let logits = vec![[0.0f32; 31]; 3];
         let _ = svc.extract_heavy(FeatureKind::CPoP, &v, 0, Some(&logits));
         assert!(!svc.cache.contains_key(&(v.spec.seed, 0, FeatureKind::CPoP)));
     }
@@ -369,7 +370,7 @@ mod tests {
                 })
             })
             .collect();
-        let logits = vec![vec![0.0f32; 31]; 2];
+        let logits = vec![[0.0f32; 31]; 2];
         for trace_seed in 0..8u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(trace_seed);
             let cap = rng.gen_range(1..=6usize);

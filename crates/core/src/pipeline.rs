@@ -566,7 +566,7 @@ impl StreamPipeline {
         );
         if !fallback_gof {
             self.scheduler
-                .record_detection(t, result.first_frame_output.proposal_logits.clone());
+                .record_detection(t, result.first_frame_output.proposal_logits);
             // The light features of the next decision come from the most
             // recent *detector* output — matching the offline protocol,
             // where they were collected from reference detections (tracked
@@ -574,13 +574,8 @@ impl StreamPipeline {
             // would skew the models' input distribution). A fallback GoF
             // produced no detector output, so the previous byproducts,
             // boxes, and fallback seed all stay.
-            self.last_detections = result.first_frame_output.detections.clone();
-            self.boxes = result
-                .first_frame_output
-                .detections
-                .iter()
-                .map(|det| det.bbox)
-                .collect();
+            self.last_detections = result.first_frame_output.detections;
+            self.boxes = self.last_detections.iter().map(|det| det.bbox).collect();
         }
 
         let frames_done = end - t;

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use lr_device::{DeviceSim, OpError, OpUnit, SwitchingCostModel};
 use lr_features::{FeatureKind, HEAVY_FEATURE_KINDS};
-use lr_kernels::{Branch, DetectorFamily};
+use lr_kernels::{Branch, DetectorFamily, ProposalLogits};
 use lr_obs::{DecisionExplain, FeatureBen, ObsSink, SpanKind};
 use lr_video::{BBox, Video};
 
@@ -120,7 +120,7 @@ pub struct Scheduler {
     cpu_ratio_sq: f64,
     current: Option<usize>,
     last_det_frame: Option<usize>,
-    last_logits: Option<Vec<Vec<f32>>>,
+    last_logits: Option<Vec<ProposalLogits>>,
     max_heavy: usize,
     /// Fixed per-frame pipeline overhead the predictor knows about (0 for
     /// LiteReconfig; ApproxDet's legacy pipeline carries a large one).
@@ -229,7 +229,7 @@ impl Scheduler {
 
     /// Records the detector byproducts of the GoF that just ran, making
     /// the ResNet50/CPoP features available to the next decision.
-    pub fn record_detection(&mut self, frame_idx: usize, proposal_logits: Vec<Vec<f32>>) {
+    pub fn record_detection(&mut self, frame_idx: usize, proposal_logits: Vec<ProposalLogits>) {
         self.last_det_frame = Some(frame_idx);
         self.last_logits = Some(proposal_logits);
     }

@@ -15,11 +15,7 @@ pub const DIM: usize = NUM_CLASSES + 1;
 /// softmax-normalizes so the feature is scale-free.
 ///
 /// An empty proposal list yields the all-background distribution.
-///
-/// # Panics
-///
-/// Panics if any proposal's logit vector is not `DIM`-dimensional.
-pub fn cpop_vector(proposal_logits: &[Vec<f32>]) -> Vec<f32> {
+pub fn cpop_vector(proposal_logits: &[[f32; DIM]]) -> Vec<f32> {
     let mut pooled = vec![0.0f32; DIM];
     if proposal_logits.is_empty() {
         // No proposals: everything is background.
@@ -27,7 +23,6 @@ pub fn cpop_vector(proposal_logits: &[Vec<f32>]) -> Vec<f32> {
         return pooled;
     }
     for logits in proposal_logits {
-        assert_eq!(logits.len(), DIM, "proposal logits must be {DIM}-d");
         for (p, &l) in pooled.iter_mut().zip(logits.iter()) {
             *p += l;
         }
@@ -72,7 +67,7 @@ mod tests {
 
     #[test]
     fn output_is_a_distribution() {
-        let logits = vec![vec![0.5; DIM], vec![-0.5; DIM]];
+        let logits = [[0.5; DIM], [-0.5; DIM]];
         let v = cpop_vector(&logits);
         let sum: f32 = v.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
@@ -81,7 +76,7 @@ mod tests {
 
     #[test]
     fn dominant_class_dominates_output() {
-        let mut logits = vec![0.0f32; DIM];
+        let mut logits = [0.0f32; DIM];
         logits[6] = 5.0; // "car" spikes.
         let v = cpop_vector(&[logits]);
         let argmax = v
@@ -95,20 +90,14 @@ mod tests {
 
     #[test]
     fn pooling_averages_across_proposals() {
-        let mut a = vec![0.0f32; DIM];
+        let mut a = [0.0f32; DIM];
         a[0] = 4.0;
-        let mut b = vec![0.0f32; DIM];
+        let mut b = [0.0f32; DIM];
         b[1] = 4.0;
         let v = cpop_vector(&[a, b]);
         assert!(
             (v[0] - v[1]).abs() < 1e-6,
             "symmetric proposals must pool equally"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "proposal logits must be")]
-    fn wrong_width_panics() {
-        let _ = cpop_vector(&[vec![0.0; 7]]);
     }
 }

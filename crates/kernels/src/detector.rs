@@ -45,10 +45,12 @@ pub struct Detection {
 pub struct DetectorOutput {
     /// Detections after NMS.
     pub detections: Vec<Detection>,
-    /// Per-proposal class logits (31-d: 30 classes + background), the raw
-    /// material of the CPoP feature.
-    pub proposal_logits: Vec<Vec<f32>>,
+    /// Per-proposal class logits, the raw material of the CPoP feature.
+    pub proposal_logits: Vec<ProposalLogits>,
 }
+
+/// One proposal's class logits: 30 classes, then background.
+pub type ProposalLogits = [f32; NUM_CLASSES + 1];
 
 /// Which detector architecture is being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -298,16 +300,16 @@ fn salience(obj: &GtObject) -> f32 {
 }
 
 /// Class logits for a proposal covering an object of the given class.
-fn object_logits(class: ObjectClass, strength: f32) -> Vec<f32> {
-    let mut v = vec![0.0f32; NUM_CLASSES + 1];
+fn object_logits(class: ObjectClass, strength: f32) -> ProposalLogits {
+    let mut v = [0.0f32; NUM_CLASSES + 1];
     v[class.index()] = 2.0 + 4.0 * strength;
     v[NUM_CLASSES] = 0.5;
     v
 }
 
 /// Class logits for a background proposal.
-fn background_logits(rng: &mut impl Rng) -> Vec<f32> {
-    let mut v = vec![0.0f32; NUM_CLASSES + 1];
+fn background_logits(rng: &mut impl Rng) -> ProposalLogits {
+    let mut v = [0.0f32; NUM_CLASSES + 1];
     v[NUM_CLASSES] = rng.gen_range(2.0..4.0);
     v
 }

@@ -39,6 +39,6 @@ pub mod mbek;
 pub mod tracker;
 
 pub use branch::{Branch, DetectorConfig, TrackerKind};
-pub use detector::{Detection, DetectorFamily, DetectorSim};
+pub use detector::{Detection, DetectorFamily, DetectorSim, ProposalLogits};
 pub use mbek::{GofResult, Mbek};
 pub use tracker::TrackerSim;

@@ -3,6 +3,7 @@
 use rand::Rng;
 
 use crate::init;
+use crate::optim::Sgd;
 use crate::tensor::Matrix;
 
 /// Activation applied after a dense layer.
@@ -52,30 +53,42 @@ impl Activation {
         }
     }
 
-    /// Derivative of the activation expressed in terms of the
-    /// *post-activation* output `y`.
-    pub fn derivative_from_output(self, y: &Matrix) -> Matrix {
+    /// Turns `grad`, the loss gradient with respect to this
+    /// activation's output `y`, into the gradient with respect to its
+    /// input, in place: each element is multiplied by the derivative
+    /// expressed in terms of `y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub fn backprop_in_place(self, y: &Matrix, grad: &mut Matrix) {
+        assert_eq!(
+            (y.rows(), y.cols()),
+            (grad.rows(), grad.cols()),
+            "activation gradient shape mismatch"
+        );
+        let pairs = grad.as_mut_slice().iter_mut().zip(y.as_slice());
         match self {
-            Activation::Linear => Matrix::full(y.rows(), y.cols(), 1.0),
-            Activation::Relu => y.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::LeakyRelu => y.map(|v| if v > 0.0 { 1.0 } else { 0.01 }),
-            Activation::Tanh => y.map(|v| 1.0 - v * v),
+            // The derivative is 1 everywhere, and `g * 1.0 == g`.
+            Activation::Linear => {}
+            Activation::Relu => pairs.for_each(|(g, &y)| *g *= if y > 0.0 { 1.0 } else { 0.0 }),
+            Activation::LeakyRelu => {
+                pairs.for_each(|(g, &y)| *g *= if y > 0.0 { 1.0 } else { 0.01 })
+            }
+            Activation::Tanh => pairs.for_each(|(g, &y)| *g *= 1.0 - y * y),
         }
     }
 }
 
-/// A dense layer `y = act(x W + b)` with cached activations for backprop.
+/// A dense layer `y = act(x W + b)`.
+///
+/// A layer holds only its parameters: training keeps the activations
+/// and gradients of a step in the workspace of [`crate::Mlp::fit`].
 #[derive(Debug, Clone)]
 pub struct Dense {
     weights: Matrix,
     bias: Matrix,
     activation: Activation,
-    // Caches from the most recent forward pass, used by `backward`.
-    last_input: Option<Matrix>,
-    last_output: Option<Matrix>,
-    // Gradients from the most recent backward pass.
-    grad_weights: Option<Matrix>,
-    grad_bias: Option<Matrix>,
 }
 
 impl Dense {
@@ -90,10 +103,6 @@ impl Dense {
             weights,
             bias: Matrix::zeros(1, out_dim),
             activation,
-            last_input: None,
-            last_output: None,
-            grad_weights: None,
-            grad_bias: None,
         }
     }
 
@@ -110,10 +119,6 @@ impl Dense {
             weights,
             bias,
             activation,
-            last_input: None,
-            last_output: None,
-            grad_weights: None,
-            grad_bias: None,
         }
     }
 
@@ -137,20 +142,17 @@ impl Dense {
         &self.bias
     }
 
+    /// The activation applied after the affine map.
+    pub(crate) fn activation(&self) -> Activation {
+        self.activation
+    }
+
     /// Number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.cols()
     }
 
-    /// Forward pass caching activations for a subsequent `backward`.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = self.infer(input);
-        self.last_input = Some(input.clone());
-        self.last_output = Some(out.clone());
-        out
-    }
-
-    /// Forward pass without caching (inference only).
+    /// Forward pass.
     pub fn infer(&self, input: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(input.rows(), self.out_dim());
         self.infer_into(input, &mut out);
@@ -160,7 +162,7 @@ impl Dense {
     /// Forward pass writing into a caller-owned scratch matrix (resized
     /// and fully overwritten). Bit-identical to [`Dense::infer`]; reusing
     /// the scratch across calls removes the per-inference allocations on
-    /// the scheduler hot path.
+    /// the scheduler hot path and in training.
     pub fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
         input.matmul_into(&self.weights, out);
         out.add_row_broadcast_in_place(&self.bias);
@@ -168,62 +170,39 @@ impl Dense {
         crate::debug_assert_finite!(&*out, "dense layer forward");
     }
 
-    /// Backward pass. Takes `dL/dy` and stores the parameter gradients
-    /// for the optimizer. Returns `dL/dx` only when `has_predecessor`:
-    /// the first layer of a network has nobody to pass it to, and for a
-    /// wide input it is the most expensive product of the step.
+    /// One SGD-with-momentum step from the given parameter gradients,
+    /// updating `velocity` and the parameters in place.
     ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_output: &Matrix, has_predecessor: bool) -> Option<Matrix> {
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward called before forward");
-        let output = self.last_output.as_ref().expect("missing forward cache");
-        // dL/d(pre-activation).
-        let dpre = grad_output.hadamard(&self.activation.derivative_from_output(output));
-        self.grad_weights = Some(input.transposed_matmul(&dpre));
-        self.grad_bias = Some(dpre.sum_rows());
-        has_predecessor.then(|| dpre.matmul_transposed(&self.weights))
-    }
-
-    /// Applies an SGD-with-momentum update using the stored gradients.
-    ///
-    /// `velocity` must hold one entry per parameter tensor (weights, bias)
-    /// and is updated in place. `weight_decay` is the L2 coefficient applied
-    /// to the weights only (biases are not decayed, matching common
-    /// practice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `backward`.
-    pub fn apply_update(
+    /// Per weight: `v = v * momentum + g + decay * w`, then
+    /// `w = w - lr * v`. Biases are not decayed, matching common
+    /// practice.
+    pub(crate) fn sgd_step(
         &mut self,
-        lr: f32,
-        momentum: f32,
-        weight_decay: f32,
+        grad_weights: &Matrix,
+        grad_bias: &Matrix,
+        opt: Sgd,
         velocity: &mut DenseVelocity,
     ) {
-        let gw = self
-            .grad_weights
-            .take()
-            .expect("apply_update called before backward");
-        let gb = self.grad_bias.take().expect("missing bias gradient");
-        // v <- momentum * v + (grad + decay * w); w <- w - lr * v.
-        velocity.weights.scale_in_place(momentum);
-        velocity.weights.axpy_in_place(&gw, 1.0);
-        velocity.weights.axpy_in_place(&self.weights, weight_decay);
-        self.weights.axpy_in_place(&velocity.weights, -lr);
-
-        velocity.bias.scale_in_place(momentum);
-        velocity.bias.axpy_in_place(&gb, 1.0);
-        self.bias.axpy_in_place(&velocity.bias, -lr);
+        let (momentum, decay, step) = (opt.momentum, opt.weight_decay, -opt.learning_rate);
+        let weights = self.weights.as_mut_slice().iter_mut();
+        let v = velocity.weights.as_mut_slice().iter_mut();
+        for ((w, v), &g) in weights.zip(v).zip(grad_weights.as_slice()) {
+            *v *= momentum;
+            *v += g;
+            *v += *w * decay;
+            *w += *v * step;
+        }
+        let bias = self.bias.as_mut_slice().iter_mut();
+        let v = velocity.bias.as_mut_slice().iter_mut();
+        for ((b, v), &g) in bias.zip(v).zip(grad_bias.as_slice()) {
+            *v *= momentum;
+            *v += g;
+            *b += *v * step;
+        }
     }
 
     /// Creates a zeroed velocity buffer matching this layer's shape.
-    pub fn zero_velocity(&self) -> DenseVelocity {
+    pub(crate) fn zero_velocity(&self) -> DenseVelocity {
         DenseVelocity {
             weights: Matrix::zeros(self.weights.rows(), self.weights.cols()),
             bias: Matrix::zeros(1, self.bias.cols()),
@@ -233,9 +212,9 @@ impl Dense {
 
 /// Momentum buffers for one dense layer.
 #[derive(Debug, Clone)]
-pub struct DenseVelocity {
-    pub(crate) weights: Matrix,
-    pub(crate) bias: Matrix,
+pub(crate) struct DenseVelocity {
+    weights: Matrix,
+    bias: Matrix,
 }
 
 #[cfg(test)]
@@ -261,16 +240,6 @@ mod tests {
         assert_eq!(y, Matrix::row_vector(&[3.5, 7.5]));
     }
 
-    #[test]
-    fn forward_then_infer_agree() {
-        let mut rng = seeded_rng(11);
-        let mut layer = Dense::new(5, 3, Activation::Relu, &mut rng);
-        let x = Matrix::row_vector(&[0.1, -0.2, 0.3, 0.4, -0.5]);
-        let a = layer.forward(&x);
-        let b = layer.infer(&x);
-        assert_eq!(a, b);
-    }
-
     /// Numerically checks the weight gradient of a single layer with MSE
     /// loss against a central finite difference.
     #[test]
@@ -281,10 +250,10 @@ mod tests {
         let target = Matrix::row_vector(&[0.2, -0.1]);
 
         // Analytic gradient: L = 0.5 * ||y - t||^2 so dL/dy = y - t.
-        let y = layer.forward(&x);
-        let grad_out = y.sub(&target);
-        let _ = layer.backward(&grad_out, false);
-        let analytic = layer.grad_weights.clone().unwrap();
+        let y = layer.infer(&x);
+        let mut grad = y.sub(&target);
+        layer.activation().backprop_in_place(&y, &mut grad);
+        let analytic = x.transposed_matmul(&grad);
 
         let eps = 1e-3;
         for r in 0..3 {
@@ -316,20 +285,40 @@ mod tests {
         let b = Matrix::row_vector(&[0.0]);
         let mut layer = Dense::from_parameters(w, b, Activation::Linear);
         let mut vel = layer.zero_velocity();
-        let x = Matrix::row_vector(&[1.0]);
         // Target 0, so output 1.0 has positive gradient: weight must shrink.
-        let y = layer.forward(&x);
-        let grad = y.clone();
-        let _ = layer.backward(&grad, false);
-        layer.apply_update(0.1, 0.0, 0.0, &mut vel);
+        let x = Matrix::row_vector(&[1.0]);
+        let grad = layer.infer(&x);
+        layer.sgd_step(
+            &x.transposed_matmul(&grad),
+            &grad,
+            Sgd::plain(0.1),
+            &mut vel,
+        );
         assert!(layer.weights()[(0, 0)] < 1.0);
+        assert!(layer.bias()[(0, 0)] < 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn backward_without_forward_panics() {
-        let mut rng = seeded_rng(0);
-        let mut layer = Dense::new(2, 2, Activation::Relu, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2), true);
+    fn backprop_scales_by_the_derivative_at_the_output() {
+        let y = Matrix::row_vector(&[-0.5, 0.0, 0.5]);
+        let grad = Matrix::row_vector(&[2.0, -2.0, 2.0]);
+        let through = |act: Activation| {
+            let mut g = grad.clone();
+            act.backprop_in_place(&y, &mut g);
+            g
+        };
+        assert_eq!(through(Activation::Linear), grad);
+        assert_eq!(
+            through(Activation::Relu),
+            Matrix::row_vector(&[0.0, -0.0, 2.0])
+        );
+        assert_eq!(
+            through(Activation::LeakyRelu),
+            Matrix::row_vector(&[0.02, -0.02, 2.0])
+        );
+        assert_eq!(
+            through(Activation::Tanh),
+            Matrix::row_vector(&[1.5, -2.0, 1.5])
+        );
     }
 }

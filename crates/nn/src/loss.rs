@@ -20,16 +20,34 @@ pub fn mse_gradient(pred: &Matrix, target: &Matrix) -> Matrix {
     pred.sub(target).scaled(2.0 / n)
 }
 
-/// Gradient of the *per-example* MSE (mean over the batch, sum over
-/// output dimensions): `2 (pred - target) / batch`.
+/// [`mse`] of `pred`, and into `grad` (resized to fit) its gradient
+/// with respect to `pred` for the *per-example* MSE (mean over the
+/// batch, sum over output dimensions): `2 (pred - target) / batch`.
 ///
 /// Use this for training multi-output regressors: normalizing by the
 /// output count as well (as [`mse_gradient`] does) shrinks per-output
 /// gradients with the output width, which stalls learning for wide heads
 /// (e.g. one output per execution branch).
-pub fn mse_gradient_batch_mean(pred: &Matrix, target: &Matrix) -> Matrix {
-    let n = pred.rows() as f32;
-    pred.sub(target).scaled(2.0 / n)
+///
+/// # Panics
+///
+/// Panics if the shapes of `pred` and `target` differ.
+pub fn mse_with_batch_mean_gradient(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
+    assert_eq!(
+        (pred.rows(), pred.cols()),
+        (target.rows(), target.cols()),
+        "mse shape mismatch"
+    );
+    grad.resize(pred.rows(), pred.cols());
+    let diffs = pred.as_slice().iter().zip(target.as_slice());
+    for (g, (&p, &t)) in grad.as_mut_slice().iter_mut().zip(diffs) {
+        *g = p - t;
+    }
+    let d = grad.as_slice();
+    let loss = d.iter().map(|v| v * v).sum::<f32>() / d.len() as f32;
+    crate::debug_assert_finite!(loss, "mse loss");
+    grad.scale_in_place(2.0 / pred.rows() as f32);
+    loss
 }
 
 /// Mean absolute error — used only for reporting, never for training.
@@ -70,6 +88,15 @@ mod tests {
         let p = Matrix::row_vector(&[0.0, 0.0]);
         let t = Matrix::row_vector(&[3.0, -1.0]);
         assert_eq!(mae(&p, &t), 2.0);
+    }
+
+    #[test]
+    fn fused_loss_and_gradient_match_the_separate_ones() {
+        let p = Matrix::from_rows(&[&[0.3, -0.4, 0.9], &[0.1, 0.7, -0.2]]);
+        let t = Matrix::from_rows(&[&[0.1, 0.2, 0.5], &[0.0, 0.3, 0.3]]);
+        let mut g = Matrix::zeros(1, 1);
+        assert_eq!(mse_with_batch_mean_gradient(&p, &t, &mut g), mse(&p, &t));
+        assert_eq!(g, p.sub(&t).scaled(2.0 / 2.0));
     }
 
     /// The MSE gradient should match a finite-difference estimate.

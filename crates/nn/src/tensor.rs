@@ -136,9 +136,8 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Delegates to the blocked kernel ([`Matrix::matmul_into`]); the
-    /// result is bit-identical to the reference i-k-j loop because
-    /// blocking never reorders the per-element accumulation.
+    /// Runs the register-tiled kernel through [`Matrix::matmul_into`];
+    /// the result is bit-identical to [`Matrix::matmul_naive`].
     ///
     /// # Panics
     ///
@@ -152,14 +151,12 @@ impl Matrix {
     /// Matrix product `self * rhs` written into `out`, which is resized
     /// to `self.rows x rhs.cols` and fully overwritten. Reusing one
     /// scratch matrix across calls avoids a fresh allocation per product,
-    /// which matters on the scheduler's per-GoF inference hot path.
+    /// which matters on the scheduler's per-GoF inference hot path and
+    /// in every training step.
     ///
-    /// The kernel is blocked over (row, inner-dim) tiles so the `rhs`
-    /// panel loaded for a tile is reused across a strip of output rows.
-    /// For every output element the inner dimension is still walked in
-    /// ascending order with the same zero-skip as the reference i-k-j
-    /// loop, so the f32 accumulation order — and therefore the result —
-    /// is bit-identical for any tile size.
+    /// Each output is the sum from `+0.0` of its products in ascending
+    /// inner index, the same sum [`Matrix::matmul_naive`] computes, so
+    /// the two agree bit for bit.
     ///
     /// # Panics
     ///
@@ -172,13 +169,14 @@ impl Matrix {
         );
         out.resize(self.rows, rhs.cols);
         out.data.fill(0.0);
-        self.matmul_rows_into(rhs, 0, self.rows, &mut out.data);
+        gemm_add(Lhs::rows_of(self), rhs, &mut out.data);
         crate::debug_assert_finite!(&*out, "matmul");
     }
 
-    /// Reference (i, j, k) matmul kept for kernel cross-checking. Its
-    /// accumulation order differs from [`Matrix::matmul`], so outputs
-    /// agree only up to f32 rounding.
+    /// Reference (i, j, k) matmul kept for kernel cross-checking: one
+    /// sum per output, from `0.0`, in ascending inner index. Every other
+    /// product in this module adds the same terms in the same order, so
+    /// for finite inputs they all match this one bit for bit.
     ///
     /// # Panics
     ///
@@ -203,53 +201,12 @@ impl Matrix {
         out
     }
 
-    /// Blocked kernel for output rows `row_lo..row_hi`: adds those rows
-    /// of `self * rhs` onto `out`, which holds exactly those rows. A
-    /// zero-filled `out` yields the plain product; a row seeded with a
-    /// bias yields an affine map whose per-element sum starts from the
-    /// bias. Row tiling reuses each `rhs` panel across a strip of output
-    /// rows; per element the inner dimension stays ascending
-    /// (bit-identical to i-k-j).
-    pub(crate) fn matmul_rows_into(
-        &self,
-        rhs: &Matrix,
-        row_lo: usize,
-        row_hi: usize,
-        out: &mut [f32],
-    ) {
-        const BLOCK_I: usize = 16;
-        const BLOCK_K: usize = 64;
-        debug_assert_eq!(out.len(), (row_hi - row_lo) * rhs.cols);
-        let n = rhs.cols;
-        for ii in (row_lo..row_hi).step_by(BLOCK_I) {
-            let i_end = (ii + BLOCK_I).min(row_hi);
-            for kk in (0..self.cols).step_by(BLOCK_K) {
-                let k_end = (kk + BLOCK_K).min(self.cols);
-                for i in ii..i_end {
-                    let a_tile = &self.data[i * self.cols + kk..i * self.cols + k_end];
-                    let out_row = &mut out[(i - row_lo) * n..(i - row_lo + 1) * n];
-                    for (dk, &a) in a_tile.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let k = kk + dk;
-                        let b_row = &rhs.data[k * n..(k + 1) * n];
-                        for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Matrix product with the transpose of `rhs`: `self * rhs^T`.
     ///
-    /// Transposes `rhs` and runs the blocked kernel. For finite inputs
-    /// this is bit-identical to a per-element dot product from `0.0`:
-    /// both add the products in ascending inner index, and the products
-    /// the kernel skips (`self` entry zero) are `±0.0`, which leave a
-    /// running sum that starts from `+0.0` unchanged.
+    /// Transposes `rhs` and runs the tiled kernel, so each output is a
+    /// dot product summed from `+0.0` in ascending inner index.
+    /// Training keeps the transpose in its workspace and calls
+    /// [`Matrix::transpose_into`] and [`Matrix::matmul_into`] instead.
     ///
     /// # Panics
     ///
@@ -264,39 +221,51 @@ impl Matrix {
     }
 
     /// Product of the transpose of `self` with `rhs`: `self^T * rhs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on row-count mismatch.
     pub fn transposed_matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        self.transposed_matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// `self^T * rhs` written into `out`, which is resized to
+    /// `self.cols x rhs.cols` and fully overwritten. The kernel reads
+    /// `self` column-wise in place; no transpose is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics on row-count mismatch.
+    pub fn transposed_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "transposed_matmul shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        crate::debug_assert_finite!(out, "transposed_matmul");
-        out
+        out.resize(self.cols, rhs.cols);
+        out.data.fill(0.0);
+        gemm_add(Lhs::columns_of(self), rhs, &mut out.data);
+        crate::debug_assert_finite!(&*out, "transposed_matmul");
     }
 
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose into `out`, which is resized to
+    /// `self.cols x self.rows` and fully overwritten.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
         for (i, row) in self.data.chunks_exact(self.cols).enumerate() {
             for (j, &v) in row.iter().enumerate() {
                 out.data[j * self.rows + i] = v;
             }
         }
-        out
     }
 
     /// Element-wise sum with another matrix of the same shape.
@@ -366,12 +335,20 @@ impl Matrix {
     /// Sums each column into a `1 x cols` row vector.
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &v) in out.data.iter_mut().zip(self.row(r).iter()) {
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// Sums each column, from `0.0` and in row order, into `out`, which
+    /// is resized to `1 x cols` and fully overwritten.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.resize(1, self.cols);
+        out.data.fill(0.0);
+        for row in self.data.chunks_exact(self.cols) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Scales every element in place.
@@ -432,6 +409,121 @@ impl Matrix {
     }
 }
 
+/// Rows of the register tile: left-operand rows sharing each loaded
+/// right-hand panel.
+const MR: usize = 4;
+/// Columns of the register tile: one right-hand panel row. 4 x 16 beat
+/// 4 x 8, 6 x 16 and 8 x 8 on the training shapes (x86-64, SSE2).
+const NR: usize = 16;
+
+/// The left operand of [`gemm_add`]: an `rows x inner` view whose
+/// element `(i, p)` is `data[i * row_stride + p * inner_stride]`, so a
+/// matrix and its transpose are both read in place.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    rows: usize,
+    inner: usize,
+    row_stride: usize,
+    inner_stride: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// `m` as it is.
+    fn rows_of(m: &'a Matrix) -> Self {
+        Self {
+            data: &m.data,
+            rows: m.rows,
+            inner: m.cols,
+            row_stride: m.cols,
+            inner_stride: 1,
+        }
+    }
+
+    /// The transpose of `m`, read in place.
+    fn columns_of(m: &'a Matrix) -> Self {
+        Self {
+            data: &m.data,
+            rows: m.cols,
+            inner: m.rows,
+            row_stride: 1,
+            inner_stride: m.cols,
+        }
+    }
+
+    fn at(&self, i: usize, p: usize) -> f32 {
+        self.data[i * self.row_stride + p * self.inner_stride]
+    }
+}
+
+/// The crate's one dense product kernel: `out += a * b`, with `out`
+/// row-major `a.rows x b.cols()`.
+///
+/// Column panels of `b` ([`NR`] wide) are the outer loop, so a panel
+/// stays in cache across every row tile. Each [`MR`] x [`NR`] tile of
+/// `out` is held in locals, starts from `out`'s current value, and adds
+/// `a(i, p) * b(p, j)` — a multiply, then an add — for `p` ascending.
+/// Every output is therefore the same sum, in the same order, that
+/// [`Matrix::matmul_naive`] computes from a zero-filled `out`, whatever
+/// the tile shape. No zero `a` is skipped: such a product is `±0.0`,
+/// which leaves a finite sum that starts from `+0.0` unchanged, so
+/// skipping would change no result and only cost a branch.
+fn gemm_add(a: Lhs<'_>, b: &Matrix, out: &mut [f32]) {
+    debug_assert_eq!(a.inner, b.rows);
+    debug_assert_eq!(out.len(), a.rows * b.cols);
+    let mut j = 0;
+    while j + NR <= b.cols {
+        let mut i = 0;
+        while i + MR <= a.rows {
+            tile::<MR>(a, i, b, j, out);
+            i += MR;
+        }
+        match a.rows - i {
+            1 => tile::<1>(a, i, b, j, out),
+            2 => tile::<2>(a, i, b, j, out),
+            3 => tile::<3>(a, i, b, j, out),
+            _ => {}
+        }
+        j += NR;
+    }
+    // Columns past the last full panel: one sum per output, same order.
+    let n = b.cols;
+    for i in 0..a.rows {
+        for jj in j..n {
+            let mut acc = out[i * n + jj];
+            for p in 0..a.inner {
+                acc += a.at(i, p) * b.data[p * n + jj];
+            }
+            out[i * n + jj] = acc;
+        }
+    }
+}
+
+/// One `R x NR` tile of [`gemm_add`]: rows `i..i + R`, columns
+/// `j..j + NR`.
+#[inline(always)]
+fn tile<const R: usize>(a: Lhs<'_>, i: usize, b: &Matrix, j: usize, out: &mut [f32]) {
+    let n = b.cols;
+    let mut acc = [[0.0f32; NR]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let at = (i + r) * n + j;
+        row.copy_from_slice(&out[at..at + NR]);
+    }
+    for p in 0..a.inner {
+        let panel = &b.data[p * n + j..p * n + j + NR];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let x = a.at(i + r, p);
+            for (o, &y) in row.iter_mut().zip(panel) {
+                *o += x * y;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let at = (i + r) * n + j;
+        out[at..at + NR].copy_from_slice(row);
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -484,9 +576,9 @@ mod tests {
 
     #[test]
     fn matmul_transposed_is_bit_identical_to_the_dot_product_loop() {
-        // Shapes straddle the 16/64 tile boundaries; a third of the
-        // left-hand entries are exact zeros (some negative), which the
-        // blocked kernel skips and the dot product adds.
+        // Shapes straddle the 4x16 tile boundaries; a third of the
+        // left-hand entries are exact zeros (some negative), whose
+        // products the kernel and the dot product both add.
         let mut rng = crate::init::seeded_rng(808);
         let shapes = [
             (1usize, 1usize, 1usize),
@@ -504,7 +596,6 @@ mod tests {
                 }
             }
             let b = crate::init::he_uniform(n, k, &mut rng);
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&a.matmul_transposed(&b)),
                 bits(&dot_product_reference(&a, &b)),
@@ -567,19 +658,93 @@ mod tests {
 
     #[test]
     fn blocked_matmul_matches_naive_on_random_matrices() {
-        // Shapes straddle the 16/64 tile boundaries on purpose.
         let mut rng = crate::init::seeded_rng(2024);
         for &(m, k, n) in &[(1usize, 5usize, 3usize), (17, 65, 9), (33, 130, 20)] {
             let a = crate::init::he_uniform(m, k, &mut rng);
             let b = crate::init::he_uniform(k, n, &mut rng);
-            let blocked = a.matmul(&b);
-            let naive = a.matmul_naive(&b);
-            for (x, y) in blocked.as_slice().iter().zip(naive.as_slice()) {
-                assert!(
-                    (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
-                    "blocked {x} vs naive {y}"
-                );
+            assert_eq!(
+                bits(&a.matmul(&b)),
+                bits(&a.matmul_naive(&b)),
+                "{m}x{k}x{n}"
+            );
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `m x k` He-uniform entries with every third one an exact zero,
+    /// alternately `+0.0` and `-0.0`.
+    fn with_signed_zeros(m: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
+        let mut a = crate::init::he_uniform(m, k, rng);
+        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+            match i % 6 {
+                0 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
             }
+        }
+        a
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_identical_to_the_naive_loop_in_every_layout() {
+        // Every row remainder of the 4-row tile against full, partial and
+        // no 16-wide column panels; 1x1, k = 1 and M = 1; the single-row
+        // inference shapes; and the training shapes (forward, a 2-row
+        // tail batch, and the dW and dX products of the 96-wide stack).
+        let mut shapes = vec![
+            (1usize, 1usize, 1usize),
+            (1, 772, 96),
+            (1, 96, 272),
+            (2, 1284, 96),
+            (32, 1284, 96),
+            (32, 96, 96),
+            (32, 96, 272),
+            (96, 32, 272),
+            (32, 272, 96),
+        ];
+        for m in 1..=9 {
+            for n in [1, 3, 15, 16, 17, 32, 35] {
+                shapes.push((m, 1, n));
+                shapes.push((m, 11, n));
+            }
+        }
+        let mut rng = crate::init::seeded_rng(1717);
+        for (m, k, n) in shapes {
+            let a = with_signed_zeros(m, k, &mut rng);
+            let b = crate::init::he_uniform(k, n, &mut rng);
+            let want = bits(&a.matmul_naive(&b));
+            let at = a.transpose();
+            assert_eq!(bits(&a.matmul(&b)), want, "A * B, {m}x{k}x{n}");
+            assert_eq!(
+                bits(&at.transposed_matmul(&b)),
+                want,
+                "A^T^T * B, {m}x{k}x{n}"
+            );
+            let bt = b.transpose();
+            assert_eq!(
+                bits(&a.matmul_transposed(&bt)),
+                want,
+                "A * B^T^T, {m}x{k}x{n}"
+            );
+
+            // Seeded with a bias row, each output sums from its bias.
+            let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 1.0).collect();
+            let mut seeded = bias.repeat(m);
+            gemm_add(Lhs::rows_of(&a), &b, &mut seeded);
+            let mut want = bias.repeat(m);
+            for i in 0..m {
+                for j in 0..n {
+                    for p in 0..k {
+                        want[i * n + j] += a[(i, p)] * b[(p, j)];
+                    }
+                }
+            }
+            let seeded_bits: Vec<u32> = seeded.iter().map(|v| v.to_bits()).collect();
+            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(seeded_bits, want_bits, "bias + A * B, {m}x{k}x{n}");
         }
     }
 
