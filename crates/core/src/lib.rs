@@ -47,7 +47,7 @@ pub mod protocols;
 pub mod scheduler;
 pub mod trainer;
 
-pub use featsvc::FeatureService;
+pub use featsvc::{CacheStats, FeatureService, KindCacheStats};
 pub use pipeline::{DegradeEvent, DegradeKind, GofStep, RunConfig, RunResult, StreamPipeline};
 pub use scheduler::{Policy, Scheduler, TrainedScheduler};
 pub use trainer::{train_scheduler, TrainConfig};

@@ -101,6 +101,9 @@ pub struct Decision {
 /// Fixed CPU cost of solving the constrained optimization.
 const SOLVER_MS: f64 = 0.4;
 
+/// The source latency of the first configuration's switch.
+const FIRST_SWITCH_SRC_MS: f64 = 80.0;
+
 /// The online scheduler state.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -276,19 +279,38 @@ impl Scheduler {
 
     /// Expected switching cost from the current branch to `dst`.
     pub fn expected_switch_ms(&self, dst: usize) -> f64 {
-        match self.current {
-            Some(cur) if cur == dst => 0.0,
-            Some(cur) => self.trained.switching.offline_cost_ms(
-                self.trained.det_inference_ms[cur],
-                self.trained.det_inference_ms[dst],
-            ),
-            // First configuration: treated as a switch from a mid-weight
-            // branch (everything was preheated).
-            None => self
-                .trained
-                .switching
-                .offline_cost_ms(80.0, self.trained.det_inference_ms[dst]),
+        self.switch_ms_given(self.switch_src_term_ms(), dst)
+    }
+
+    /// [`Self::expected_switch_ms`] for every branch, in catalog order.
+    /// The source is the same for every entry, so its term (the model's
+    /// one `exp`) is computed once.
+    fn expected_switch_costs_ms(&self) -> Vec<f64> {
+        let src_term_ms = self.switch_src_term_ms();
+        (0..self.trained.catalog.len())
+            .map(|dst| self.switch_ms_given(src_term_ms, dst))
+            .collect()
+    }
+
+    /// The switching model's source term for a switch away from the
+    /// current branch. The first configuration is treated as a switch
+    /// from a mid-weight branch (everything was preheated).
+    fn switch_src_term_ms(&self) -> f64 {
+        let src_ms = self.current.map_or(FIRST_SWITCH_SRC_MS, |cur| {
+            self.trained.det_inference_ms[cur]
+        });
+        self.trained.switching.src_term_ms(src_ms)
+    }
+
+    /// The cost of switching to `dst` given [`Self::switch_src_term_ms`]:
+    /// nothing if `dst` is already running.
+    fn switch_ms_given(&self, src_term_ms: f64, dst: usize) -> f64 {
+        if self.current == Some(dst) {
+            return 0.0;
         }
+        self.trained
+            .switching
+            .cost_with_src_term_ms(src_term_ms, self.trained.det_inference_ms[dst])
     }
 
     /// Marks a branch as the currently running one (called by the
@@ -363,7 +385,7 @@ impl Scheduler {
         };
         // `self.current` is fixed for the whole decision, so each branch's
         // switching cost is computed once, not on every `fits` call.
-        let switch_ms: Vec<f64> = (0..n).map(|b| self.expected_switch_ms(b)).collect();
+        let switch_ms = self.expected_switch_costs_ms();
         let fits = |b: usize, extra_sched_ms: f64, this: &Self| -> bool {
             let amortized = (s0 + extra_sched_ms + switch_ms[b])
                 / this.trained.catalog[b].gof_size.max(1) as f64;
@@ -905,5 +927,41 @@ mod tests {
         s.commit_branch(3);
         assert_eq!(s.expected_switch_ms(3), 0.0);
         assert!(s.expected_switch_ms(0) > 0.0);
+    }
+
+    #[test]
+    fn switch_costs_match_the_per_branch_cost_bit_for_bit() {
+        let t = trained();
+        let det_ms = &t.det_inference_ms;
+        let lightest = (0..det_ms.len())
+            .min_by(|&i, &j| det_ms[i].total_cmp(&det_ms[j]))
+            .unwrap();
+        let heaviest = (0..det_ms.len())
+            .max_by(|&i, &j| det_ms[i].total_cmp(&det_ms[j]))
+            .unwrap();
+        assert_ne!(lightest, heaviest);
+        let mut s = Scheduler::new(t.clone(), Policy::CostBenefit, 50.0);
+        for current in [None, Some(lightest), Some(heaviest)] {
+            if let Some(b) = current {
+                s.commit_branch(b);
+            }
+            let costs = s.expected_switch_costs_ms();
+            assert_eq!(costs.len(), t.catalog.len());
+            for (dst, cost) in costs.iter().enumerate() {
+                // The per-branch cost as the model's one-call form gives it.
+                let expected = match current {
+                    Some(cur) if cur == dst => 0.0,
+                    Some(cur) => t.switching.offline_cost_ms(det_ms[cur], det_ms[dst]),
+                    None => t.switching.offline_cost_ms(80.0, det_ms[dst]),
+                };
+                let what = format!("current {current:?}, dst {dst}");
+                assert_eq!(cost.to_bits(), expected.to_bits(), "{what}");
+                assert_eq!(
+                    s.expected_switch_ms(dst).to_bits(),
+                    expected.to_bits(),
+                    "{what}"
+                );
+            }
+        }
     }
 }

@@ -57,8 +57,21 @@ impl SwitchingCostModel {
     /// this function only sees latencies and always returns a positive
     /// cost.
     pub fn offline_cost_ms(&self, src_ms: f64, dst_ms: f64) -> f64 {
-        let light_src = self.src_light_bonus_ms * (-src_ms.max(0.0) / self.src_scale_ms).exp();
-        self.base_ms + self.dst_coeff * dst_ms.max(0.0) + light_src
+        self.cost_with_src_term_ms(self.src_term_ms(src_ms), dst_ms)
+    }
+
+    /// The light-source bonus of a switch away from a branch with
+    /// steady-state detector latency `src_ms`: the only term of
+    /// [`Self::offline_cost_ms`] that depends on the source.
+    pub fn src_term_ms(&self, src_ms: f64) -> f64 {
+        self.src_light_bonus_ms * (-src_ms.max(0.0) / self.src_scale_ms).exp()
+    }
+
+    /// [`Self::offline_cost_ms`] given its [`Self::src_term_ms`], so the
+    /// costs of switching from one source to many destinations share one
+    /// `exp`. The result is bit-identical to `offline_cost_ms`.
+    pub fn cost_with_src_term_ms(&self, src_term_ms: f64, dst_ms: f64) -> f64 {
+        self.base_ms + self.dst_coeff * dst_ms.max(0.0) + src_term_ms
     }
 }
 

@@ -34,13 +34,14 @@ fn bin(v: f32) -> u8 {
     (r - u32::from(t - SHIFT > x)) as u8
 }
 
-/// Extracts the 768-dimensional HoC feature from a frame.
+/// Per-channel bin counts: `counts[c][b]` pixels of channel `c` fall in
+/// bin `b`.
+pub type Counts = [[u32; BINS]; 3];
+
+/// Counts the pixels of each channel in each bin.
 ///
-/// The bins are computed in one pass and counted as integers in a second;
-/// a count of at most 2^24 pixels converts to `f32` exactly, so each value
-/// is `count * (1 / pixels)` just as if the histogram had been accumulated
-/// in `f32`.
-pub fn extract(frame: &RgbFrame) -> Vec<f32> {
+/// The bins are computed in one pass and counted as integers in a second.
+pub fn counts(frame: &RgbFrame) -> Counts {
     let data = frame.as_slice();
     let bins: Vec<u8> = data.iter().map(|&v| bin(v)).collect();
     let mut counts = [[0u32; BINS]; 3];
@@ -50,12 +51,34 @@ pub fn extract(frame: &RgbFrame) -> Vec<f32> {
             hist[usize::from(b)] += 1;
         }
     }
-    let inv = 1.0 / n as f32;
+    counts
+}
+
+/// What one pixel adds to its bin in a frame of `pixels` pixels:
+/// `1 / pixels`. Every HoC value is a count times this weight.
+pub fn pixel_weight(pixels: usize) -> f32 {
+    1.0 / pixels as f32
+}
+
+/// The 768-dimensional HoC feature of a frame of `pixels` pixels from
+/// its [`counts`].
+///
+/// A count of at most 2^24 pixels converts to `f32` exactly, so each
+/// value is `count * (1 / pixels)` just as if the histogram had been
+/// accumulated in `f32`.
+pub fn from_counts(counts: &Counts, pixels: usize) -> Vec<f32> {
+    let weight = pixel_weight(pixels);
     counts
         .iter()
         .flatten()
-        .map(|&count| count as f32 * inv)
+        .map(|&count| count as f32 * weight)
         .collect()
+}
+
+/// Extracts the 768-dimensional HoC feature from a frame:
+/// [`from_counts`] of its [`counts`].
+pub fn extract(frame: &RgbFrame) -> Vec<f32> {
+    from_counts(&counts(frame), frame.width() * frame.height())
 }
 
 #[cfg(test)]
