@@ -14,9 +14,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use lr_features::FeatureKind;
+use lr_features::{light, FeatureKind};
 use lr_nn::linreg::{fit_ridge, LinearModel};
-use lr_nn::{Matrix, Mlp, MlpConfig, Sgd};
+use lr_nn::{Matrix, Mlp, MlpConfig, PackedMlp, Sgd};
 
 use crate::offline::OfflineDataset;
 
@@ -60,13 +60,17 @@ impl Scaler {
         Self { mean, std }
     }
 
-    /// Standardizes one row.
-    pub fn transform(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
-        x.iter()
-            .zip(self.mean.iter().zip(self.std.iter()))
-            .map(|(&v, (&m, &s))| (v - m) / s)
-            .collect()
+    /// Appends the standardization of the concatenated `parts` to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts' total width differs from the fitted one.
+    pub fn transform_into(&self, parts: &[&[f32]], out: &mut Vec<f32>) {
+        let width: usize = parts.iter().map(|p| p.len()).sum();
+        assert_eq!(width, self.mean.len(), "dimension mismatch");
+        let values = parts.iter().flat_map(|p| p.iter());
+        let stats = self.mean.iter().zip(self.std.iter());
+        out.extend(values.zip(stats).map(|(&v, (&m, &s))| (v - m) / s));
     }
 
     /// Input dimensionality.
@@ -128,11 +132,15 @@ impl AccuracyModelConfig {
 }
 
 /// The content-aware accuracy model for one feature kind.
+///
+/// Training fits an [`Mlp`]; the model then keeps only its
+/// inference-only [`PackedMlp`] conversion, whose one-row forward is
+/// bit-identical to the `Mlp`'s.
 #[derive(Debug, Clone)]
 pub struct AccuracyModel {
     kind: FeatureKind,
     scaler: Scaler,
-    mlp: Mlp,
+    net: PackedMlp,
     final_train_mse: f32,
 }
 
@@ -152,11 +160,27 @@ impl AccuracyModel {
         cfg: &AccuracyModelConfig,
         seed: u64,
     ) -> Self {
+        let (scaler, mlp, final_train_mse) = Self::fit(kind, dataset, cfg, seed);
+        Self {
+            kind,
+            scaler,
+            net: PackedMlp::from(mlp),
+            final_train_mse,
+        }
+    }
+
+    /// The fitted scaler and network, and the final training MSE.
+    fn fit(
+        kind: FeatureKind,
+        dataset: &OfflineDataset,
+        cfg: &AccuracyModelConfig,
+        seed: u64,
+    ) -> (Scaler, Mlp, f32) {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let inputs: Vec<Vec<f32>> = dataset
             .records
             .iter()
-            .map(|r| Self::assemble_input(kind, &r.light, r.heavy.get(&kind).map(|v| v.as_slice())))
+            .map(|r| input_parts(kind, &r.light, r.heavy.get(&kind).map(|v| v.as_slice())).concat())
             .collect();
         let scaler = Scaler::fit(&inputs);
         let n = inputs.len();
@@ -165,7 +189,7 @@ impl AccuracyModel {
 
         let mut x = Vec::with_capacity(n * in_dim);
         for row in &inputs {
-            x.extend(scaler.transform(row));
+            scaler.transform_into(&[row], &mut x);
         }
         let mut y = Vec::with_capacity(n * out_dim);
         for r in &dataset.records {
@@ -198,21 +222,7 @@ impl AccuracyModel {
             attempt += 1;
             lr *= 0.25;
         };
-        Self {
-            kind,
-            scaler,
-            mlp,
-            final_train_mse,
-        }
-    }
-
-    fn assemble_input(kind: FeatureKind, light: &[f32], heavy: Option<&[f32]>) -> Vec<f32> {
-        let mut v = light.to_vec();
-        if kind != FeatureKind::Light {
-            let h = heavy.unwrap_or_else(|| panic!("record lacks {kind:?} feature"));
-            v.extend_from_slice(h);
-        }
-        v
+        (scaler, mlp, final_train_mse)
     }
 
     /// The feature kind this model consumes.
@@ -227,17 +237,44 @@ impl AccuracyModel {
 
     /// Predicts per-branch snippet mAP, clamped to `[0, 1]`.
     ///
+    /// The standardized input is written straight into one buffer, and
+    /// the forward pass alternates between it and one spare: two
+    /// allocations per call.
+    ///
     /// # Panics
     ///
     /// Panics if the input widths do not match training.
     pub fn predict(&self, light: &[f32], heavy: Option<&[f32]>) -> Vec<f32> {
-        let input = Self::assemble_input(self.kind, light, heavy);
-        let scaled = self.scaler.transform(&input);
-        self.mlp
-            .infer_one(&scaled)
-            .into_iter()
-            .map(|v| v.clamp(0.0, 1.0))
-            .collect()
+        let mut x = Vec::with_capacity(self.net.width());
+        let mut spare = Vec::with_capacity(self.net.width());
+        self.scaler
+            .transform_into(&input_parts(self.kind, light, heavy), &mut x);
+        self.net.infer_row(&mut x, &mut spare);
+        for v in &mut x {
+            *v = v.clamp(0.0, 1.0);
+        }
+        x
+    }
+}
+
+/// The model input for `kind`: the light features, then the heavy
+/// feature, which is empty for the light model.
+///
+/// # Panics
+///
+/// Panics if a content model is given no heavy feature.
+fn input_parts<'a>(
+    kind: FeatureKind,
+    light: &'a [f32],
+    heavy: Option<&'a [f32]>,
+) -> [&'a [f32]; 2] {
+    if kind == FeatureKind::Light {
+        [light, &[]]
+    } else {
+        [
+            light,
+            heavy.unwrap_or_else(|| panic!("record lacks {kind:?} feature")),
+        ]
     }
 }
 
@@ -253,10 +290,49 @@ fn kind_seed(kind: FeatureKind) -> u64 {
 }
 
 /// Per-branch latency regressions split by execution unit.
+///
+/// The regressions are stored flat: one contiguous slab holds every
+/// branch's detector and tracker weights and its pair of intercepts.
 #[derive(Debug, Clone)]
 pub struct LatencyModel {
-    det: Vec<LinearModel>,
-    trk: Vec<LinearModel>,
+    branches: Vec<BranchLatency>,
+}
+
+/// One branch's detector and tracker regressions on the light features.
+#[derive(Debug, Clone)]
+struct BranchLatency {
+    det: [f32; light::DIM],
+    trk: [f32; light::DIM],
+    /// The detector and tracker intercepts.
+    bias: [f32; 2],
+}
+
+impl BranchLatency {
+    /// Detector and tracker milliseconds: each regression's
+    /// `bias + w . light`, summed as [`LinearModel::predict`] sums it,
+    /// floored at zero.
+    fn parts(&self, light: &[f32; light::DIM]) -> (f64, f64) {
+        let affine = |w: &[f32; light::DIM], bias: f32| {
+            let sum = w.iter().zip(light).map(|(&w, &v)| w * v).sum::<f32>();
+            (bias + sum).max(0.0) as f64
+        };
+        (
+            affine(&self.det, self.bias[0]),
+            affine(&self.trk, self.bias[1]),
+        )
+    }
+}
+
+/// `light` as the fixed-width light feature vector.
+///
+/// # Panics
+///
+/// Panics if `light` has the wrong width.
+fn light_array(light: &[f32]) -> &[f32; light::DIM] {
+    let Ok(light) = light.try_into() else {
+        panic!("feature width mismatch: {} != {}", light.len(), light::DIM);
+    };
+    light
 }
 
 impl LatencyModel {
@@ -264,8 +340,15 @@ impl LatencyModel {
     ///
     /// # Panics
     ///
-    /// Panics on an empty dataset.
+    /// Panics on an empty dataset or on light features of another width
+    /// than [`light::DIM`].
     pub fn train(dataset: &OfflineDataset) -> Self {
+        let (det, trk) = Self::fit(dataset);
+        Self::from_regressions(&det, &trk)
+    }
+
+    /// The per-branch detector and tracker regressions.
+    fn fit(dataset: &OfflineDataset) -> (Vec<LinearModel>, Vec<LinearModel>) {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let xs: Vec<Vec<f32>> = dataset.records.iter().map(|r| r.light.clone()).collect();
         // Each branch's pair of ridge solves is independent of the
@@ -288,26 +371,38 @@ impl LatencyModel {
                 fit_ridge(&xs, &trk_y, 1e-3).expect("ridge solve"),
             )
         });
-        let (det, trk) = fits.into_iter().unzip();
-        Self { det, trk }
+        fits.into_iter().unzip()
+    }
+
+    /// Flattens one detector and one tracker regression per branch.
+    fn from_regressions(det: &[LinearModel], trk: &[LinearModel]) -> Self {
+        let branches = det
+            .iter()
+            .zip(trk)
+            .map(|(d, t)| BranchLatency {
+                det: *light_array(&d.weights),
+                trk: *light_array(&t.weights),
+                bias: [d.bias, t.bias],
+            })
+            .collect();
+        Self { branches }
     }
 
     /// Number of branches covered.
     pub fn num_branches(&self) -> usize {
-        self.det.len()
+        self.branches.len()
     }
 
     /// Predicted detector and tracker per-frame milliseconds for one
-    /// branch (before corrections).
+    /// branch (before corrections): each regression's `bias + w . light`,
+    /// floored at zero.
     ///
     /// # Panics
     ///
-    /// Panics if `branch_idx` is out of range.
+    /// Panics if `branch_idx` is out of range or `light` has the wrong
+    /// width.
     pub fn predict_parts(&self, branch_idx: usize, light: &[f32]) -> (f64, f64) {
-        (
-            self.det[branch_idx].predict(light).max(0.0) as f64,
-            self.trk[branch_idx].predict(light).max(0.0) as f64,
-        )
+        self.branches[branch_idx].parts(light_array(light))
     }
 
     /// Predicted mean per-frame kernel latency of a branch, given the
@@ -316,7 +411,8 @@ impl LatencyModel {
     ///
     /// # Panics
     ///
-    /// Panics if `branch_idx` is out of range.
+    /// Panics if `branch_idx` is out of range or `light` has the wrong
+    /// width.
     pub fn predict_kernel_ms(
         &self,
         branch_idx: usize,
@@ -324,9 +420,23 @@ impl LatencyModel {
         gpu_corr: f64,
         cpu_corr: f64,
     ) -> f64 {
-        let d = self.det[branch_idx].predict(light).max(0.0) as f64;
-        let t = self.trk[branch_idx].predict(light).max(0.0) as f64;
+        let (d, t) = self.predict_parts(branch_idx, light);
         d * gpu_corr + t * cpu_corr
+    }
+
+    /// [`LatencyModel::predict_kernel_ms`] of every branch, in branch
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `light` has the wrong width.
+    pub fn predict_all_kernel_ms(&self, light: &[f32], gpu_corr: f64, cpu_corr: f64) -> Vec<f64> {
+        let light = light_array(light);
+        let kernel_ms = |b: &BranchLatency| {
+            let (d, t) = b.parts(light);
+            d * gpu_corr + t * cpu_corr
+        };
+        self.branches.iter().map(kernel_ms).collect()
     }
 }
 
@@ -365,7 +475,8 @@ mod tests {
     fn scaler_standardizes() {
         let rows = vec![vec![0.0, 10.0], vec![2.0, 30.0], vec![4.0, 50.0]];
         let s = Scaler::fit(&rows);
-        let t = s.transform(&[2.0, 30.0]);
+        let mut t = Vec::new();
+        s.transform_into(&[&[2.0], &[30.0]], &mut t);
         assert!(
             t.iter().all(|v| v.abs() < 1e-5),
             "mean row -> zeros, got {t:?}"
@@ -425,6 +536,96 @@ mod tests {
             }
         }
         total / count.max(1) as f32
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_predictions_are_bit_identical_to_the_trained_mlp() {
+        let ds = dataset();
+        let cfg = AccuracyModelConfig {
+            epochs: 5,
+            ..AccuracyModelConfig::fast()
+        };
+        for kind in [FeatureKind::Light, FeatureKind::HoC] {
+            let (scaler, mlp, mse) = AccuracyModel::fit(kind, &ds, &cfg, 4);
+            let model = AccuracyModel {
+                kind,
+                scaler: scaler.clone(),
+                net: PackedMlp::from(mlp.clone()),
+                final_train_mse: mse,
+            };
+            for r in &ds.records {
+                let heavy = r.heavy.get(&kind).map(|v| v.as_slice());
+                let mut x = Vec::new();
+                scaler.transform_into(&input_parts(kind, &r.light, heavy), &mut x);
+                let want = mlp
+                    .infer(&Matrix::row_vector(&x))
+                    .map(|v| v.clamp(0.0, 1.0));
+                let got = model.predict(&r.light, heavy);
+                assert_eq!(bits(&got), bits(want.as_slice()), "{kind:?}");
+            }
+        }
+    }
+
+    /// Checks every branch of `lm` against its two `LinearModel`s on
+    /// every light vector, bit for bit.
+    fn assert_matches_regressions(
+        lm: &LatencyModel,
+        det: &[LinearModel],
+        trk: &[LinearModel],
+        lights: &[Vec<f32>],
+    ) {
+        let (gpu_corr, cpu_corr) = (1.3, 0.7);
+        for light in lights {
+            let all = lm.predict_all_kernel_ms(light, gpu_corr, cpu_corr);
+            assert_eq!(all.len(), det.len());
+            for (b, (d, t)) in det.iter().zip(trk).enumerate() {
+                let want_d = d.predict(light).max(0.0) as f64;
+                let want_t = t.predict(light).max(0.0) as f64;
+                let (got_d, got_t) = lm.predict_parts(b, light);
+                assert_eq!(
+                    (got_d.to_bits(), got_t.to_bits()),
+                    (want_d.to_bits(), want_t.to_bits())
+                );
+                let want = want_d * gpu_corr + want_t * cpu_corr;
+                let got = lm.predict_kernel_ms(b, light, gpu_corr, cpu_corr);
+                assert_eq!(got.to_bits(), want.to_bits());
+                assert_eq!(all[b].to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn flat_latency_model_matches_the_per_branch_regressions() {
+        // The fitted regressions on every record.
+        let ds = dataset();
+        let (det, trk) = LatencyModel::fit(&ds);
+        let lm = LatencyModel::from_regressions(&det, &trk);
+        assert_eq!(lm.num_branches(), ds.catalog.len());
+        let lights: Vec<Vec<f32>> = ds.records.iter().map(|r| r.light.clone()).collect();
+        assert_matches_regressions(&lm, &det, &trk, &lights);
+        // The test videos share one frame size, so their regressions
+        // weigh two of the four features at about zero. Random
+        // regressions on random light vectors make all four products
+        // count, so a change of summation order shows.
+        let mut rng = lr_nn::init::seeded_rng(9);
+        let mut regressions = |n: usize| -> Vec<LinearModel> {
+            let w = lr_nn::init::uniform(n, light::DIM, 3.0, &mut rng);
+            let bias = lr_nn::init::uniform(1, n, 10.0, &mut rng);
+            let model = |(r, &bias)| LinearModel {
+                weights: w.row(r).to_vec(),
+                bias,
+            };
+            bias.as_slice().iter().enumerate().map(model).collect()
+        };
+        let (det, trk) = (regressions(64), regressions(64));
+        let lm = LatencyModel::from_regressions(&det, &trk);
+        let lights = lr_nn::init::uniform(200, light::DIM, 1.0, &mut rng);
+        let lights: Vec<Vec<f32>> = (0..200).map(|r| lights.row(r).to_vec()).collect();
+        assert_matches_regressions(&lm, &det, &trk, &lights);
     }
 
     #[test]

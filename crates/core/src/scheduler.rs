@@ -368,13 +368,10 @@ impl Scheduler {
         let light = svc.light(video, frame_idx, boxes);
         let a_light = self.trained.accuracy[&FeatureKind::Light].predict(&light, None);
         let (gpu_corr, cpu_corr) = (self.gpu_correction(), self.cpu_correction());
-        let kernel_pred: Vec<f64> = (0..n)
-            .map(|b| {
-                self.trained
-                    .latency
-                    .predict_kernel_ms(b, &light, gpu_corr, cpu_corr)
-            })
-            .collect();
+        let kernel_pred = self
+            .trained
+            .latency
+            .predict_all_kernel_ms(&light, gpu_corr, cpu_corr);
 
         // The scheduler's fixed per-decision cost (light extract+predict
         // plus the solve), as seen by the constraint.

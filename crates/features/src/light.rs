@@ -8,6 +8,9 @@
 
 use lr_video::BBox;
 
+/// Width of the light feature vector ([`LightFeatures::to_vec`]).
+pub const DIM: usize = 4;
+
 /// The four light-weight features.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LightFeatures {

@@ -24,29 +24,29 @@ impl Activation {
     /// Applies the activation element-wise.
     pub fn forward(self, x: &Matrix) -> Matrix {
         let mut out = x.clone();
-        self.apply_in_place(&mut out);
+        self.apply_in_place(out.as_mut_slice());
         out
     }
 
-    /// Applies the activation element-wise, in place. Bit-identical to
-    /// [`Activation::forward`] without the allocation.
-    pub fn apply_in_place(self, x: &mut Matrix) {
+    /// Applies the activation to each value of `xs`, in place: the one
+    /// definition every forward pass uses, batch or packed.
+    pub fn apply_in_place(self, xs: &mut [f32]) {
         match self {
             Activation::Linear => {}
             Activation::Relu => {
-                for v in x.as_mut_slice() {
+                for v in xs {
                     *v = v.max(0.0);
                 }
             }
             Activation::LeakyRelu => {
-                for v in x.as_mut_slice() {
+                for v in xs {
                     if *v <= 0.0 {
                         *v *= 0.01;
                     }
                 }
             }
             Activation::Tanh => {
-                for v in x.as_mut_slice() {
+                for v in xs {
                     *v = v.tanh();
                 }
             }
@@ -147,6 +147,11 @@ impl Dense {
         self.activation
     }
 
+    /// The layer's weights, bias and activation, consuming it.
+    pub(crate) fn into_parts(self) -> (Matrix, Matrix, Activation) {
+        (self.weights, self.bias, self.activation)
+    }
+
     /// Number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.cols()
@@ -161,12 +166,12 @@ impl Dense {
 
     /// Forward pass writing into a caller-owned scratch matrix (resized
     /// and fully overwritten). Bit-identical to [`Dense::infer`]; reusing
-    /// the scratch across calls removes the per-inference allocations on
-    /// the scheduler hot path and in training.
+    /// the scratch across calls keeps batch inference and training steps
+    /// from allocating.
     pub fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
         input.matmul_into(&self.weights, out);
         out.add_row_broadcast_in_place(&self.bias);
-        self.activation.apply_in_place(out);
+        self.activation.apply_in_place(out.as_mut_slice());
         crate::debug_assert_finite!(&*out, "dense layer forward");
     }
 

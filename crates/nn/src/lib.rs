@@ -12,6 +12,8 @@
 //! - [`layers`]: dense (fully-connected) layers and activations with
 //!   backpropagation.
 //! - [`mlp::Mlp`]: a sequential multi-layer perceptron.
+//! - [`packed::PackedMlp`]: a trained [`Mlp`] converted for one-row
+//!   inference, its weights packed into column panels.
 //! - [`optim::Sgd`]: stochastic gradient descent with momentum and weight
 //!   decay.
 //! - [`conv`]: forward-only 2-D convolution / pooling used by the feature
@@ -29,9 +31,11 @@ pub mod linreg;
 pub mod loss;
 pub mod mlp;
 pub mod optim;
+pub mod packed;
 pub mod sanitize;
 pub mod tensor;
 
 pub use mlp::{Mlp, MlpConfig};
 pub use optim::Sgd;
+pub use packed::PackedMlp;
 pub use tensor::Matrix;

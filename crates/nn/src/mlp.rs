@@ -124,17 +124,6 @@ impl Mlp {
         cur
     }
 
-    /// Convenience: inference on a single example given as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.input_dim()`.
-    pub fn infer_one(&self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
-        let out = self.infer(&Matrix::row_vector(input));
-        out.as_slice().to_vec()
-    }
-
     /// Trains for `epochs` epochs over a dataset of row-examples, shuffling
     /// each epoch; returns the per-epoch mean batch losses.
     ///
@@ -226,6 +215,12 @@ impl Mlp {
     /// Mean squared error of the network on a dataset.
     pub fn evaluate_mse(&self, inputs: &Matrix, targets: &Matrix) -> f32 {
         loss::mse(&self.infer(inputs), targets)
+    }
+
+    /// The trained layers, consuming the network and its momentum
+    /// buffers.
+    pub(crate) fn into_layers(self) -> Vec<Dense> {
+        self.layers
     }
 }
 
@@ -382,7 +377,7 @@ mod tests {
             let mut rng = seeded_rng(99);
             let mut mlp = Mlp::new(&cfg, &mut rng);
             mlp.fit(&inputs, &targets, Sgd::default(), 20, 2, &mut rng);
-            mlp.infer_one(&[0.5, 0.5, 0.5])
+            mlp.infer(&Matrix::row_vector(&[0.5, 0.5, 0.5]))
         };
         assert_eq!(run(), run());
     }
@@ -497,13 +492,5 @@ mod tests {
             assert_eq!(bits(got.weights()), bits(&want.w), "layer {i} weights");
             assert_eq!(bits(got.bias()), bits(&want.b), "layer {i} bias");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "input dimension mismatch")]
-    fn infer_one_rejects_wrong_width() {
-        let mut rng = seeded_rng(1);
-        let mlp = Mlp::new(&MlpConfig::regression(4, &[4], 1), &mut rng);
-        let _ = mlp.infer_one(&[1.0, 2.0]);
     }
 }

@@ -151,8 +151,7 @@ impl Matrix {
     /// Matrix product `self * rhs` written into `out`, which is resized
     /// to `self.rows x rhs.cols` and fully overwritten. Reusing one
     /// scratch matrix across calls avoids a fresh allocation per product,
-    /// which matters on the scheduler's per-GoF inference hot path and
-    /// in every training step.
+    /// which matters in every training step.
     ///
     /// Each output is the sum from `+0.0` of its products in ascending
     /// inner index, the same sum [`Matrix::matmul_naive`] computes, so
