@@ -46,9 +46,9 @@ fn fault_workload(scale: ExperimentScale) -> (usize, usize) {
     }
 }
 
-/// Serves the `faults`/`trace` workload once: seed 42, evicting a stream
-/// after >= 50% faulted GoFs in a 3-GoF window with re-admission backoff
-/// from 250 ms. `faulted` applies the shared schedule: `moderate` cadence
+/// Serves the `faults`/`trace` workload once at seed 42 under the
+/// dispatcher's eviction policy: a stream is evicted after >= 50% faulted
+/// GoFs in a 3-GoF window, with re-admission backoff from 250 ms. `faulted` applies the shared schedule: `moderate` cadence
 /// with the transient rate raised enough that the eviction/backoff path
 /// runs at small scale too.
 fn serve_faulted(
@@ -69,9 +69,6 @@ fn serve_faulted(
         f.stall_rate = 0.04;
         f
     });
-    cfg.fault_window_gofs = 3;
-    cfg.fault_rate_threshold = 0.5;
-    cfg.fault_backoff_ms = 250.0;
     serve_traced(
         specs,
         trained,

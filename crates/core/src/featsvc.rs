@@ -363,12 +363,6 @@ impl FeatureService {
         self.cache_insert(key, entry);
         Some(value)
     }
-
-    /// The dimensionality a heavy feature has under this service's raster
-    /// size (HOG scales with raster size; others are fixed).
-    pub fn feature_dim(&self, kind: FeatureKind) -> usize {
-        dim_at(kind, self.raster_size)
-    }
 }
 
 #[cfg(test)]
@@ -439,7 +433,7 @@ mod tests {
             let f = svc
                 .extract_heavy(kind, &v, 0, Some(&logits))
                 .unwrap_or_else(|| panic!("{kind:?} failed"));
-            assert_eq!(f.len(), svc.feature_dim(kind), "{kind:?}");
+            assert_eq!(f.len(), dim_at(kind, svc.raster_size), "{kind:?}");
         }
     }
 

@@ -18,6 +18,15 @@ use lr_video::{FrameTruth, Video};
 
 use crate::featsvc::FeatureService;
 
+/// Detector config used once per snippet to collect the
+/// detector-byproduct features (CPoP logits, boxes for light features).
+/// The heaviest config is used so features are maximally informative, as
+/// in the paper's offline phase.
+const REFERENCE_DETECTOR: lr_kernels::DetectorConfig = lr_kernels::DetectorConfig {
+    shape: 576,
+    nprop: 100,
+};
+
 /// Configuration of an offline profiling pass.
 #[derive(Debug, Clone)]
 pub struct OfflineConfig {
@@ -27,11 +36,6 @@ pub struct OfflineConfig {
     pub catalog: Vec<Branch>,
     /// Detector family of the MBEK being profiled.
     pub family: DetectorFamily,
-    /// Detector config used once per snippet to collect the
-    /// detector-byproduct features (CPoP logits, boxes for light
-    /// features). The heaviest config is used so features are maximally
-    /// informative, as in the paper's offline phase.
-    pub reference_detector: lr_kernels::DetectorConfig,
     /// RNG seed for the profiling device.
     pub seed: u64,
 }
@@ -43,7 +47,6 @@ impl OfflineConfig {
             snippet_len: 100,
             catalog,
             family,
-            reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 0x0F_F1_CE,
         }
     }
@@ -142,7 +145,7 @@ pub fn profile_videos(
 
             // Reference detection on the first frame: the source of light
             // features (detected boxes) and CPoP logits.
-            let ref_out = reference.detect(&snippet[0], cfg.reference_detector, device.rng());
+            let ref_out = reference.detect(&snippet[0], REFERENCE_DETECTOR, device.rng());
             let boxes: Vec<_> = ref_out.detections.iter().map(|d| d.bbox).collect();
             let light = svc.light(video, start, &boxes);
             let mut heavy = BTreeMap::new();
@@ -212,7 +215,7 @@ fn run_branch_on_snippet(
     let mut t = 0;
     while t < snippet.len() {
         let end = (t + gof).min(snippet.len());
-        let result = match mbek.run_gof(&snippet[t..end], device, None, &mut NullSink) {
+        let result = match mbek.run_gof(&snippet[t..end], device, &mut NullSink) {
             Ok(result) => result,
             Err(e) => panic!("{e}"),
         };
@@ -253,7 +256,6 @@ mod tests {
             snippet_len: 40,
             catalog: small_catalog(),
             family: DetectorFamily::FasterRcnn,
-            reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 7,
         };
         let mut svc = FeatureService::new();

@@ -37,23 +37,14 @@ pub struct RunConfig {
     /// outliers of Figure 5(b)).
     pub preheat: bool,
     /// Fixed per-frame pipeline overhead charged as-is (ApproxDet's
-    /// legacy Python/TF pipeline; 0 for everything else).
+    /// legacy Python/TF pipeline; 0 for everything else). The
+    /// scheduler's latency model is told about it.
     pub fixed_overhead_ms_per_frame: f64,
-    /// Whether the scheduler's latency model is told about that overhead.
-    pub overhead_known_to_scheduler: bool,
     /// Kernel latency multiplier (implementation inefficiency).
     pub kernel_latency_factor: f64,
     /// Whether the scheduler adapts its latency model online (contention
     /// awareness). SSD+/YOLO+ are not contention-adaptive.
     pub contention_adaptive: bool,
-    /// Fault-injection schedule for the run's device. `None` (the
-    /// default) runs clean and is byte-identical to the pre-fault
-    /// pipeline.
-    pub fault: Option<lr_device::FaultConfig>,
-    /// Per-GoF deadline watchdog as a multiple of the SLO: a GoF whose
-    /// kernel time exceeds `factor * slo_ms * gof_frames` coasts its
-    /// remaining frames. `None` disables the watchdog.
-    pub gof_deadline_factor: Option<f64>,
 }
 
 impl RunConfig {
@@ -66,11 +57,8 @@ impl RunConfig {
             seed,
             preheat: true,
             fixed_overhead_ms_per_frame: 0.0,
-            overhead_known_to_scheduler: false,
             kernel_latency_factor: 1.0,
             contention_adaptive: true,
-            fault: None,
-            gof_deadline_factor: None,
         }
     }
 }
@@ -84,8 +72,6 @@ pub enum DegradeKind {
     /// Detection was abandoned for the GoF: tracker-only on the last
     /// known detections (or coasting on a detector-only branch).
     TrackerOnlyGof,
-    /// The per-GoF deadline watchdog aborted the GoF mid-way.
-    DeadlineAbort,
     /// The scheduler's accuracy predictions were unusable and the branch
     /// was chosen on cost alone.
     CostOnlyDecision,
@@ -97,7 +83,6 @@ impl DegradeKind {
         match self {
             DegradeKind::CheaperRetry => "cheaper_retry",
             DegradeKind::TrackerOnlyGof => "tracker_only_gof",
-            DegradeKind::DeadlineAbort => "deadline_abort",
             DegradeKind::CostOnlyDecision => "cost_only_decision",
         }
     }
@@ -242,7 +227,6 @@ pub struct StreamPipeline {
     mbek: lr_kernels::Mbek,
     sampler: OnlineSwitchSampler,
     fixed_overhead_ms_per_frame: f64,
-    gof_deadline_factor: Option<f64>,
 
     // Position.
     video_idx: usize,
@@ -275,7 +259,8 @@ impl StreamPipeline {
     ///
     /// # Panics
     ///
-    /// Panics if `videos` is empty.
+    /// Panics if `videos` is empty or the fixed overhead is negative or
+    /// not finite.
     pub fn new(
         videos: Vec<Video>,
         trained: Arc<TrainedScheduler>,
@@ -285,12 +270,10 @@ impl StreamPipeline {
         assert!(!videos.is_empty(), "a stream needs at least one video");
         let mbek = lr_kernels::Mbek::new(trained.family, trained.catalog[0])
             .with_latency_factor(cfg.kernel_latency_factor);
-        let mut scheduler = Scheduler::new(trained.clone(), policy, cfg.slo_ms);
+        let mut scheduler = Scheduler::new(trained.clone(), policy, cfg.slo_ms)
+            .with_known_overhead(cfg.fixed_overhead_ms_per_frame);
         if !cfg.contention_adaptive {
             scheduler = scheduler.with_frozen_latency_model();
-        }
-        if cfg.overhead_known_to_scheduler {
-            scheduler = scheduler.with_known_overhead(cfg.fixed_overhead_ms_per_frame);
         }
         let mut sampler = OnlineSwitchSampler::new(trained.switching);
         if cfg.preheat {
@@ -305,7 +288,6 @@ impl StreamPipeline {
             mbek,
             sampler,
             fixed_overhead_ms_per_frame: cfg.fixed_overhead_ms_per_frame,
-            gof_deadline_factor: cfg.gof_deadline_factor,
             video_idx: 0,
             t: 0,
             boxes: Vec::new(),
@@ -423,9 +405,6 @@ impl StreamPipeline {
         let branch = self.trained.catalog[decision.branch_idx];
         let end = (t + branch.gof_size.max(1) as usize).min(video.len());
         let frames = &video.frames[t..end];
-        let deadline_ms = self
-            .gof_deadline_factor
-            .map(|f| f * self.scheduler.slo_ms() * frames.len() as f64);
         let mut gof_faults = decision.faults;
         let mut wasted_ms = 0.0;
         let mut fallback_gof = false;
@@ -438,7 +417,7 @@ impl StreamPipeline {
                 wasted_ms: 0.0,
             });
         }
-        let result = match self.mbek.run_gof(frames, device, deadline_ms, obs) {
+        let result = match self.mbek.run_gof(frames, device, obs) {
             Ok(r) => r,
             Err(OpError::Transient { wasted_ms: w }) => {
                 gof_faults += 1;
@@ -457,7 +436,7 @@ impl StreamPipeline {
                         kind: DegradeKind::CheaperRetry,
                         wasted_ms: w,
                     });
-                    match self.mbek.run_gof(frames, device, deadline_ms, obs) {
+                    match self.mbek.run_gof(frames, device, obs) {
                         Ok(r) => retried = Some(r),
                         Err(OpError::Transient { wasted_ms: w2 }) => {
                             gof_faults += 1;
@@ -484,14 +463,6 @@ impl StreamPipeline {
             }
         };
         gof_faults += result.absorbed_faults;
-        if result.deadline_aborted {
-            self.degrade_events.push(DegradeEvent {
-                video_idx,
-                frame: t,
-                kind: DegradeKind::DeadlineAbort,
-                wasted_ms: 0.0,
-            });
-        }
 
         // Fixed pipeline overhead per frame.
         let mut overhead_ms = 0.0;
@@ -516,8 +487,7 @@ impl StreamPipeline {
         self.breakdown.switch_ms += switch_ms;
         self.breakdown.overhead_ms += overhead_ms;
         self.breakdown.frames += frames.len();
-        let degraded =
-            gof_faults > 0 || decision.cost_only || fallback_gof || result.deadline_aborted;
+        let degraded = gof_faults > 0 || decision.cost_only || fallback_gof;
         if degraded {
             self.degraded_gofs += 1;
         }
@@ -651,7 +621,9 @@ impl StreamPipeline {
 }
 
 /// Runs an adaptive protocol (any LiteReconfig variant, ApproxDet, SSD+,
-/// YOLO+) over a set of videos on a private device.
+/// YOLO+) over a set of videos on a private, fault-free device. A faulted
+/// run steps a [`StreamPipeline`] on a device carrying a fault plan
+/// ([`DeviceSim::set_fault_plan`]).
 pub fn run_adaptive(
     videos: &[Video],
     trained: Arc<TrainedScheduler>,
@@ -660,9 +632,6 @@ pub fn run_adaptive(
     svc: &mut FeatureService,
 ) -> RunResult {
     let mut device = DeviceSim::new(cfg.device, cfg.contention_pct, cfg.seed);
-    if let Some(fault) = cfg.fault {
-        device.set_fault_plan(Some(lr_device::FaultPlan::generate(fault)));
-    }
     let mut pipeline = StreamPipeline::new(videos.to_vec(), trained, policy, cfg);
     while pipeline
         .step_gof_obs(svc, &mut device, &mut NullSink)
@@ -704,7 +673,6 @@ mod tests {
             snippet_len: 40,
             catalog,
             family: DetectorFamily::FasterRcnn,
-            reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 11,
         };
         let ds = profile_videos(&train_videos, &cfg, &mut svc);
@@ -785,7 +753,6 @@ mod tests {
         let mut cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 5);
         let clean = run_adaptive(&videos, trained.clone(), Policy::MinCost, &cfg, &mut svc);
         cfg.fixed_overhead_ms_per_frame = 48.0;
-        cfg.overhead_known_to_scheduler = true;
         let heavy = run_adaptive(&videos, trained, Policy::MinCost, &cfg, &mut svc);
         // The overhead must be charged in full...
         assert!(
@@ -873,16 +840,31 @@ mod tests {
         assert!((device.gpu_demand_ms() - step.gpu_demand_ms).abs() < 1e-9);
     }
 
+    /// Steps a pipeline to completion on a device carrying the fault
+    /// plan of `fault`.
+    fn run_faulted(
+        trained: Arc<TrainedScheduler>,
+        videos: &[Video],
+        cfg: &RunConfig,
+        fault: lr_device::FaultConfig,
+        svc: &mut FeatureService,
+    ) -> RunResult {
+        let mut device = DeviceSim::new(cfg.device, cfg.contention_pct, cfg.seed);
+        device.set_fault_plan(lr_device::FaultPlan::generate(fault));
+        let mut p = StreamPipeline::new(videos.to_vec(), trained, Policy::MinCost, cfg);
+        while p.step_gof_obs(svc, &mut device, &mut NullSink).is_some() {}
+        p.into_result()
+    }
+
     #[test]
     fn faulted_run_completes_without_panic_and_records_degradation() {
         let (trained, videos, mut svc) = setup();
-        let mut cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 9);
-        cfg.fault = Some(lr_device::FaultConfig {
+        let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 9);
+        let fault = lr_device::FaultConfig {
             transient_rate: 0.25,
             ..lr_device::FaultConfig::moderate(5)
-        });
-        cfg.gof_deadline_factor = Some(4.0);
-        let r = run_adaptive(&videos, trained, Policy::MinCost, &cfg, &mut svc);
+        };
+        let r = run_faulted(trained, &videos, &cfg, fault, &mut svc);
         let total_frames: usize = videos.iter().map(Video::len).sum();
         assert_eq!(r.breakdown.frames, total_frames, "every frame covered");
         assert!(r.faults > 0, "a 25% transient rate must produce faults");
@@ -894,10 +876,10 @@ mod tests {
     #[test]
     fn faulted_run_is_deterministic() {
         let (trained, videos, mut svc) = setup();
-        let mut cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 10);
-        cfg.fault = Some(lr_device::FaultConfig::moderate(7));
-        let a = run_adaptive(&videos, trained.clone(), Policy::MinCost, &cfg, &mut svc);
-        let b = run_adaptive(&videos, trained, Policy::MinCost, &cfg, &mut svc);
+        let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 10);
+        let fault = lr_device::FaultConfig::moderate(7);
+        let a = run_faulted(trained.clone(), &videos, &cfg, fault, &mut svc);
+        let b = run_faulted(trained, &videos, &cfg, fault, &mut svc);
         assert_eq!(a.map.to_bits(), b.map.to_bits());
         assert_eq!(a.latency.p95().to_bits(), b.latency.p95().to_bits());
         assert_eq!(a.faults, b.faults);

@@ -7,14 +7,15 @@
 //! protocols run a fixed detector on every frame, and heavy protocols run
 //! the simulated SELSA/MEGA/REPP models.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use lr_device::{DeviceKind, DeviceSim, MemoryModel, OpUnit};
 use lr_eval::{LatencyStats, MapAccumulator};
 use lr_features::FeatureKind;
 use lr_kernels::heavy::HeavyModel;
-use lr_kernels::{latency, DetectorConfig, DetectorFamily, DetectorSim};
-use lr_video::Video;
+use lr_kernels::{latency, Detection, DetectorConfig, DetectorFamily, DetectorSim};
+use lr_video::{FrameTruth, Video};
 
 use crate::offline::{gt_boxes, pred_boxes};
 use crate::pipeline::{run_adaptive, Breakdown, RunConfig, RunResult};
@@ -134,11 +135,8 @@ impl AdaptiveProtocol {
             seed,
             preheat: true,
             fixed_overhead_ms_per_frame: self.fixed_overhead_ms(),
-            overhead_known_to_scheduler: self.fixed_overhead_ms() > 0.0,
             kernel_latency_factor: self.kernel_latency_factor(),
             contention_adaptive: self.contention_adaptive(),
-            fault: None,
-            gof_deadline_factor: None,
         }
     }
 
@@ -177,73 +175,37 @@ pub fn run_static_detector(
     contention_pct: f64,
     seed: u64,
 ) -> RunResult {
-    let mut device = DeviceSim::new(device_kind, contention_pct, seed);
     let sim = DetectorSim::new(family);
-    let mut acc = MapAccumulator::new();
-    let mut stats = LatencyStats::new();
-    let mut breakdown = Breakdown::default();
-    for video in videos {
-        for truth in &video.frames {
-            let ms = device.charge(OpUnit::Gpu, latency::detector_base_ms(family, cfg));
-            let out = sim.detect(truth, cfg, device.rng());
-            acc.add_frame(gt_boxes(truth), pred_boxes(&out.detections));
-            stats.record(ms);
-            breakdown.detector_ms += ms;
-            breakdown.frames += 1;
-        }
-    }
-    RunResult {
-        map: acc.finalize(0.5).map,
-        latency: stats,
-        breakdown,
-        branches_used: std::iter::once(cfg.key()).collect(),
-        branch_decisions: std::collections::BTreeMap::new(),
-        switches: Vec::new(),
-        decisions: 0,
-        infeasible_decisions: 0,
-        degrade_events: Vec::new(),
-        faults: 0,
-        degraded_gofs: 0,
-    }
+    let base = latency::detector_base_ms(family, cfg);
+    let device = DeviceSim::new(device_kind, contention_pct, seed);
+    let mut r = run_every_frame(videos, device, |_, truth, device| {
+        let ms = device.charge(OpUnit::Gpu, base);
+        (ms, sim.detect(truth, cfg, device.rng()).detections)
+    });
+    r.branches_used.insert(cfg.key());
+    r
 }
 
 /// Runs AdaScale in its adaptive multi-scale (MS) mode: the input scale
 /// of each frame is regressed from the previous frame's detections.
 pub fn run_adascale_ms(videos: &[Video], device_kind: DeviceKind, seed: u64) -> RunResult {
-    let mut device = DeviceSim::new(device_kind, 0.0, seed);
-    let mut acc = MapAccumulator::new();
-    let mut stats = LatencyStats::new();
-    let mut breakdown = Breakdown::default();
-    let mut branches = std::collections::BTreeSet::new();
-    for video in videos {
-        let mut ms = lr_kernels::adascale::AdaScaleMs::new();
-        for truth in &video.frames {
-            let cfg = ms.config();
-            let charged = device.charge(
-                OpUnit::Gpu,
-                latency::detector_base_ms(DetectorFamily::AdaScale, cfg),
-            );
-            let out = ms.step(truth, device.rng());
-            acc.add_frame(gt_boxes(truth), pred_boxes(&out.detections));
-            stats.record(charged);
-            breakdown.detector_ms += charged;
-            breakdown.frames += 1;
-            branches.insert(cfg.key());
+    let mut ms = lr_kernels::adascale::AdaScaleMs::new();
+    let mut branches = BTreeSet::new();
+    let device = DeviceSim::new(device_kind, 0.0, seed);
+    let mut r = run_every_frame(videos, device, |t, truth, device| {
+        if t == 0 {
+            ms = lr_kernels::adascale::AdaScaleMs::new();
         }
-    }
-    RunResult {
-        map: acc.finalize(0.5).map,
-        latency: stats,
-        breakdown,
-        branches_used: branches,
-        branch_decisions: std::collections::BTreeMap::new(),
-        switches: Vec::new(),
-        decisions: 0,
-        infeasible_decisions: 0,
-        degrade_events: Vec::new(),
-        faults: 0,
-        degraded_gofs: 0,
-    }
+        let cfg = ms.config();
+        branches.insert(cfg.key());
+        let charged = device.charge(
+            OpUnit::Gpu,
+            latency::detector_base_ms(DetectorFamily::AdaScale, cfg),
+        );
+        (charged, ms.step(truth, device.rng()).detections)
+    });
+    r.branches_used = branches;
+    r
 }
 
 /// Runs a heavyweight Table 3 model; returns `Err` with the OOM message
@@ -259,34 +221,49 @@ pub fn run_heavy_model(
     mem.try_load(model.name(), model.peak_memory_gb())
         .map_err(|e| e.to_string())?;
 
-    let mut device = DeviceSim::new(device_kind, 0.0, seed);
-    let mut acc = MapAccumulator::new();
-    let mut stats = LatencyStats::new();
-    let mut breakdown = Breakdown::default();
     let base = model.mean_latency_tx2_ms();
+    let device = DeviceSim::new(device_kind, 0.0, seed);
+    Ok(run_every_frame(videos, device, |_, truth, device| {
+        let ms = device.charge(OpUnit::Gpu, base);
+        (ms, model.detect(truth, device.rng()))
+    }))
+}
+
+/// Runs one detection per frame over every frame of `videos`, in order.
+/// `frame(t, truth, device)` charges frame `t`'s op to `device` and
+/// returns the charged milliseconds and the detections; each frame is
+/// scored and its milliseconds become its latency sample and detector
+/// time. The result records no branches, decisions or switches.
+fn run_every_frame(
+    videos: &[Video],
+    mut device: DeviceSim,
+    mut frame: impl FnMut(usize, &FrameTruth, &mut DeviceSim) -> (f64, Vec<Detection>),
+) -> RunResult {
+    let mut acc = MapAccumulator::new();
+    let mut latency = LatencyStats::new();
+    let mut breakdown = Breakdown::default();
     for video in videos {
-        for truth in &video.frames {
-            let ms = device.charge(OpUnit::Gpu, base);
-            let dets = model.detect(truth, device.rng());
-            acc.add_frame(gt_boxes(truth), pred_boxes(&dets));
-            stats.record(ms);
+        for (t, truth) in video.frames.iter().enumerate() {
+            let (ms, detections) = frame(t, truth, &mut device);
+            acc.add_frame(gt_boxes(truth), pred_boxes(&detections));
+            latency.record(ms);
             breakdown.detector_ms += ms;
             breakdown.frames += 1;
         }
     }
-    Ok(RunResult {
+    RunResult {
         map: acc.finalize(0.5).map,
-        latency: stats,
+        latency,
         breakdown,
-        branches_used: std::collections::BTreeSet::new(),
-        branch_decisions: std::collections::BTreeMap::new(),
+        branches_used: BTreeSet::new(),
+        branch_decisions: BTreeMap::new(),
         switches: Vec::new(),
         decisions: 0,
         infeasible_decisions: 0,
         degrade_events: Vec::new(),
         faults: 0,
         degraded_gofs: 0,
-    })
+    }
 }
 
 #[cfg(test)]

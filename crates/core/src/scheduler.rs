@@ -692,7 +692,6 @@ mod tests {
             snippet_len: 40,
             catalog: small_catalog(),
             family: DetectorFamily::FasterRcnn,
-            reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 9,
         };
         let mut svc = FeatureService::new();
@@ -884,13 +883,11 @@ mod tests {
         let v = test_video();
         let mut svc = FeatureService::new();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 8);
-        dev.set_fault_plan(Some(lr_device::FaultPlan::generate(
-            lr_device::FaultConfig {
-                transient_rate: 1.0,
-                stall_rate: 0.0,
-                ..lr_device::FaultConfig::moderate(21)
-            },
-        )));
+        dev.set_fault_plan(lr_device::FaultPlan::generate(lr_device::FaultConfig {
+            transient_rate: 1.0,
+            stall_rate: 0.0,
+            ..lr_device::FaultConfig::moderate(21)
+        }));
         let mut s = Scheduler::new(t, Policy::CostBenefit, 50.0);
         let d = s.decide(&v, 0, &[], &mut svc, &mut dev, &mut NullSink);
         assert!(d.cost_only, "faulted predict op must force cost-only");

@@ -144,7 +144,6 @@ mod tests {
             snippet_len: 40,
             catalog: small_catalog(),
             family: DetectorFamily::FasterRcnn,
-            reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 10,
         };
         profile_videos(&videos, &cfg, &mut FeatureService::new())

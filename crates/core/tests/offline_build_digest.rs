@@ -2,13 +2,15 @@
 //! with every heavy feature (the conv stand-ins included) and training
 //! an accuracy model per feature must reproduce the committed digests.
 //! A kernel change that moves one bit of a profiled feature, of a
-//! branch label or of a trained weight changes a digest and fails here.
+//! branch label, of a trained weight or of a latency prediction changes
+//! a digest and fails here.
 
 use litereconfig::offline::{profile_videos, OfflineConfig};
-use litereconfig::predictor::AccuracyModelConfig;
+use litereconfig::predictor::{AccuracyModelConfig, LatencyModel};
 use litereconfig::{train_scheduler, FeatureService, TrainConfig};
+use lr_features::LightFeatures;
 use lr_kernels::branch::small_catalog;
-use lr_kernels::{DetectorConfig, DetectorFamily};
+use lr_kernels::DetectorFamily;
 use lr_video::{Video, VideoSpec};
 
 // Both digests were recorded with the direct-loop convolution and the
@@ -23,6 +25,11 @@ const PREDICTIONS_DIGEST: u64 = 0xe481_6bf4_229d_07dd;
 /// tracker ms. Recorded with the `BTreeMap`-based mAP accumulator,
 /// before it moved to dense per-class storage.
 const LABELS_DIGEST: u64 = 0x3a2d_4140_ea52_3408;
+/// Digest of two latency models' per-branch kernel-ms predictions over
+/// light vectors that vary all four features (frame height and width
+/// included) under two pairs of GPU/CPU corrections: the scheduler's,
+/// and one fitted on videos of three frame sizes.
+const LATENCY_DIGEST: u64 = 0xecc1_1d74_623f_0326;
 
 /// 64-bit FNV-1a over the bit patterns of a stream of `f32`s.
 struct Fnv1a(u64);
@@ -69,7 +76,6 @@ fn offline_build_matches_the_pinned_digests() {
         snippet_len: 40,
         catalog: small_catalog(),
         family: DetectorFamily::FasterRcnn,
-        reference_detector: DetectorConfig::new(576, 100),
         seed: 12,
     };
     let dataset = profile_videos(&videos, &offline, &mut FeatureService::new());
@@ -102,12 +108,69 @@ fn offline_build_matches_the_pinned_digests() {
         }
     }
 
+    // Every video above is 640x480, so the scheduler's regressions weigh
+    // frame height and width at about zero. A model fitted on three frame
+    // sizes weighs all four features, so the order its regressions sum
+    // them in shows in the digest.
+    let sized: Vec<Video> = [(480.0, 360.0), (1280.0, 720.0), (1920.0, 1080.0)]
+        .into_iter()
+        .zip(0u32..)
+        .map(|((width, height), i)| {
+            Video::generate(VideoSpec {
+                id: 10 + i,
+                seed: 950 + u64::from(i),
+                width,
+                height,
+                num_frames: 40,
+            })
+        })
+        .collect();
+    let sized_offline = OfflineConfig {
+        snippet_len: 20,
+        ..offline
+    };
+    let sized_latency = LatencyModel::train(&profile_videos(
+        &sized,
+        &sized_offline,
+        &mut FeatureService::new(),
+    ));
+
+    let mut latency = Fnv1a::new();
+    for height in [360.0, 480.0, 720.0, 1080.0] {
+        for width in [480.0, 640.0, 1280.0, 1920.0] {
+            for num_objects in [0.0, 3.0, 11.0] {
+                for avg_size in [0.0, 0.013, 0.21] {
+                    let light = LightFeatures {
+                        height,
+                        width,
+                        num_objects,
+                        avg_size,
+                    }
+                    .to_vec();
+                    for (gpu_corr, cpu_corr) in [(1.0, 1.0), (1.7, 1.15)] {
+                        for model in [&trained.latency, &sized_latency] {
+                            latency
+                                .add_f64(&model.predict_all_kernel_ms(&light, gpu_corr, cpu_corr));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     assert_eq!(
-        (features.0, labels.0, predictions.0),
-        (FEATURES_DIGEST, LABELS_DIGEST, PREDICTIONS_DIGEST),
-        "offline build moved: features {:#018x}, labels {:#018x}, predictions {:#018x}",
+        (features.0, labels.0, predictions.0, latency.0),
+        (
+            FEATURES_DIGEST,
+            LABELS_DIGEST,
+            PREDICTIONS_DIGEST,
+            LATENCY_DIGEST
+        ),
+        "offline build moved: features {:#018x}, labels {:#018x}, predictions {:#018x}, \
+         latency {:#018x}",
         features.0,
         labels.0,
-        predictions.0
+        predictions.0,
+        latency.0
     );
 }

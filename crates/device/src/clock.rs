@@ -42,11 +42,6 @@ impl VirtualClock {
         assert!(ms.is_finite() && ms >= 0.0, "invalid clock advance: {ms}");
         self.now_ms += ms;
     }
-
-    /// Resets the clock to zero.
-    pub fn reset(&mut self) {
-        self.now_ms = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -64,14 +59,6 @@ mod tests {
         c.advance(1.5);
         c.advance(2.5);
         assert_eq!(c.now_ms(), 4.0);
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let mut c = VirtualClock::new();
-        c.advance(10.0);
-        c.reset();
-        assert_eq!(c.now_ms(), 0.0);
     }
 
     #[test]

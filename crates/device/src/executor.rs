@@ -9,6 +9,10 @@ use crate::fault::{FaultEvent, FaultPlan, OpError};
 use crate::noise::LatencyNoise;
 use crate::profile::{DeviceKind, DeviceProfile};
 
+/// Fraction of a GPU op's would-be latency burned before a transient
+/// failure is detected.
+const FAILURE_WASTE_FRACTION: f64 = 0.5;
+
 /// Which execution unit an op runs on. GPU ops are subject to GPU
 /// contention; CPU ops are not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,21 +135,10 @@ impl DeviceSim {
         self
     }
 
-    /// Attaches a deterministic fault schedule; [`DeviceSim::run_op`]
-    /// consults it for every GPU op.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(Some(plan));
-        self
-    }
-
-    /// Installs or removes the fault schedule mid-run.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan;
-    }
-
-    /// The installed fault schedule, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
+    /// Installs a deterministic fault schedule, replacing any earlier
+    /// one; [`DeviceSim::run_op`] consults it for every GPU op.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.fault_plan = Some(plan);
     }
 
     /// Transient op failures injected so far.
@@ -191,19 +184,9 @@ impl DeviceSim {
         self.external_gpu_slowdown
     }
 
-    /// Removes the external slowdown; the static generator applies again.
-    pub fn clear_external_gpu_slowdown(&mut self) {
-        self.external_gpu_slowdown = None;
-    }
-
     /// Current virtual time in milliseconds.
     pub fn now_ms(&self) -> f64 {
         self.clock.now_ms()
-    }
-
-    /// Resets the virtual clock (not the RNG) to zero.
-    pub fn reset_clock(&mut self) {
-        self.clock.reset();
     }
 
     /// Advances the clock to `ms` without charging any work — the
@@ -327,7 +310,7 @@ impl DeviceSim {
             FaultEvent::Transient => {
                 self.faults_injected += 1;
                 let wasted_ms =
-                    self.charge_inner(unit, base_tx2_ms, throttle, cfg.failure_waste_fraction);
+                    self.charge_inner(unit, base_tx2_ms, throttle, FAILURE_WASTE_FRACTION);
                 Err(OpError::Transient { wasted_ms })
             }
         }
@@ -457,14 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clock_keeps_rng_sequence() {
-        let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 4);
-        let _ = dev.charge(OpUnit::Gpu, 10.0);
-        dev.reset_clock();
-        assert_eq!(dev.now_ms(), 0.0);
-    }
-
-    #[test]
     fn try_new_rejects_out_of_range_contention() {
         assert_eq!(
             DeviceSim::try_new(DeviceKind::JetsonTx2, 120.0, 1).unwrap_err(),
@@ -498,8 +473,6 @@ mod tests {
         assert_eq!(dev.charge(OpUnit::Cpu, 10.0), 10.0);
         // Expected-latency queries see the external factor too.
         assert!((dev.expected_ms(OpUnit::Gpu, 10.0) - 30.0).abs() < 1e-9);
-        dev.clear_external_gpu_slowdown();
-        assert_eq!(dev.charge(OpUnit::Gpu, 10.0), 10.0);
     }
 
     #[test]
@@ -526,8 +499,8 @@ mod tests {
         cfg.throttle_period_ms = 1e12;
         cfg.horizon_ms = 1e12;
         let mut a = DeviceSim::new(DeviceKind::JetsonTx2, 30.0, 12);
-        let mut b = DeviceSim::new(DeviceKind::JetsonTx2, 30.0, 12)
-            .with_fault_plan(crate::fault::FaultPlan::generate(cfg));
+        let mut b = DeviceSim::new(DeviceKind::JetsonTx2, 30.0, 12);
+        b.set_fault_plan(crate::fault::FaultPlan::generate(cfg));
         for _ in 0..200 {
             let x = a.charge(OpUnit::Gpu, 12.0);
             let y = b.run_op(OpUnit::Gpu, 12.0).expect("rates are zero");
@@ -540,9 +513,9 @@ mod tests {
         let mut cfg = crate::fault::FaultConfig::moderate(5);
         cfg.transient_rate = 1.0;
         cfg.stall_rate = 0.0;
-        let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 13)
-            .with_noise(LatencyNoise::none())
-            .with_fault_plan(crate::fault::FaultPlan::generate(cfg));
+        let mut dev =
+            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 13).with_noise(LatencyNoise::none());
+        dev.set_fault_plan(crate::fault::FaultPlan::generate(cfg));
         for _ in 0..10 {
             let err = dev.run_op(OpUnit::Gpu, 10.0).unwrap_err();
             let crate::fault::OpError::Transient { wasted_ms } = err;
@@ -568,9 +541,9 @@ mod tests {
             .map(|i| i as f64 * 0.25)
             .find(|&t| plan.throttle_factor_at(t) > 1.0)
             .expect("a window exists");
-        let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 14)
-            .with_noise(LatencyNoise::none())
-            .with_fault_plan(plan);
+        let mut dev =
+            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 14).with_noise(LatencyNoise::none());
+        dev.set_fault_plan(plan);
         let clean = dev.run_op(OpUnit::Gpu, 10.0).expect("zero rates");
         assert_eq!(clean, 10.0);
         dev.idle_until(start + 1.0);
@@ -582,8 +555,8 @@ mod tests {
     fn faulted_device_is_deterministic() {
         let run = || {
             let cfg = crate::fault::FaultConfig::moderate(21);
-            let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 20.0, 15)
-                .with_fault_plan(crate::fault::FaultPlan::generate(cfg));
+            let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 20.0, 15);
+            dev.set_fault_plan(crate::fault::FaultPlan::generate(cfg));
             let mut out = Vec::new();
             for _ in 0..300 {
                 out.push(dev.run_op(OpUnit::Gpu, 8.0).map_err(|e| format!("{e}")));

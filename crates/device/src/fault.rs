@@ -49,6 +49,9 @@ impl std::fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
+/// Duration of one thermal-throttle episode, virtual ms.
+const THROTTLE_DURATION_MS: f64 = 800.0;
+
 /// What the plan injects into one GPU op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
@@ -74,13 +77,9 @@ pub struct FaultConfig {
     pub stall_rate: f64,
     /// Latency multiplier applied on a stall.
     pub stall_factor: f64,
-    /// Fraction of the op's would-be latency burned before a transient
-    /// failure is detected.
-    pub failure_waste_fraction: f64,
-    /// Mean spacing between thermal-throttle episodes, virtual ms.
+    /// Mean spacing between thermal-throttle episodes, virtual ms (each
+    /// episode lasts 800 ms).
     pub throttle_period_ms: f64,
-    /// Duration of one throttle episode, virtual ms.
-    pub throttle_duration_ms: f64,
     /// GPU demand multiplier while a throttle episode is active (the
     /// silicon clocks down, so the device genuinely works longer).
     pub throttle_factor: f64,
@@ -98,9 +97,7 @@ impl FaultConfig {
             transient_rate: 0.02,
             stall_rate: 0.01,
             stall_factor: 4.0,
-            failure_waste_fraction: 0.5,
             throttle_period_ms: 4_000.0,
-            throttle_duration_ms: 800.0,
             throttle_factor: 2.5,
             horizon_ms: 600_000.0,
         }
@@ -117,8 +114,8 @@ impl FaultConfig {
     /// # Errors
     ///
     /// Returns a message naming the first out-of-range field: rates must
-    /// be probabilities summing to at most 1, factors at least 1, the
-    /// waste fraction in `[0, 1]`, and durations/periods positive.
+    /// be probabilities summing to at most 1, factors at least 1, and the
+    /// throttle period and horizon positive.
     pub fn validate(&self) -> Result<(), String> {
         let prob = |v: f64, name: &str| {
             if !(0.0..=1.0).contains(&v) || !v.is_finite() {
@@ -129,7 +126,6 @@ impl FaultConfig {
         };
         prob(self.transient_rate, "transient_rate")?;
         prob(self.stall_rate, "stall_rate")?;
-        prob(self.failure_waste_fraction, "failure_waste_fraction")?;
         if self.transient_rate + self.stall_rate > 1.0 {
             return Err(format!(
                 "transient_rate + stall_rate = {} exceeds 1",
@@ -144,7 +140,6 @@ impl FaultConfig {
         }
         for (v, name) in [
             (self.throttle_period_ms, "throttle_period_ms"),
-            (self.throttle_duration_ms, "throttle_duration_ms"),
             (self.horizon_ms, "horizon_ms"),
         ] {
             if !(v > 0.0 && v.is_finite()) {
@@ -200,8 +195,8 @@ impl FaultPlan {
             if t >= cfg.horizon_ms {
                 break;
             }
-            throttle_windows.push((t, t + cfg.throttle_duration_ms));
-            t += cfg.throttle_duration_ms;
+            throttle_windows.push((t, t + THROTTLE_DURATION_MS));
+            t += THROTTLE_DURATION_MS;
         }
         Ok(Self {
             cfg,
@@ -219,11 +214,6 @@ impl FaultPlan {
     /// The plan's configuration.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
-    }
-
-    /// Number of precomputed throttle windows.
-    pub fn num_throttle_windows(&self) -> usize {
-        self.throttle_windows.len()
     }
 
     /// The demand multiplier in effect at `now_ms`: the throttle factor
@@ -307,7 +297,7 @@ mod tests {
     fn throttle_windows_cover_roughly_their_duty_cycle() {
         let p = plan(4);
         let cfg = p.config();
-        assert!(p.num_throttle_windows() > 50);
+        assert!(p.throttle_windows.len() > 50);
         // Sample the factor over the horizon; the duty cycle is about
         // duration / (duration + period).
         let samples = 20_000;
@@ -318,7 +308,7 @@ mod tests {
             })
             .count();
         let duty = throttled as f64 / samples as f64;
-        let expect = cfg.throttle_duration_ms / (cfg.throttle_duration_ms + cfg.throttle_period_ms);
+        let expect = THROTTLE_DURATION_MS / (THROTTLE_DURATION_MS + cfg.throttle_period_ms);
         assert!(
             (duty - expect).abs() < 0.08,
             "duty {duty} vs expected {expect}"

@@ -52,16 +52,6 @@ impl MemoryModel {
         self.resident.push((name.to_string(), footprint_gb));
         Ok(())
     }
-
-    /// Unloads a previously loaded model; no-op if absent.
-    pub fn unload(&mut self, name: &str) {
-        self.resident.retain(|(n, _)| n != name);
-    }
-
-    /// Checks whether a footprint would fit without loading it.
-    pub fn would_fit(&self, footprint_gb: f64) -> bool {
-        self.resident_gb() + footprint_gb <= self.usable_gb()
-    }
 }
 
 /// An out-of-memory failure.
@@ -112,15 +102,6 @@ mod tests {
         let err = mem.try_load("c", 3.0).unwrap_err();
         assert_eq!(err.model, "c");
         assert!(err.available_gb < 3.0);
-    }
-
-    #[test]
-    fn unload_frees_memory() {
-        let mut mem = MemoryModel::new(&DeviceKind::JetsonTx2.profile());
-        mem.try_load("a", 5.0).unwrap();
-        mem.unload("a");
-        assert_eq!(mem.resident_gb(), 0.0);
-        assert!(mem.would_fit(6.0));
     }
 
     #[test]

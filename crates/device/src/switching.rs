@@ -105,11 +105,6 @@ impl OnlineSwitchSampler {
         }
     }
 
-    /// Number of branches already warmed in this run.
-    pub fn warmed_count(&self) -> usize {
-        self.warmed.len()
-    }
-
     /// Marks a branch as warm without charging anything (the paper preheats
     /// all branches "with several video frames in the beginning").
     pub fn preheat(&mut self, branch_key: u64) {
@@ -194,6 +189,6 @@ mod tests {
             .filter(|&k| s.sample_ms(80.0, 80.0, k, &mut rng) > 500.0)
             .count();
         assert!(warm_spikes <= 3, "warm spikes {warm_spikes}");
-        assert_eq!(s.warmed_count(), 200);
+        assert_eq!(s.warmed.len(), 200);
     }
 }

@@ -54,11 +54,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned columns and a separator line.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -147,13 +142,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = TextTable::new(&["a", "b"]);
         t.add_row(&["only-one"]);
-    }
-
-    #[test]
-    fn num_rows_counts() {
-        let mut t = TextTable::new(&["a"]);
-        t.add_row(&["1"]);
-        t.add_row(&["2"]);
-        assert_eq!(t.num_rows(), 2);
     }
 }

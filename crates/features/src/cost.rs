@@ -73,11 +73,6 @@ impl FeatureKind {
         }
     }
 
-    /// True for the heavy-weight content features `f_H`.
-    pub fn is_heavy(self) -> bool {
-        self != FeatureKind::Light
-    }
-
     /// True if the feature is produced by the MBEK's Faster R-CNN as a
     /// byproduct (so its marginal extraction cost is small and it is only
     /// available when the decision frame runs the detector).
@@ -199,8 +194,7 @@ mod tests {
 
     #[test]
     fn heavy_set_excludes_light() {
-        assert!(HEAVY_FEATURE_KINDS.iter().all(|k| k.is_heavy()));
-        assert!(!FeatureKind::Light.is_heavy());
+        assert!(!HEAVY_FEATURE_KINDS.contains(&FeatureKind::Light));
         assert_eq!(ALL_FEATURE_KINDS.len(), HEAVY_FEATURE_KINDS.len() + 1);
     }
 }

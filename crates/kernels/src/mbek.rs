@@ -25,13 +25,9 @@ pub struct GofResult {
     /// Mid-GoF transient detector failures absorbed by reusing the
     /// previous frame's detections (detector-only branches).
     pub absorbed_faults: usize,
-    /// Frames that coasted on stale boxes after the watchdog fired (or,
-    /// in a tracker-only fallback on a detector-only branch, the whole
-    /// GoF).
+    /// Frames that coasted on the seed detections: the whole GoF of a
+    /// tracker-only fallback on a detector-only branch, else 0.
     pub coasted_frames: usize,
-    /// Whether the `deadline_ms` watchdog of [`Mbek::run_gof`] aborted
-    /// the GoF.
-    pub deadline_aborted: bool,
 }
 
 impl GofResult {
@@ -111,11 +107,8 @@ impl Mbek {
     /// [`OpError`]: no detections were produced, and the wasted time is
     /// already charged. Mid-GoF detector failures (detector-only
     /// branches) are absorbed by reusing the previous frame's
-    /// detections. The optional `deadline_ms` watchdog bounds the GoF's
-    /// total kernel milliseconds: once exceeded (a throttle episode, a
-    /// stall spike), the remaining frames coast on the last produced
-    /// boxes instead of charging more device time. With no fault plan on
-    /// the device the result is always `Ok`.
+    /// detections. With no fault plan on the device the result is always
+    /// `Ok`.
     ///
     /// The observer sees a `Detect` span around the detection frame
     /// (closed even when the op faults, so the wasted time is visible)
@@ -129,7 +122,6 @@ impl Mbek {
         &mut self,
         frames: &[FrameTruth],
         device: &mut DeviceSim,
-        deadline_ms: Option<f64>,
         obs: &mut impl ObsSink,
     ) -> Result<GofResult, OpError> {
         let branch = self.branch;
@@ -139,8 +131,6 @@ impl Mbek {
         let mut detector_ms = 0.0;
         let mut tracker_ms = 0.0;
         let mut absorbed_faults = 0usize;
-        let mut coasted_frames = 0usize;
-        let mut deadline_aborted = false;
 
         // Detection frame. A transient failure here means the GoF has no
         // detections to track from: propagate to the caller's ladder.
@@ -169,19 +159,6 @@ impl Mbek {
             obs.span_begin(SpanKind::Track, "", device.now_ms());
         }
         for (idx, frame) in frames.iter().enumerate().skip(1) {
-            if let Some(deadline) = deadline_ms {
-                if detector_ms + tracker_ms > deadline {
-                    // Watchdog: the GoF has already blown its budget
-                    // (throttle episode, stall spike). Coast the rest on
-                    // the last produced boxes — stale accuracy beats a
-                    // cascading SLO violation.
-                    let last = per_frame[idx - 1].clone();
-                    coasted_frames = frames.len() - idx;
-                    per_frame.extend(std::iter::repeat_n(last, coasted_frames));
-                    deadline_aborted = true;
-                    break;
-                }
-            }
             match &mut self.tracker {
                 Some(tracker) => {
                     let base = latency::tracker_base_ms(
@@ -219,8 +196,7 @@ impl Mbek {
             tracker_ms,
             first_frame_output: first_output,
             absorbed_faults,
-            coasted_frames,
-            deadline_aborted,
+            coasted_frames: 0,
         })
     }
 
@@ -281,7 +257,6 @@ impl Mbek {
             first_frame_output,
             absorbed_faults: 0,
             coasted_frames,
-            deadline_aborted: false,
         }
     }
 }
@@ -313,7 +288,7 @@ mod tests {
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
         let r = mbek
-            .run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
             .unwrap();
         assert_eq!(r.per_frame.len(), 8);
         assert!(r.detector_ms > 0.0);
@@ -335,7 +310,7 @@ mod tests {
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 2);
         let mut mbek = Mbek::new(DetectorFamily::FasterRcnn, Branch::detector_only(224, 5));
         let r = mbek
-            .run_gof(&v.frames[0..4], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..4], &mut dev, &mut NullSink)
             .unwrap();
         assert_eq!(r.per_frame.len(), 4);
         assert_eq!(r.tracker_ms, 0.0);
@@ -352,12 +327,12 @@ mod tests {
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 3);
         let mut mbek = Mbek::new(DetectorFamily::FasterRcnn, Branch::detector_only(448, 100));
         let dense = mbek
-            .run_gof(&v.frames[0..20], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..20], &mut dev, &mut NullSink)
             .unwrap();
 
         mbek.set_branch(Branch::tracked(448, 100, TrackerKind::MedianFlow, 20, 4));
         let tracked = mbek
-            .run_gof(&v.frames[0..20], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..20], &mut dev, &mut NullSink)
             .unwrap();
 
         assert!(
@@ -378,7 +353,7 @@ mod tests {
         );
         let before = dev.now_ms();
         let r = mbek
-            .run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
             .unwrap();
         assert!((dev.now_ms() - before - r.kernel_ms()).abs() < 1e-6);
     }
@@ -392,7 +367,7 @@ mod tests {
             Branch::tracked(576, 100, TrackerKind::Kcf, 8, 4),
         );
         let r = mbek
-            .run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
             .unwrap();
         assert!(!r.first_frame_output.proposal_logits.is_empty());
     }
@@ -401,19 +376,17 @@ mod tests {
     fn certain_fault_on_detection_frame_propagates() {
         let v = video();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 8);
-        dev.set_fault_plan(Some(lr_device::FaultPlan::generate(
-            lr_device::FaultConfig {
-                transient_rate: 1.0,
-                stall_rate: 0.0,
-                ..lr_device::FaultConfig::moderate(11)
-            },
-        )));
+        dev.set_fault_plan(lr_device::FaultPlan::generate(lr_device::FaultConfig {
+            transient_rate: 1.0,
+            stall_rate: 0.0,
+            ..lr_device::FaultConfig::moderate(11)
+        }));
         let mut mbek = Mbek::new(
             DetectorFamily::FasterRcnn,
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
         let err = mbek
-            .run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
             .unwrap_err();
         let OpError::Transient { wasted_ms } = err;
         assert!(wasted_ms > 0.0);
@@ -427,15 +400,13 @@ mod tests {
         let mut found = false;
         for seed in 0..64 {
             let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 9);
-            dev.set_fault_plan(Some(lr_device::FaultPlan::generate(
-                lr_device::FaultConfig {
-                    transient_rate: 0.4,
-                    stall_rate: 0.0,
-                    ..lr_device::FaultConfig::moderate(seed)
-                },
-            )));
+            dev.set_fault_plan(lr_device::FaultPlan::generate(lr_device::FaultConfig {
+                transient_rate: 0.4,
+                stall_rate: 0.0,
+                ..lr_device::FaultConfig::moderate(seed)
+            }));
             let mut mbek = Mbek::new(DetectorFamily::FasterRcnn, Branch::detector_only(224, 5));
-            if let Ok(r) = mbek.run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink) {
+            if let Ok(r) = mbek.run_gof(&v.frames[0..8], &mut dev, &mut NullSink) {
                 if r.absorbed_faults > 0 {
                     assert_eq!(r.per_frame.len(), 8);
                     found = true;
@@ -447,23 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_watchdog_coasts_remaining_frames() {
-        let v = video();
-        let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 10);
-        let mut mbek = Mbek::new(
-            DetectorFamily::FasterRcnn,
-            Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
-        );
-        let r = mbek
-            .run_gof(&v.frames[0..8], &mut dev, Some(0.01), &mut NullSink)
-            .unwrap();
-        assert!(r.deadline_aborted);
-        assert_eq!(r.coasted_frames, 7);
-        assert_eq!(r.per_frame.len(), 8);
-        assert_eq!(r.tracker_ms, 0.0);
-    }
-
-    #[test]
     fn fallback_gof_tracks_from_seed_detections() {
         let v = video();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 11);
@@ -472,7 +426,7 @@ mod tests {
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
         let seeded = mbek
-            .run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
             .unwrap();
         let seed_dets = seeded.per_frame.last().unwrap().clone();
         let r = mbek.run_gof_fallback(&v.frames[8..16], &mut dev, &seed_dets, &mut NullSink);
@@ -492,7 +446,7 @@ mod tests {
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
         let seeded = mbek
-            .run_gof(&v.frames[0..8], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
             .unwrap();
         let seed_dets = seeded.per_frame.last().unwrap().clone();
         mbek.set_branch(Branch::detector_only(224, 5));

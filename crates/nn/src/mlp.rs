@@ -212,11 +212,6 @@ impl Mlp {
         batch_loss
     }
 
-    /// Mean squared error of the network on a dataset.
-    pub fn evaluate_mse(&self, inputs: &Matrix, targets: &Matrix) -> f32 {
-        loss::mse(&self.infer(inputs), targets)
-    }
-
     /// The trained layers, consuming the network and its momentum
     /// buffers.
     pub(crate) fn into_layers(self) -> Vec<Dense> {
@@ -337,7 +332,7 @@ mod tests {
         let inputs = Matrix::from_vec(n, 1, xs);
         let targets = Matrix::from_vec(n, 1, ys);
         mlp.fit(&inputs, &targets, Sgd::paper(0.05, 0.0), 400, 32, &mut rng);
-        let mse = mlp.evaluate_mse(&inputs, &targets);
+        let mse = loss::mse(&mlp.infer(&inputs), &targets);
         assert!(mse < 5e-3, "failed to fit x^2: mse {mse}");
     }
 

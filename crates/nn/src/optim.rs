@@ -48,15 +48,6 @@ impl Sgd {
             ..self
         }
     }
-
-    /// Returns a copy with the learning rate scaled by `factor`, used for
-    /// simple step-decay schedules.
-    pub fn with_lr_scaled(self, factor: f32) -> Self {
-        Self {
-            learning_rate: self.learning_rate * factor,
-            ..self
-        }
-    }
 }
 
 impl Default for Sgd {
@@ -73,11 +64,5 @@ mod tests {
     fn paper_config_uses_momentum_09() {
         let s = Sgd::paper(0.01, 1e-4);
         assert_eq!(s.momentum, 0.9);
-    }
-
-    #[test]
-    fn lr_scaling() {
-        let s = Sgd::plain(0.1).with_lr_scaled(0.5);
-        assert!((s.learning_rate - 0.05).abs() < 1e-9);
     }
 }

@@ -331,13 +331,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Sums each column into a `1 x cols` row vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.sum_rows_into(&mut out);
-        out
-    }
-
     /// Sums each column, from `0.0` and in row order, into `out`, which
     /// is resized to `1 x cols` and fully overwritten.
     pub fn sum_rows_into(&self, out: &mut Matrix) {
@@ -623,7 +616,9 @@ mod tests {
     #[test]
     fn sum_rows_collapses_to_column_sums() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        assert_eq!(a.sum_rows(), Matrix::row_vector(&[9.0, 12.0]));
+        let mut out = Matrix::zeros(1, 1);
+        a.sum_rows_into(&mut out);
+        assert_eq!(out, Matrix::row_vector(&[9.0, 12.0]));
     }
 
     #[test]

@@ -99,8 +99,8 @@ pub struct DecisionRecord {
     pub slowdown: f64,
     /// Faults absorbed during this GoF.
     pub faults: u32,
-    /// Whether the GoF was degraded (fallback ladder, cost-only, or
-    /// deadline abort).
+    /// Whether the GoF was degraded (a fault absorbed, a fallback rung,
+    /// or a cost-only decision).
     pub degraded: bool,
     /// Names of the degrade events that fired, in order.
     pub degrades: Vec<&'static str>,
@@ -123,13 +123,6 @@ pub struct SpanRecord {
     pub t0: f64,
     /// Virtual close time (ms).
     pub t1: f64,
-}
-
-impl SpanRecord {
-    /// Span duration in virtual milliseconds.
-    pub fn dur_ms(&self) -> f64 {
-        self.t1 - self.t0
-    }
 }
 
 /// One serve dispatch round: which streams were stepped together.
@@ -170,20 +163,6 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_duration_is_t1_minus_t0() {
-        let s = SpanRecord {
-            stream: 0,
-            gof: 3,
-            kind: SpanKind::Detect,
-            label: "",
-            depth: 1,
-            t0: 10.0,
-            t1: 14.5,
-        };
-        assert!((s.dur_ms() - 4.5).abs() < 1e-12);
-    }
 
     #[test]
     fn set_stream_stamps_spans_and_decisions() {

@@ -204,7 +204,6 @@ mod tests {
             snippet_len: 30,
             catalog: small_catalog(),
             family: DetectorFamily::FasterRcnn,
-            reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 21,
         };
         let ds = profile_videos(&videos, &cfg, &mut svc);

@@ -22,7 +22,44 @@ use crate::report::{ServeReport, StreamReport};
 use crate::shared::SharedDevice;
 use crate::slo::StreamSpec;
 
+/// GPU demand fraction the admission controller may book (of one GPU).
+const CAPACITY_FRACTION: f64 = 0.85;
+/// Occupancy-measurement window in virtual milliseconds.
+const WINDOW_MS: f64 = 1_000.0;
+/// Cap on measured occupancy, keeping slowdowns finite.
+const MAX_OCCUPANCY: f64 = 0.98;
+/// Priority aging: each priority level is worth this many milliseconds
+/// of virtual-time head start when picking the next stream to step.
+const AGING_BOOST_MS: f64 = 40.0;
+/// Width of one dispatch round in aged virtual milliseconds (see
+/// [`serve_traced`]).
+const ROUND_QUANTUM_MS: f64 = 50.0;
+/// Scheduler headroom imposed on degraded streams (cheaper tracker
+/// branches, longer GoFs).
+const DEGRADED_HEADROOM: f64 = 0.6;
+/// Consecutive SLO-violating GoFs before backpressure degrades a
+/// degradable stream mid-run.
+const BACKPRESSURE_GOFS: usize = 8;
+/// Sliding window (in GoFs) over which a stream's fault rate is measured
+/// for eviction.
+const FAULT_WINDOW_GOFS: usize = 3;
+/// Fraction of the window's GoFs that must have faulted to evict the
+/// stream.
+const FAULT_RATE_THRESHOLD: f64 = 0.5;
+/// Initial re-admission backoff after a fault eviction, in virtual
+/// milliseconds; it doubles per eviction up to [`FAULT_BACKOFF_MAX_MS`].
+const FAULT_BACKOFF_MS: f64 = 250.0;
+/// Cap on the exponential re-admission backoff.
+const FAULT_BACKOFF_MAX_MS: f64 = 8_000.0;
+
 /// Configuration of one serving run.
+///
+/// The dispatcher's policy constants are fixed: 85% bookable GPU
+/// capacity, a 1 s occupancy window capped at 98%, a 40 ms aging boost
+/// per priority level, 50 ms dispatch rounds, headroom 0.6 for degraded
+/// streams, backpressure after 8 violating GoFs, and fault eviction once
+/// at least half of a stream's last 3 GoFs faulted, with re-admission
+/// backoff doubling from 250 ms up to 8 s.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Board to simulate.
@@ -31,19 +68,6 @@ pub struct ServeConfig {
     /// every offered stream is admitted at full quality (the overload
     /// baseline).
     pub admission_enabled: bool,
-    /// GPU demand fraction the controller may book (of one GPU).
-    pub capacity_fraction: f64,
-    /// Occupancy-measurement window in virtual milliseconds.
-    pub window_ms: f64,
-    /// Priority aging: each priority level is worth this many
-    /// milliseconds of virtual-time head start when picking the next
-    /// stream to step.
-    pub aging_boost_ms: f64,
-    /// Scheduler headroom imposed on degraded streams (cheaper tracker
-    /// branches, longer GoFs).
-    pub degraded_headroom: f64,
-    /// Cap on measured occupancy, keeping slowdowns finite.
-    pub max_occupancy: f64,
     /// Whether each stream's scheduler adapts its latency model to the
     /// observed contention (the full LiteReconfig behavior). Disable to
     /// freeze branch choices, e.g. to measure raw slowdown.
@@ -52,39 +76,16 @@ pub struct ServeConfig {
     /// first video seed (position-independent, so a stream's private
     /// noise is identical whether it runs alone or co-scheduled).
     pub seed: u64,
-    /// Width of one dispatch round in aged virtual milliseconds: every
-    /// unfinished stream whose aged ready time is within this quantum of
-    /// the furthest-behind stream steps one GoF in the same round, all
-    /// against the same pre-round occupancy snapshot. Round membership
-    /// is computed serially, so the schedule — and every report — is
-    /// independent of how many pool workers execute the round.
-    pub round_quantum_ms: f64,
     /// Worker threads for stepping a round's streams: `0` resolves from
     /// the `LR_POOL_THREADS` environment variable (defaulting to the
     /// host's available parallelism). Results are bit-identical for any
     /// value.
     pub pool_threads: usize,
-    /// Consecutive SLO-violating GoFs before backpressure degrades a
-    /// degradable stream mid-run.
-    pub backpressure_gofs: usize,
     /// Fault-injection schedule template: each stream gets a private
     /// `FaultPlan` whose seed is derived from this config's seed and the
     /// stream's first video seed. `None` (the default) serves clean and
     /// is byte-identical to the pre-fault dispatcher.
     pub fault: Option<lr_device::FaultConfig>,
-    /// Sliding window (in GoFs) over which a stream's fault rate is
-    /// measured for eviction. `0` disables fault eviction: faults are
-    /// still injected and absorbed, but no stream is evicted for them.
-    pub fault_window_gofs: usize,
-    /// Fraction of the window's GoFs that must have faulted to evict the
-    /// stream.
-    pub fault_rate_threshold: f64,
-    /// Initial re-admission backoff after a fault eviction, in virtual
-    /// milliseconds. Doubles per eviction up to
-    /// [`ServeConfig::fault_backoff_max_ms`].
-    pub fault_backoff_ms: f64,
-    /// Cap on the exponential re-admission backoff.
-    pub fault_backoff_max_ms: f64,
     /// Observability mode for the run: per-stream sinks collect spans,
     /// decision records, and metrics at this level. `Off` (the default)
     /// is byte-identical to the unobserved dispatcher; `Counting` and
@@ -94,27 +95,16 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults tuned for the synthetic workload: 85% bookable
-    /// capacity, 1 s occupancy window, one-GoF-ish aging boost.
+    /// Admission on, contention-adaptive, seed 0, pool size from the
+    /// environment, no faults, no observation.
     pub fn new(device: DeviceKind) -> Self {
         Self {
             device,
             admission_enabled: true,
-            capacity_fraction: 0.85,
-            window_ms: 1_000.0,
-            aging_boost_ms: 40.0,
-            degraded_headroom: 0.6,
-            max_occupancy: 0.98,
             contention_adaptive: true,
             seed: 0,
-            round_quantum_ms: 50.0,
             pool_threads: 0,
-            backpressure_gofs: 8,
             fault: None,
-            fault_window_gofs: 12,
-            fault_rate_threshold: 0.5,
-            fault_backoff_ms: 500.0,
-            fault_backoff_max_ms: 8_000.0,
             obs: ObsMode::Off,
         }
     }
@@ -152,7 +142,7 @@ struct ActiveStream {
     /// before the next round it joins, so co-members see it.
     last_gof: Option<(f64, f64)>,
     /// Sliding window over recent GoFs: `true` = that GoF absorbed at
-    /// least one fault. Only maintained when fault injection is on.
+    /// least one fault.
     fault_window: std::collections::VecDeque<bool>,
     /// When set, the stream is evicted and may not step before this
     /// virtual time, at which point it is re-offered to admission.
@@ -195,8 +185,8 @@ impl ActiveStream {
 
     /// Dispatch key: ready time aged by priority, so higher classes
     /// sort ahead at similar readiness.
-    fn aged_key(&self, aging_boost_ms: f64) -> f64 {
-        self.ready_ms() - self.priority as f64 * aging_boost_ms
+    fn aged_key(&self) -> f64 {
+        self.ready_ms() - self.priority as f64 * AGING_BOOST_MS
     }
 }
 
@@ -213,7 +203,7 @@ fn stream_seed(base: u64, salt: u64) -> u64 {
 /// Streams are offered to the admission controller in order (when
 /// enabled); admitted ones are stepped GoF-by-GoF in *rounds*: every
 /// unfinished stream whose aged virtual clock (`local_time −
-/// priority·boost`) is within [`ServeConfig::round_quantum_ms`] of the
+/// priority·boost`) is within one 50 ms round quantum of the
 /// furthest-behind stream steps one GoF, so local clocks stay nearly
 /// synchronized and higher classes run first at ties. All of a round's
 /// members observe the slowdown measured from the *pre-round* occupancy
@@ -248,8 +238,8 @@ pub fn serve_traced(
     svc: &mut FeatureService,
 ) -> (ServeReport, ObsBundle) {
     let profile = cfg.device.profile();
-    let mut controller = AdmissionController::new(cfg.capacity_fraction);
-    let mut shared = SharedDevice::new(cfg.window_ms, cfg.max_occupancy);
+    let mut controller = AdmissionController::new(CAPACITY_FRACTION);
+    let mut shared = SharedDevice::new(WINDOW_MS, MAX_OCCUPANCY);
 
     let mut decisions = Vec::with_capacity(specs.len());
     let mut active: Vec<ActiveStream> = Vec::new();
@@ -275,7 +265,7 @@ pub fn serve_traced(
         let mut pipeline = StreamPipeline::new(videos, trained.clone(), policy, &run_cfg);
         let degraded = decision == AdmissionDecision::Degraded;
         if degraded {
-            pipeline.set_headroom(cfg.degraded_headroom);
+            pipeline.set_headroom(DEGRADED_HEADROOM);
         }
         let mut device = DeviceSim::new(cfg.device, 0.0, seed);
         if let Some(fault) = cfg.fault {
@@ -283,9 +273,7 @@ pub fn serve_traced(
             // the stream's first video seed (position-independent, like
             // the noise seed above).
             let plan_seed = stream_seed(fault.seed ^ 0xFA17, first_video_seed);
-            device.set_fault_plan(Some(lr_device::FaultPlan::generate(
-                fault.with_seed(plan_seed),
-            )));
+            device.set_fault_plan(lr_device::FaultPlan::generate(fault.with_seed(plan_seed)));
         }
         let booked_fraction = if cfg.admission_enabled {
             AdmissionController::booked_fraction(&trained, &profile, spec.class, decision)
@@ -310,7 +298,7 @@ pub fn serve_traced(
             fault_window: std::collections::VecDeque::new(),
             backed_off_until: None,
             evicted_at_ms: 0.0,
-            backoff_ms: cfg.fault_backoff_ms,
+            backoff_ms: FAULT_BACKOFF_MS,
             evictions: 0,
             recovery_ms_total: 0.0,
             terminal_evicted: false,
@@ -330,12 +318,12 @@ pub fn serve_traced(
         let min_key = active
             .iter()
             .filter(|s| s.runnable())
-            .map(|s| s.aged_key(cfg.aging_boost_ms))
+            .map(ActiveStream::aged_key)
             .fold(f64::INFINITY, f64::min);
         if !min_key.is_finite() {
             break;
         }
-        let threshold = min_key + cfg.round_quantum_ms;
+        let threshold = min_key + ROUND_QUANTUM_MS;
         // Membership is computed serially, in stream order. A backed-off
         // stream whose backoff has elapsed (its ready time folds the
         // backoff in) is re-offered to the admission controller here:
@@ -343,7 +331,7 @@ pub fn serve_traced(
         // terminal eviction (the controller never freed enough capacity).
         let mut round: Vec<&mut ActiveStream> = Vec::new();
         for s in active.iter_mut() {
-            if !s.runnable() || s.aged_key(cfg.aging_boost_ms) > threshold {
+            if !s.runnable() || s.aged_key() > threshold {
                 continue;
             }
             if let Some(until) = s.backed_off_until {
@@ -363,7 +351,7 @@ pub fn serve_traced(
                 s.recovery_ms_total += until - s.evicted_at_ms;
                 s.device.idle_until(until);
                 if decision == AdmissionDecision::Degraded && !s.degraded {
-                    s.pipeline.set_headroom(cfg.degraded_headroom);
+                    s.pipeline.set_headroom(DEGRADED_HEADROOM);
                     s.degraded = true;
                     s.degraded_midrun = true;
                 }
@@ -435,9 +423,8 @@ pub fn serve_traced(
             s.gofs += 1;
             if step.per_frame_ms > s.pipeline.slo_ms() {
                 s.consecutive_violations += 1;
-                if s.consecutive_violations >= cfg.backpressure_gofs && s.degradable && !s.degraded
-                {
-                    s.pipeline.set_headroom(cfg.degraded_headroom);
+                if s.consecutive_violations >= BACKPRESSURE_GOFS && s.degradable && !s.degraded {
+                    s.pipeline.set_headroom(DEGRADED_HEADROOM);
                     s.degraded = true;
                     s.degraded_midrun = true;
                     s.consecutive_violations = 0;
@@ -447,25 +434,24 @@ pub fn serve_traced(
             }
             // Fault accounting: a stream whose recent GoFs keep faulting
             // is evicted — its booked capacity released — and re-offered
-            // only after an exponential backoff.
-            if cfg.fault.is_some() && cfg.fault_window_gofs > 0 {
-                s.fault_window.push_back(step.faults > 0);
-                if s.fault_window.len() > cfg.fault_window_gofs {
-                    s.fault_window.pop_front();
-                }
-                if s.fault_window.len() == cfg.fault_window_gofs {
-                    let faulted = s.fault_window.iter().filter(|&&f| f).count();
-                    if faulted as f64 >= cfg.fault_rate_threshold * cfg.fault_window_gofs as f64 {
-                        s.evictions += 1;
-                        s.evicted_at_ms = s.device.now_ms();
-                        s.backed_off_until = Some(s.evicted_at_ms + s.backoff_ms);
-                        s.backoff_ms = (s.backoff_ms * 2.0).min(cfg.fault_backoff_max_ms);
-                        s.fault_window.clear();
-                        if cfg.admission_enabled {
-                            controller.release(s.booked_fraction);
-                            s.booked_fraction = 0.0;
-                        }
-                    }
+            // only after an exponential backoff. A clean run never faults,
+            // so it never evicts.
+            s.fault_window.push_back(step.faults > 0);
+            if s.fault_window.len() > FAULT_WINDOW_GOFS {
+                s.fault_window.pop_front();
+            }
+            let faulted = s.fault_window.iter().filter(|&&f| f).count();
+            if s.fault_window.len() == FAULT_WINDOW_GOFS
+                && faulted as f64 >= FAULT_RATE_THRESHOLD * FAULT_WINDOW_GOFS as f64
+            {
+                s.evictions += 1;
+                s.evicted_at_ms = s.device.now_ms();
+                s.backed_off_until = Some(s.evicted_at_ms + s.backoff_ms);
+                s.backoff_ms = (s.backoff_ms * 2.0).min(FAULT_BACKOFF_MAX_MS);
+                s.fault_window.clear();
+                if cfg.admission_enabled {
+                    controller.release(s.booked_fraction);
+                    s.booked_fraction = 0.0;
                 }
             }
         }
@@ -579,7 +565,6 @@ mod tests {
             snippet_len: 30,
             catalog: small_catalog(),
             family: DetectorFamily::FasterRcnn,
-            reference_detector: lr_kernels::DetectorConfig::new(576, 100),
             seed: 33,
         };
         let ds = profile_videos(&videos, &cfg, &mut svc);
@@ -634,44 +619,20 @@ mod tests {
             .collect();
         let mut cfg = ServeConfig::new(DeviceKind::JetsonTx2);
         cfg.fault = Some(lr_device::FaultConfig {
-            transient_rate: 0.3,
+            // High enough that two of a stream's three GoFs fault, which
+            // is what eviction takes.
+            transient_rate: 0.6,
             ..lr_device::FaultConfig::moderate(77)
         });
-        // A small window and permissive threshold so eviction machinery
-        // exercises on a short run.
-        cfg.fault_window_gofs = 3;
-        cfg.fault_rate_threshold = 0.34;
-        cfg.fault_backoff_ms = 100.0;
         let r = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
-        assert!(r.total_faults() > 0, "30% transient rate must fault");
+        assert!(r.total_faults() > 0, "60% transient rate must fault");
         assert!(r.degraded_gof_fraction() > 0.0);
+        assert!(r.total_evictions() > 0, "no stream was evicted");
         // Every admitted, non-terminally-evicted stream finishes.
         for s in &r.streams {
             if s.admitted() && !s.terminal_evicted {
                 assert_eq!(s.frames, 48, "{} did not finish", s.name);
             }
-        }
-    }
-
-    #[test]
-    fn zero_fault_window_disables_eviction() {
-        let t = trained();
-        let mut svc = FeatureService::new();
-        let specs: Vec<StreamSpec> = (0..3)
-            .map(|i| StreamSpec::synthetic(i, SloClass::Silver, 48))
-            .collect();
-        let mut cfg = ServeConfig::new(DeviceKind::JetsonTx2);
-        cfg.fault = Some(lr_device::FaultConfig {
-            transient_rate: 0.3,
-            ..lr_device::FaultConfig::moderate(77)
-        });
-        cfg.fault_window_gofs = 0;
-        let r = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;
-        assert!(r.total_faults() > 0, "30% transient rate must fault");
-        assert_eq!(r.total_evictions(), 0);
-        for s in &r.streams {
-            assert!(!s.terminal_evicted, "{} was evicted", s.name);
-            assert_eq!(s.frames, 48, "{} did not finish", s.name);
         }
     }
 
@@ -686,9 +647,6 @@ mod tests {
             transient_rate: 0.3,
             ..lr_device::FaultConfig::moderate(78)
         });
-        cfg.fault_window_gofs = 3;
-        cfg.fault_rate_threshold = 0.34;
-        cfg.fault_backoff_ms = 100.0;
         let mut svc = FeatureService::new();
         let a = serve_traced(&specs, t.clone(), Policy::MinCost, &cfg, &mut svc).0;
         let b = serve_traced(&specs, t, Policy::MinCost, &cfg, &mut svc).0;

@@ -31,7 +31,6 @@ fn trained() -> Arc<TrainedScheduler> {
         snippet_len: 30,
         catalog: small_catalog(),
         family: DetectorFamily::FasterRcnn,
-        reference_detector: lr_kernels::DetectorConfig::new(576, 100),
         seed: 77,
     };
     let ds = profile_videos(&videos, &cfg, &mut svc);

@@ -32,7 +32,6 @@ fn trained() -> Arc<TrainedScheduler> {
         snippet_len: 30,
         catalog: small_catalog(),
         family: DetectorFamily::FasterRcnn,
-        reference_detector: lr_kernels::DetectorConfig::new(576, 100),
         seed: 88,
     };
     let ds = profile_videos(&videos, &cfg, &mut svc);
@@ -158,9 +157,6 @@ fn faulted_serving_is_thread_count_invariant() {
         let mut fault = lr_device::FaultConfig::moderate(404);
         fault.transient_rate = 0.25;
         cfg.fault = Some(fault);
-        cfg.fault_window_gofs = 3;
-        cfg.fault_rate_threshold = 0.34;
-        cfg.fault_backoff_ms = 120.0;
         let mut svc = FeatureService::new();
         serve_traced(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc).0
     };
@@ -168,6 +164,10 @@ fn faulted_serving_is_thread_count_invariant() {
     assert!(
         serial.total_faults() > 0,
         "fault injection never fired; the test is vacuous"
+    );
+    assert!(
+        serial.total_evictions() > 0,
+        "no stream was evicted; the eviction path is untested"
     );
     for threads in [2, 4] {
         assert_reports_identical(
@@ -231,9 +231,6 @@ fn faulted_trace_jsonl_is_thread_count_invariant() {
         let mut fault = lr_device::FaultConfig::moderate(404);
         fault.transient_rate = 0.25;
         cfg.fault = Some(fault);
-        cfg.fault_window_gofs = 3;
-        cfg.fault_rate_threshold = 0.34;
-        cfg.fault_backoff_ms = 120.0;
         let mut svc = FeatureService::new();
         serve_traced(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc)
     };

@@ -85,12 +85,6 @@ impl BBox {
         }
     }
 
-    /// Scales width and height about the center by `factor`.
-    pub fn scaled_about_center(&self, factor: f32) -> BBox {
-        let (cx, cy) = self.center();
-        BBox::from_center(cx, cy, self.w * factor, self.h * factor)
-    }
-
     /// Clamps the box to lie within a `width x height` frame.
     ///
     /// The result keeps whatever portion of the box overlaps the frame; a
@@ -157,13 +151,6 @@ mod tests {
         let b = BBox::from_center(10.0, 20.0, 4.0, 6.0);
         assert_eq!(b.center(), (10.0, 20.0));
         assert_eq!((b.w, b.h), (4.0, 6.0));
-    }
-
-    #[test]
-    fn scale_about_center_preserves_center() {
-        let b = BBox::new(0.0, 0.0, 10.0, 10.0).scaled_about_center(0.5);
-        assert_eq!(b.center(), (5.0, 5.0));
-        assert_eq!((b.w, b.h), (5.0, 5.0));
     }
 
     #[test]

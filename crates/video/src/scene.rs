@@ -10,6 +10,12 @@ use crate::object::GtObject;
 use crate::regime::{Regime, RegimeChain};
 use crate::video::FrameTruth;
 
+/// Mean regime dwell time in frames.
+const MEAN_REGIME_DWELL: f32 = 180.0;
+
+/// Hard upper bound on concurrent objects.
+const MAX_OBJECTS: usize = 12;
+
 /// Static configuration of a scene.
 #[derive(Debug, Clone)]
 pub struct SceneConfig {
@@ -17,10 +23,6 @@ pub struct SceneConfig {
     pub width: f32,
     /// Source frame height in pixels.
     pub height: f32,
-    /// Mean regime dwell time in frames.
-    pub mean_regime_dwell: f32,
-    /// Hard upper bound on concurrent objects.
-    pub max_objects: usize,
 }
 
 impl Default for SceneConfig {
@@ -28,8 +30,6 @@ impl Default for SceneConfig {
         Self {
             width: 1280.0,
             height: 720.0,
-            mean_regime_dwell: 180.0,
-            max_objects: 12,
         }
     }
 }
@@ -73,7 +73,7 @@ impl Scene {
     /// object count so videos do not start empty.
     pub fn new(cfg: SceneConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let chain = RegimeChain::new(cfg.mean_regime_dwell, &mut rng);
+        let chain = RegimeChain::new(MEAN_REGIME_DWELL, &mut rng);
         let mut scene = Self {
             cfg,
             rng,
@@ -118,14 +118,14 @@ impl Scene {
         if !self.objects.is_empty() && self.rng.gen::<f32>() < 0.005 {
             let idx = self.rng.gen_range(0..self.objects.len());
             self.objects.swap_remove(idx);
-            if self.objects.len() < self.cfg.max_objects {
+            if self.objects.len() < MAX_OBJECTS {
                 self.spawn_object();
             }
         }
     }
 
     fn spawn_object(&mut self) {
-        if self.objects.len() >= self.cfg.max_objects {
+        if self.objects.len() >= MAX_OBJECTS {
             return;
         }
         let regime = self.chain.current();

@@ -37,28 +37,6 @@ pub struct FrameTruth {
     pub objects: Vec<GtObject>,
 }
 
-impl FrameTruth {
-    /// Mean ground-truth object speed in pixels/frame (0 when empty).
-    pub fn mean_speed(&self) -> f32 {
-        if self.objects.is_empty() {
-            return 0.0;
-        }
-        self.objects.iter().map(GtObject::speed).sum::<f32>() / self.objects.len() as f32
-    }
-
-    /// Mean relative object scale (0 when empty).
-    pub fn mean_relative_scale(&self) -> f32 {
-        if self.objects.is_empty() {
-            return 0.0;
-        }
-        self.objects
-            .iter()
-            .map(|o| o.relative_scale(self.width, self.height))
-            .sum::<f32>()
-            / self.objects.len() as f32
-    }
-}
-
 /// Immutable description of a video before generation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VideoSpec {
@@ -137,7 +115,6 @@ impl Video {
         let cfg = SceneConfig {
             width: spec.width,
             height: spec.height,
-            ..SceneConfig::default()
         };
         let mut scene = Scene::new(cfg, spec.seed);
         let frames = (0..spec.num_frames).map(|_| scene.step()).collect();
@@ -238,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_summaries_are_finite() {
+    fn object_speeds_and_scales_are_finite() {
         let spec = VideoSpec {
             id: 0,
             seed: 4,
@@ -248,8 +225,10 @@ mod tests {
         };
         let v = Video::generate(spec);
         for f in &v.frames {
-            assert!(f.mean_speed().is_finite());
-            assert!(f.mean_relative_scale().is_finite());
+            for o in &f.objects {
+                assert!(o.speed().is_finite());
+                assert!(o.relative_scale(f.width, f.height).is_finite());
+            }
         }
     }
 }

@@ -60,7 +60,7 @@ fn tracked_quality_decays_within_gof() {
     let mut n = 0;
     for start in (0..300).step_by(20) {
         let r = mbek
-            .run_gof(&v.frames[start..start + 20], &mut dev, None, &mut NullSink)
+            .run_gof(&v.frames[start..start + 20], &mut dev, &mut NullSink)
             .expect("no fault plan");
         let iou_of = |dets: &[lr_kernels::Detection], truth: &lr_video::FrameTruth| -> f32 {
             let mut total = 0.0;
