@@ -12,9 +12,6 @@ use lr_kernels::{latency, DetectorConfig, DetectorFamily};
 
 use crate::repro::{Ctx, ReproError};
 
-/// The SLO sweep of Figures 3 and 4.
-const TX2_SLOS: [f64; 3] = [33.3, 50.0, 100.0];
-
 /// Figure 2: accuracy-vs-latency curves for the content-agnostic, the
 /// ResNet content-aware and the MobileNet content-aware strategies.
 ///
@@ -81,23 +78,10 @@ pub(crate) fn figure2(ctx: &Ctx) -> Result<String, ReproError> {
 }
 
 /// Figure 3: latency breakdown of each system component (detector,
-/// tracker, modeling cost, switching cost), normalized by the SLO.
+/// tracker, modeling cost, switching cost), normalized by the SLO, for
+/// Table 2's TX2 no-contention runs.
 pub(crate) fn figure3(ctx: &Ctx) -> Result<String, ReproError> {
-    let suite = ctx.suite();
-    let protocols = [
-        AdaptiveProtocol::SsdPlus,
-        AdaptiveProtocol::YoloPlus,
-        AdaptiveProtocol::ApproxDet,
-        AdaptiveProtocol::LiteReconfigMinCost,
-        AdaptiveProtocol::LiteReconfigMaxContentResNet,
-        AdaptiveProtocol::LiteReconfigMaxContentMobileNet,
-        AdaptiveProtocol::LiteReconfig,
-    ];
-    let trained: Vec<_> = protocols
-        .iter()
-        .map(|p| suite.scheduler(p.family()))
-        .collect();
-
+    let slos = DeviceKind::JetsonTx2.paper_slos_ms();
     let mut table = TextTable::new(&[
         "Protocol",
         "SLO (ms)",
@@ -109,28 +93,16 @@ pub(crate) fn figure3(ctx: &Ctx) -> Result<String, ReproError> {
         "Total (%SLO)",
         "Meets SLO",
     ]);
-    let cells: Vec<(usize, usize)> = (0..protocols.len())
-        .flat_map(|pi| (0..TX2_SLOS.len()).map(move |li| (pi, li)))
-        .collect();
-    let rows = ctx
-        .pool
-        .par_map_init(&cells, FeatureService::new, |svc, _, &(pi, li)| {
-            let protocol = protocols[pi];
-            let slo = TX2_SLOS[li];
-            let r = protocol.run(
-                &suite.val_videos,
-                trained[pi].clone(),
-                DeviceKind::JetsonTx2,
-                0.0,
-                slo,
-                4000 + pi as u64 * 10 + li as u64,
-                svc,
-            );
+    for (protocol, runs) in AdaptiveProtocol::all()
+        .into_iter()
+        .zip(ctx.tx2_grid().chunks(slos.len()))
+    {
+        for (&slo, r) in slos.iter().zip(runs) {
             let b = &r.breakdown;
             let pct = |ms: f64| format!("{:.1}", 100.0 * b.fraction_of_slo(ms, slo));
             // The paper omits bars for protocols that cannot satisfy the
             // SLO (ApproxDet at 33.3/50 ms).
-            vec![
+            table.add_row_owned(vec![
                 protocol.name().to_string(),
                 format!("{slo}"),
                 pct(b.detector_ms),
@@ -145,10 +117,8 @@ pub(crate) fn figure3(ctx: &Ctx) -> Result<String, ReproError> {
                     "NO (bar omitted in paper)"
                 }
                 .to_string(),
-            ]
-        });
-    for row in rows {
-        table.add_row_owned(row);
+            ]);
+        }
     }
     let mut out = String::new();
     writeln!(
@@ -161,14 +131,8 @@ pub(crate) fn figure3(ctx: &Ctx) -> Result<String, ReproError> {
 }
 
 /// Figure 4: branch coverage — the number of distinct execution branches
-/// each protocol invokes.
+/// each protocol invokes in Table 2's TX2 no-contention runs.
 pub(crate) fn figure4(ctx: &Ctx) -> Result<String, ReproError> {
-    let suite = ctx.suite();
-    let protocols = AdaptiveProtocol::all();
-    let trained: Vec<_> = protocols
-        .iter()
-        .map(|p| suite.scheduler(p.family()))
-        .collect();
     let mut table = TextTable::new(&[
         "Protocol",
         "Branches @33.3ms",
@@ -176,34 +140,17 @@ pub(crate) fn figure4(ctx: &Ctx) -> Result<String, ReproError> {
         "Branches @100ms",
         "Switches @33.3ms",
     ]);
-
-    // One cell per (protocol, SLO); regroup by protocol from the
-    // order-preserved results.
-    let cells: Vec<(usize, usize)> = (0..protocols.len())
-        .flat_map(|pi| (0..TX2_SLOS.len()).map(move |li| (pi, li)))
-        .collect();
-    let measured: Vec<(usize, usize)> =
-        ctx.pool
-            .par_map_init(&cells, FeatureService::new, |svc, _, &(pi, li)| {
-                let r = protocols[pi].run(
-                    &suite.val_videos,
-                    trained[pi].clone(),
-                    DeviceKind::JetsonTx2,
-                    0.0,
-                    TX2_SLOS[li],
-                    5000 + pi as u64 * 10 + li as u64,
-                    svc,
-                );
-                (r.branches_used.len(), r.switches.len())
-            });
-    for (protocol, per_slo) in protocols.iter().zip(measured.chunks(TX2_SLOS.len())) {
-        table.add_row_owned(vec![
-            protocol.name().to_string(),
-            per_slo[0].0.to_string(),
-            per_slo[1].0.to_string(),
-            per_slo[2].0.to_string(),
-            per_slo[0].1.to_string(),
-        ]);
+    let slos = DeviceKind::JetsonTx2.paper_slos_ms();
+    for (protocol, runs) in AdaptiveProtocol::all()
+        .into_iter()
+        .zip(ctx.tx2_grid().chunks(slos.len()))
+    {
+        table.add_row_owned(
+            std::iter::once(protocol.name().to_string())
+                .chain(runs.iter().map(|r| r.branches_used.len().to_string()))
+                .chain(std::iter::once(runs[0].switches.len().to_string()))
+                .collect(),
+        );
     }
     let mut out = String::new();
     writeln!(

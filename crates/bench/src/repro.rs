@@ -7,6 +7,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use litereconfig::pipeline::RunResult;
 use lr_pool::Pool;
 
 use crate::suite::{ExperimentScale, Suite};
@@ -230,14 +231,16 @@ impl From<fmt::Error> for ReproError {
     }
 }
 
-/// Everything the artifacts share at one scale: the worker pool and the
-/// [`Suite`], built on first use and then reused by every artifact.
+/// Everything the artifacts share at one scale: the worker pool, the
+/// [`Suite`] and the TX2 evaluation grid, each built on first use and
+/// then reused by every artifact.
 pub(crate) struct Ctx {
     /// The scale every artifact rendered with this context runs at.
     pub(crate) scale: ExperimentScale,
     /// The worker pool the artifacts fan their cells out over.
     pub(crate) pool: Pool,
     suite: OnceLock<Suite>,
+    tx2_grid: OnceLock<Vec<RunResult>>,
 }
 
 impl Ctx {
@@ -246,12 +249,20 @@ impl Ctx {
             scale,
             pool,
             suite: OnceLock::new(),
+            tx2_grid: OnceLock::new(),
         }
     }
 
     /// The suite at this context's scale, built on the first call.
     pub(crate) fn suite(&self) -> &Suite {
         self.suite.get_or_init(|| Suite::build(self.scale))
+    }
+
+    /// Table 2's TX2 no-contention runs, which Figures 3 and 4 break
+    /// down: every protocol of `AdaptiveProtocol::all()`, each at the
+    /// TX2's paper SLOs in order. Run on the first call.
+    pub(crate) fn tx2_grid(&self) -> &[RunResult] {
+        self.tx2_grid.get_or_init(|| tables::tx2_grid(self))
     }
 }
 
@@ -319,6 +330,7 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lr_device::DeviceKind;
 
     fn args(list: &[&str]) -> Result<Args, UsageError> {
         Args::parse(list.iter().map(|s| s.to_string()))
@@ -391,6 +403,45 @@ mod tests {
             let small = matches!(a.name, "trace" | "faults");
             assert_eq!(a.scale == ExperimentScale::Small, small, "{}", a.name);
         }
+    }
+
+    /// Figure 3's "Meets SLO" column and Table 2's mAP cells are read
+    /// from the same TX2 no-contention runs, so the two rendered
+    /// artifacts agree on every cell: "yes" exactly where Table 2 prints
+    /// an mAP rather than "F".
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "runs 84 small-scale cells: release only")]
+    fn figure3_verdicts_match_table2_on_the_shared_grid() {
+        let ctx = Ctx::new(ExperimentScale::Small, Pool::from_env());
+        let table2 = tables::table2(&ctx).unwrap();
+        let figure3 = figures::figure3(&ctx).unwrap();
+        let csv = |text: &str| -> Vec<String> {
+            let (_, rows) = text.split_once("CSV:\n").expect("a CSV section");
+            rows.lines().skip(1).map(str::to_string).collect()
+        };
+
+        let mut from_table2 = Vec::new();
+        for row in csv(&table2) {
+            let Some(cells) = row.strip_prefix("\"TX2, 33.3/50/100\",0%,") else {
+                continue;
+            };
+            let fields: Vec<&str> = cells.split(',').collect();
+            let slos = DeviceKind::JetsonTx2.paper_slos_ms();
+            for (slo, map) in slos.iter().zip(fields[1].split('/')) {
+                from_table2.push((fields[0].to_string(), format!("{slo}"), map != "F"));
+            }
+        }
+        let from_figure3: Vec<(String, String, bool)> = csv(&figure3)
+            .iter()
+            .filter(|row| !row.is_empty())
+            .map(|row| {
+                let fields: Vec<&str> = row.split(',').collect();
+                let meets = fields[fields.len() - 1] == "yes";
+                (fields[0].to_string(), fields[1].to_string(), meets)
+            })
+            .collect();
+        assert_eq!(from_table2.len(), 21);
+        assert_eq!(from_figure3, from_table2);
     }
 
     #[test]

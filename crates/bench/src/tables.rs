@@ -1,13 +1,12 @@
 //! Tables 1–4 of the paper.
 
 use std::fmt::Write;
-use std::sync::Arc;
 
-use litereconfig::pipeline::{run_adaptive, RunConfig};
+use litereconfig::pipeline::{run_adaptive, RunConfig, RunResult};
 use litereconfig::protocols::{
     run_adascale_ms, run_heavy_model, run_static_detector, AdaptiveProtocol,
 };
-use litereconfig::{FeatureService, Policy, TrainedScheduler};
+use litereconfig::{FeatureService, Policy};
 use lr_device::{DeviceKind, DeviceSim, OpUnit};
 use lr_eval::TextTable;
 use lr_features::{FeatureKind, ALL_FEATURE_KINDS, HEAVY_FEATURE_KINDS};
@@ -82,64 +81,74 @@ fn map_cell(map_pct: f64, p95_ms: f64, slo_ms: f64) -> String {
     }
 }
 
-/// Table 2: mAP and P95 latency for all seven adaptive protocols, on TX2
-/// and AGX Xavier, at 0% and 50% GPU contention, across three latency
-/// SLOs per device. Every (scenario, protocol, SLO) cell is an
-/// independent seeded run.
-pub(crate) fn table2(ctx: &Ctx) -> Result<String, ReproError> {
-    let suite = ctx.suite();
-    let scenarios = [
-        (DeviceKind::JetsonTx2, 0.0),
-        (DeviceKind::JetsonTx2, 50.0),
-        (DeviceKind::AgxXavier, 0.0),
-        (DeviceKind::AgxXavier, 50.0),
-    ];
-    let protocols = AdaptiveProtocol::all();
+/// Table 2's scenarios, (device, GPU contention %), in row order. The
+/// first, the TX2 without contention, is the evaluation grid that
+/// Figures 3 and 4 read as well.
+const SCENARIOS: [(DeviceKind, f64); 4] = [
+    (DeviceKind::JetsonTx2, 0.0),
+    (DeviceKind::JetsonTx2, 50.0),
+    (DeviceKind::AgxXavier, 0.0),
+    (DeviceKind::AgxXavier, 50.0),
+];
 
-    // One cell per (scenario, protocol, SLO), grouped by scenario, then
-    // protocol, then SLO; the seed depends only on the coordinates.
-    struct Cell {
-        scenario_idx: usize,
-        device: DeviceKind,
-        contention: f64,
-        protocol: AdaptiveProtocol,
-        trained: Arc<TrainedScheduler>,
-        slo_idx: usize,
-        slo: f64,
-    }
-    let mut cells: Vec<Cell> = Vec::new();
-    for (scenario_idx, &(device, contention)) in scenarios.iter().enumerate() {
-        for &protocol in &protocols {
+/// Runs every (protocol, SLO) cell of the given Table 2 scenarios in one
+/// fan-out, grouped by scenario, then protocol, then SLO, and maps
+/// each run through `f`. The seed depends only on the cell's
+/// coordinates, so a cell runs the same wherever it is computed.
+fn run_scenarios<R: Send>(
+    ctx: &Ctx,
+    scenarios: std::ops::Range<usize>,
+    f: impl Fn(RunResult) -> R + Sync,
+) -> Vec<R> {
+    let suite = ctx.suite();
+    let mut cells = Vec::new();
+    for scenario_idx in scenarios {
+        let (device, contention) = SCENARIOS[scenario_idx];
+        for protocol in AdaptiveProtocol::all() {
             let trained = suite.scheduler(protocol.family());
-            for (slo_idx, &slo) in device.paper_slos_ms().iter().enumerate() {
-                cells.push(Cell {
-                    scenario_idx,
-                    device,
-                    contention,
-                    protocol,
-                    trained: trained.clone(),
-                    slo_idx,
-                    slo,
-                });
+            for (slo_idx, slo) in device.paper_slos_ms().into_iter().enumerate() {
+                let seed = 1000 + scenario_idx as u64 * 100 + slo_idx as u64;
+                cells.push((protocol, trained.clone(), device, contention, slo, seed));
             }
         }
     }
+    ctx.pool.par_map_init(
+        &cells,
+        FeatureService::new,
+        |svc, _, (protocol, trained, device, contention, slo, seed)| {
+            f(protocol.run(
+                &suite.val_videos,
+                trained.clone(),
+                *device,
+                *contention,
+                *slo,
+                *seed,
+                svc,
+            ))
+        },
+    )
+}
 
-    let measured: Vec<(f64, f64)> =
-        ctx.pool
-            .par_map_init(&cells, FeatureService::new, |svc, _, c| {
-                let seed = 1000 + c.scenario_idx as u64 * 100 + c.slo_idx as u64;
-                let r = c.protocol.run(
-                    &suite.val_videos,
-                    c.trained.clone(),
-                    c.device,
-                    c.contention,
-                    c.slo,
-                    seed,
-                    svc,
-                );
-                (r.map_pct(), r.latency.p95())
-            });
+/// The TX2 no-contention grid: every protocol of
+/// [`AdaptiveProtocol::all`] at each of the TX2's paper SLOs, in that
+/// order, as Table 2 seeds them.
+pub(crate) fn tx2_grid(ctx: &Ctx) -> Vec<RunResult> {
+    run_scenarios(ctx, 0..1, |r| r)
+}
+
+/// Table 2: mAP and P95 latency for all seven adaptive protocols, on TX2
+/// and AGX Xavier, at 0% and 50% GPU contention, across three latency
+/// SLOs per device. Every (scenario, protocol, SLO) cell is an
+/// independent seeded run; the TX2 no-contention cells come from the
+/// shared [`Ctx::tx2_grid`].
+pub(crate) fn table2(ctx: &Ctx) -> Result<String, ReproError> {
+    let summary = |r: &RunResult| (r.map_pct(), r.latency.p95());
+    let measured: Vec<(f64, f64)> = ctx
+        .tx2_grid()
+        .iter()
+        .map(summary)
+        .chain(run_scenarios(ctx, 1..SCENARIOS.len(), |r| summary(&r)))
+        .collect();
 
     let mut table = TextTable::new(&[
         "Device, SLOs (ms)",
@@ -148,13 +157,13 @@ pub(crate) fn table2(ctx: &Ctx) -> Result<String, ReproError> {
         "mAP (%)",
         "P95 latency (ms)",
     ]);
+    let protocols = AdaptiveProtocol::all();
+    let rows = SCENARIOS
+        .iter()
+        .flat_map(|scenario| protocols.iter().map(move |protocol| (scenario, protocol)));
     let slos_per_row = DeviceKind::JetsonTx2.paper_slos_ms().len();
-    for (row, chunk) in cells
-        .chunks(slos_per_row)
-        .zip(measured.chunks(slos_per_row))
-    {
-        let c = &row[0];
-        let slos = c.device.paper_slos_ms();
+    for ((&(device, contention), protocol), chunk) in rows.zip(measured.chunks(slos_per_row)) {
+        let slos = device.paper_slos_ms();
         let maps: Vec<String> = chunk
             .iter()
             .zip(&slos)
@@ -163,7 +172,7 @@ pub(crate) fn table2(ctx: &Ctx) -> Result<String, ReproError> {
         let p95s: Vec<String> = chunk.iter().map(|(_, p95)| format!("{p95:.1}")).collect();
         let slo_label = format!(
             "{}, {}",
-            c.device.name(),
+            device.name(),
             slos.iter()
                 .map(|s| format!("{s}"))
                 .collect::<Vec<_>>()
@@ -171,8 +180,8 @@ pub(crate) fn table2(ctx: &Ctx) -> Result<String, ReproError> {
         );
         table.add_row_owned(vec![
             slo_label,
-            format!("{:.0}%", c.contention),
-            c.protocol.name().to_string(),
+            format!("{contention:.0}%"),
+            protocol.name().to_string(),
             maps.join("/"),
             p95s.join("/"),
         ]);

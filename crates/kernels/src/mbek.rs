@@ -25,9 +25,6 @@ pub struct GofResult {
     /// Mid-GoF transient detector failures absorbed by reusing the
     /// previous frame's detections (detector-only branches).
     pub absorbed_faults: usize,
-    /// Frames that coasted on the seed detections: the whole GoF of a
-    /// tracker-only fallback on a detector-only branch, else 0.
-    pub coasted_frames: usize,
 }
 
 impl GofResult {
@@ -196,7 +193,6 @@ impl Mbek {
             tracker_ms,
             first_frame_output: first_output,
             absorbed_faults,
-            coasted_frames: 0,
         })
     }
 
@@ -224,7 +220,6 @@ impl Mbek {
 
         let mut per_frame: Vec<Vec<Detection>> = Vec::with_capacity(frames.len());
         let mut tracker_ms = 0.0;
-        let mut coasted_frames = 0usize;
 
         match &mut self.tracker {
             Some(tracker) => {
@@ -239,10 +234,7 @@ impl Mbek {
                     per_frame.push(tracker.step(frame, device.rng()));
                 }
             }
-            None => {
-                coasted_frames = frames.len();
-                per_frame.extend(std::iter::repeat_n(seed_dets.to_vec(), coasted_frames));
-            }
+            None => per_frame.extend(std::iter::repeat_n(seed_dets.to_vec(), frames.len())),
         }
 
         obs.span_end(device.now_ms());
@@ -256,7 +248,6 @@ impl Mbek {
             tracker_ms,
             first_frame_output,
             absorbed_faults: 0,
-            coasted_frames,
         }
     }
 }
@@ -433,7 +424,6 @@ mod tests {
         assert_eq!(r.per_frame.len(), 8);
         assert_eq!(r.detector_ms, 0.0);
         assert!(r.tracker_ms > 0.0);
-        assert_eq!(r.coasted_frames, 0);
         assert!(r.first_frame_output.proposal_logits.is_empty());
     }
 
@@ -453,9 +443,8 @@ mod tests {
         let before = dev.now_ms();
         let r = mbek.run_gof_fallback(&v.frames[8..16], &mut dev, &seed_dets, &mut NullSink);
         assert_eq!(r.per_frame.len(), 8);
-        assert_eq!(r.coasted_frames, 8);
+        assert!(r.per_frame.iter().all(|dets| *dets == seed_dets));
         assert_eq!(r.kernel_ms(), 0.0);
         assert_eq!(dev.now_ms(), before);
-        assert_eq!(r.per_frame[0].len(), seed_dets.len());
     }
 }

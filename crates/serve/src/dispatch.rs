@@ -435,13 +435,15 @@ pub fn serve_traced(
             // Fault accounting: a stream whose recent GoFs keep faulting
             // is evicted — its booked capacity released — and re-offered
             // only after an exponential backoff. A clean run never faults,
-            // so it never evicts.
+            // so it never evicts, and a stream that has just served its
+            // last frame has nothing left to back off.
             s.fault_window.push_back(step.faults > 0);
             if s.fault_window.len() > FAULT_WINDOW_GOFS {
                 s.fault_window.pop_front();
             }
             let faulted = s.fault_window.iter().filter(|&&f| f).count();
-            if s.fault_window.len() == FAULT_WINDOW_GOFS
+            if !s.pipeline.finished()
+                && s.fault_window.len() == FAULT_WINDOW_GOFS
                 && faulted as f64 >= FAULT_RATE_THRESHOLD * FAULT_WINDOW_GOFS as f64
             {
                 s.evictions += 1;
@@ -614,8 +616,13 @@ mod tests {
     fn faulted_serving_survives_and_accounts() {
         let t = trained();
         let mut svc = FeatureService::new();
+        // Long enough that the 3-GoF fault window fills with frames
+        // left, so evictions happen mid-run and their backoffs run; at
+        // this length a final-GoF eviction would also show, as a
+        // backoff that never ran halving a stream's mean recovery.
+        const FRAMES: usize = 104;
         let specs: Vec<StreamSpec> = (0..3)
-            .map(|i| StreamSpec::synthetic(i, SloClass::Silver, 48))
+            .map(|i| StreamSpec::synthetic(i, SloClass::Silver, FRAMES))
             .collect();
         let mut cfg = ServeConfig::new(DeviceKind::JetsonTx2);
         cfg.fault = Some(lr_device::FaultConfig {
@@ -628,10 +635,19 @@ mod tests {
         assert!(r.total_faults() > 0, "60% transient rate must fault");
         assert!(r.degraded_gof_fraction() > 0.0);
         assert!(r.total_evictions() > 0, "no stream was evicted");
-        // Every admitted, non-terminally-evicted stream finishes.
         for s in &r.streams {
             if s.admitted() && !s.terminal_evicted {
-                assert_eq!(s.frames, 48, "{} did not finish", s.name);
+                // Every admitted, non-terminally-evicted stream finishes,
+                // and each of its evictions sat out a backoff that ran.
+                assert_eq!(s.frames, FRAMES, "{} did not finish", s.name);
+                if s.evictions > 0 {
+                    assert!(
+                        s.mean_recovery_ms() >= FAULT_BACKOFF_MS,
+                        "{} recovered in {} ms per eviction",
+                        s.name,
+                        s.mean_recovery_ms()
+                    );
+                }
             }
         }
     }
