@@ -8,6 +8,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use litereconfig::pipeline::RunResult;
+use litereconfig::protocols::AdaptiveProtocol;
+use lr_device::DeviceKind;
 use lr_pool::Pool;
 
 use crate::suite::{ExperimentScale, Suite};
@@ -232,7 +234,7 @@ impl From<fmt::Error> for ReproError {
 }
 
 /// Everything the artifacts share at one scale: the worker pool, the
-/// [`Suite`] and the TX2 evaluation grid, each built on first use and
+/// [`Suite`] and Table 2's evaluation grid, each built on first use and
 /// then reused by every artifact.
 pub(crate) struct Ctx {
     /// The scale every artifact rendered with this context runs at.
@@ -240,7 +242,7 @@ pub(crate) struct Ctx {
     /// The worker pool the artifacts fan their cells out over.
     pub(crate) pool: Pool,
     suite: OnceLock<Suite>,
-    tx2_grid: OnceLock<Vec<RunResult>>,
+    table2_grid: OnceLock<Vec<RunResult>>,
 }
 
 impl Ctx {
@@ -249,7 +251,7 @@ impl Ctx {
             scale,
             pool,
             suite: OnceLock::new(),
-            tx2_grid: OnceLock::new(),
+            table2_grid: OnceLock::new(),
         }
     }
 
@@ -258,11 +260,19 @@ impl Ctx {
         self.suite.get_or_init(|| Suite::build(self.scale))
     }
 
+    /// Every run of Table 2, in its row order: scenario, then protocol
+    /// of `AdaptiveProtocol::all()`, then the device's paper SLOs. Run on
+    /// the first call, all cells in one fan-out.
+    pub(crate) fn table2_grid(&self) -> &[RunResult] {
+        self.table2_grid.get_or_init(|| tables::table2_grid(self))
+    }
+
     /// Table 2's TX2 no-contention runs, which Figures 3 and 4 break
-    /// down: every protocol of `AdaptiveProtocol::all()`, each at the
-    /// TX2's paper SLOs in order. Run on the first call.
+    /// down: the first scenario of [`Ctx::table2_grid`], every protocol
+    /// at the TX2's paper SLOs in order.
     pub(crate) fn tx2_grid(&self) -> &[RunResult] {
-        self.tx2_grid.get_or_init(|| tables::tx2_grid(self))
+        let cells = AdaptiveProtocol::all().len() * DeviceKind::JetsonTx2.paper_slos_ms().len();
+        &self.table2_grid()[..cells]
     }
 }
 
@@ -330,7 +340,6 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_device::DeviceKind;
 
     fn args(list: &[&str]) -> Result<Args, UsageError> {
         Args::parse(list.iter().map(|s| s.to_string()))

@@ -91,19 +91,15 @@ const SCENARIOS: [(DeviceKind, f64); 4] = [
     (DeviceKind::AgxXavier, 50.0),
 ];
 
-/// Runs every (protocol, SLO) cell of the given Table 2 scenarios in one
-/// fan-out, grouped by scenario, then protocol, then SLO, and maps
-/// each run through `f`. The seed depends only on the cell's
-/// coordinates, so a cell runs the same wherever it is computed.
-fn run_scenarios<R: Send>(
-    ctx: &Ctx,
-    scenarios: std::ops::Range<usize>,
-    f: impl Fn(RunResult) -> R + Sync,
-) -> Vec<R> {
+/// Table 2's whole grid: every (scenario, protocol, SLO) cell in one
+/// fan-out, grouped by scenario, then protocol, then SLO. The seed
+/// depends only on the cell's coordinates, so a cell runs the same
+/// wherever it is computed. Its first [`SCENARIOS`] entry, the TX2
+/// without contention, is [`Ctx::tx2_grid`].
+pub(crate) fn table2_grid(ctx: &Ctx) -> Vec<RunResult> {
     let suite = ctx.suite();
     let mut cells = Vec::new();
-    for scenario_idx in scenarios {
-        let (device, contention) = SCENARIOS[scenario_idx];
+    for (scenario_idx, &(device, contention)) in SCENARIOS.iter().enumerate() {
         for protocol in AdaptiveProtocol::all() {
             let trained = suite.scheduler(protocol.family());
             for (slo_idx, slo) in device.paper_slos_ms().into_iter().enumerate() {
@@ -116,7 +112,7 @@ fn run_scenarios<R: Send>(
         &cells,
         FeatureService::new,
         |svc, _, (protocol, trained, device, contention, slo, seed)| {
-            f(protocol.run(
+            protocol.run(
                 &suite.val_videos,
                 trained.clone(),
                 *device,
@@ -124,30 +120,20 @@ fn run_scenarios<R: Send>(
                 *slo,
                 *seed,
                 svc,
-            ))
+            )
         },
     )
-}
-
-/// The TX2 no-contention grid: every protocol of
-/// [`AdaptiveProtocol::all`] at each of the TX2's paper SLOs, in that
-/// order, as Table 2 seeds them.
-pub(crate) fn tx2_grid(ctx: &Ctx) -> Vec<RunResult> {
-    run_scenarios(ctx, 0..1, |r| r)
 }
 
 /// Table 2: mAP and P95 latency for all seven adaptive protocols, on TX2
 /// and AGX Xavier, at 0% and 50% GPU contention, across three latency
 /// SLOs per device. Every (scenario, protocol, SLO) cell is an
-/// independent seeded run; the TX2 no-contention cells come from the
-/// shared [`Ctx::tx2_grid`].
+/// independent seeded run of the shared [`Ctx::table2_grid`].
 pub(crate) fn table2(ctx: &Ctx) -> Result<String, ReproError> {
-    let summary = |r: &RunResult| (r.map_pct(), r.latency.p95());
     let measured: Vec<(f64, f64)> = ctx
-        .tx2_grid()
+        .table2_grid()
         .iter()
-        .map(summary)
-        .chain(run_scenarios(ctx, 1..SCENARIOS.len(), |r| summary(&r)))
+        .map(|r| (r.map_pct(), r.latency.p95()))
         .collect();
 
     let mut table = TextTable::new(&[

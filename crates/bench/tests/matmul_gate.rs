@@ -16,6 +16,13 @@
 //! in one test, one after another, because timings that run at once
 //! read low. Every other host-time number lives in hostbench.
 //!
+//! lr-nn picks each kernel's build at run time, so on an x86-64 host
+//! with AVX2 the gate times the AVX2 build of the tiled kernel and of
+//! the one-row forward; elsewhere it times the plain build. The naive
+//! loop is never dispatched. The recorded baselines predate the AVX2
+//! build, so on an AVX2 host the gate holds it to the plain build's
+//! bounds.
+//!
 //! Timing is meaningless without optimisation, so the test only runs in
 //! release: `cargo test --release -p lr-bench --test matmul_gate`.
 

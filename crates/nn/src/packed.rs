@@ -14,7 +14,8 @@
 use crate::layers::{Activation, Dense};
 use crate::mlp::Mlp;
 
-/// Columns of a full panel: 32 accumulators, eight SSE registers.
+/// Columns of a full panel: 32 accumulators, eight SSE registers in the
+/// plain x86-64 build and four AVX2 ones in the wide build.
 const WIDE: usize = 32;
 /// Columns of the one narrower panel a layer may end with.
 const NARROW: usize = 16;
@@ -89,6 +90,14 @@ impl PackedMlp {
     /// Panics if `x` does not have the first layer's input width.
     pub fn infer_row(&self, x: &mut Vec<f32>, spare: &mut Vec<f32>) {
         assert_eq!(x.len(), self.layers[0].in_dim, "input dimension mismatch");
+        crate::simd::forward_row(self, x, spare);
+    }
+
+    /// The body of [`PackedMlp::infer_row`] after its width check;
+    /// [`crate::simd::forward_row`] runs it in the widest build the CPU
+    /// supports.
+    #[inline(always)]
+    pub(crate) fn forward_row(&self, x: &mut Vec<f32>, spare: &mut Vec<f32>) {
         for layer in &self.layers {
             spare.resize(layer.out_dim, 0.0);
             layer.forward(x, spare);
@@ -131,6 +140,7 @@ impl PackedDense {
     }
 
     /// `out = act(x W + b)` for one row `x`.
+    #[inline(always)]
     fn forward(&self, x: &[f32], out: &mut [f32]) {
         let k = self.in_dim;
         let (wide, narrow) = panel_split(self.out_dim);
@@ -178,7 +188,7 @@ fn panel_sums<const W: usize>(x: &[f32], panel: &[f32]) -> [f32; W] {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::init::{seeded_rng, uniform};
     use crate::mlp::MlpConfig;
@@ -194,7 +204,7 @@ mod tests {
 
     /// An `Mlp` of the given widths after one SGD step, so its biases
     /// are not all zero.
-    fn stepped_mlp(cfg: &MlpConfig, seed: u64) -> Mlp {
+    pub(crate) fn stepped_mlp(cfg: &MlpConfig, seed: u64) -> Mlp {
         let mut rng = seeded_rng(seed);
         let mut mlp = Mlp::new(cfg, &mut rng);
         let inputs = uniform(2, cfg.input_dim, 1.0, &mut rng);
@@ -205,7 +215,7 @@ mod tests {
 
     /// Test rows of width `k`: uniform values in ±1 with every seventh a
     /// `+0.0` and every seventh, offset, a `-0.0`; then all `-0.0`.
-    fn rows(k: usize, seed: u64) -> [Vec<f32>; 2] {
+    pub(crate) fn rows(k: usize, seed: u64) -> [Vec<f32>; 2] {
         let mut mixed = uniform(1, k, 1.0, &mut seeded_rng(seed))
             .as_slice()
             .to_vec();
@@ -243,9 +253,10 @@ mod tests {
         negatives
     }
 
-    #[test]
-    fn one_row_forward_is_bit_identical_to_mlp_infer() {
-        let mut leaky_negatives = 0;
+    /// Calls `f` with each network of the one-row test, every input
+    /// width against every output width (each panel split) and
+    /// activation, stepped from its own seed: `(mlp, k, seed, act, what)`.
+    pub(crate) fn for_each_one_row_case(mut f: impl FnMut(Mlp, usize, u64, Activation, &str)) {
         for (ki, k) in [1, 4, 35, 772, 1768].into_iter().enumerate() {
             for (ni, n) in [1, 15, 16, 17, 31, 32, 33, 96, 272].into_iter().enumerate() {
                 for (ai, act) in ACTIVATIONS.into_iter().enumerate() {
@@ -256,25 +267,36 @@ mod tests {
                     };
                     let seed = (ki * 100 + ni * 10 + ai) as u64;
                     let what = format!("{k} -> {n}, {act:?}");
-                    let negatives = assert_matches(stepped_mlp(&cfg, seed), k, seed, &what);
-                    if act == Activation::LeakyRelu {
-                        leaky_negatives += negatives;
-                    }
+                    f(stepped_mlp(&cfg, seed), k, seed, act, &what);
                 }
             }
         }
+    }
+
+    /// The HoC accuracy model: light + 768-bin HoC, four 96-wide leaky
+    /// hidden layers, 272 branches.
+    pub(crate) fn hoc_model() -> MlpConfig {
+        MlpConfig {
+            hidden_activation: Activation::LeakyRelu,
+            ..MlpConfig::regression(772, &[96; 4], 272)
+        }
+    }
+
+    #[test]
+    fn one_row_forward_is_bit_identical_to_mlp_infer() {
+        let mut leaky_negatives = 0;
+        for_each_one_row_case(|mlp, k, seed, act, what| {
+            let negatives = assert_matches(mlp, k, seed, what);
+            if act == Activation::LeakyRelu {
+                leaky_negatives += negatives;
+            }
+        });
         assert!(leaky_negatives > 0, "no LeakyRelu output went negative");
     }
 
     #[test]
     fn deep_forward_is_bit_identical_at_the_hoc_model_shape() {
-        // The HoC accuracy model: light + 768-bin HoC, four 96-wide leaky
-        // hidden layers, 272 branches.
-        let cfg = MlpConfig {
-            hidden_activation: Activation::LeakyRelu,
-            ..MlpConfig::regression(772, &[96; 4], 272)
-        };
-        assert_matches(stepped_mlp(&cfg, 3), 772, 3, "772 -> 96x4 -> 272");
+        assert_matches(stepped_mlp(&hoc_model(), 3), 772, 3, "772 -> 96x4 -> 272");
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl Matrix {
         );
         out.resize(self.rows, rhs.cols);
         out.data.fill(0.0);
-        gemm_add(Lhs::rows_of(self), rhs, &mut out.data);
+        crate::simd::gemm_add(Lhs::rows_of(self), rhs, &mut out.data);
         crate::debug_assert_finite!(&*out, "matmul");
     }
 
@@ -245,7 +245,7 @@ impl Matrix {
         );
         out.resize(self.cols, rhs.cols);
         out.data.fill(0.0);
-        gemm_add(Lhs::columns_of(self), rhs, &mut out.data);
+        crate::simd::gemm_add(Lhs::columns_of(self), rhs, &mut out.data);
         crate::debug_assert_finite!(&*out, "transposed_matmul");
     }
 
@@ -405,14 +405,15 @@ impl Matrix {
 /// right-hand panel.
 const MR: usize = 4;
 /// Columns of the register tile: one right-hand panel row. 4 x 16 beat
-/// 4 x 8, 6 x 16 and 8 x 8 on the training shapes (x86-64, SSE2).
+/// 4 x 8, 6 x 16 and 8 x 8 on the training shapes in the SSE2 build
+/// (x86-64), and it keeps the AVX2 build at eight 8-lane accumulators.
 const NR: usize = 16;
 
 /// The left operand of [`gemm_add`]: an `rows x inner` view whose
 /// element `(i, p)` is `data[i * row_stride + p * inner_stride]`, so a
 /// matrix and its transpose are both read in place.
 #[derive(Clone, Copy)]
-struct Lhs<'a> {
+pub(crate) struct Lhs<'a> {
     data: &'a [f32],
     rows: usize,
     inner: usize,
@@ -422,7 +423,7 @@ struct Lhs<'a> {
 
 impl<'a> Lhs<'a> {
     /// `m` as it is.
-    fn rows_of(m: &'a Matrix) -> Self {
+    pub(crate) fn rows_of(m: &'a Matrix) -> Self {
         Self {
             data: &m.data,
             rows: m.rows,
@@ -433,7 +434,7 @@ impl<'a> Lhs<'a> {
     }
 
     /// The transpose of `m`, read in place.
-    fn columns_of(m: &'a Matrix) -> Self {
+    pub(crate) fn columns_of(m: &'a Matrix) -> Self {
         Self {
             data: &m.data,
             rows: m.cols,
@@ -460,7 +461,11 @@ impl<'a> Lhs<'a> {
 /// the tile shape. No zero `a` is skipped: such a product is `±0.0`,
 /// which leaves a finite sum that starts from `+0.0` unchanged, so
 /// skipping would change no result and only cost a branch.
-fn gemm_add(a: Lhs<'_>, b: &Matrix, out: &mut [f32]) {
+///
+/// This is the kernel's body; [`crate::simd::gemm_add`] runs it in the
+/// widest build the CPU supports.
+#[inline(always)]
+pub(crate) fn gemm_add(a: Lhs<'_>, b: &Matrix, out: &mut [f32]) {
     debug_assert_eq!(a.inner, b.rows);
     debug_assert_eq!(out.len(), a.rows * b.cols);
     let mut j = 0;
@@ -533,7 +538,7 @@ impl IndexMut<(usize, usize)> for Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -566,27 +571,19 @@ mod tests {
         out
     }
 
+    /// `(m, k, n)` shapes of the `matmul_transposed` test; they straddle
+    /// the 4x16 tile boundaries.
+    pub(crate) const TRANSPOSED_SHAPES: [(usize, usize, usize); 4] =
+        [(1, 1, 1), (7, 5, 3), (17, 65, 9), (33, 130, 70)];
+
     #[test]
     fn matmul_transposed_is_bit_identical_to_the_dot_product_loop() {
-        // Shapes straddle the 4x16 tile boundaries; a third of the
-        // left-hand entries are exact zeros (some negative), whose
-        // products the kernel and the dot product both add.
+        // A third of the left-hand entries are exact zeros (some
+        // negative), whose products the kernel and the dot product both
+        // add.
         let mut rng = crate::init::seeded_rng(808);
-        let shapes = [
-            (1usize, 1usize, 1usize),
-            (7, 5, 3),
-            (17, 65, 9),
-            (33, 130, 70),
-        ];
-        for &(m, k, n) in &shapes {
-            let mut a = crate::init::he_uniform(m, k, &mut rng);
-            for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
-                match i % 6 {
-                    0 => *v = 0.0,
-                    3 => *v = -0.0,
-                    _ => {}
-                }
-            }
+        for (m, k, n) in TRANSPOSED_SHAPES {
+            let a = with_signed_zeros(m, k, &mut rng);
             let b = crate::init::he_uniform(n, k, &mut rng);
             assert_eq!(
                 bits(&a.matmul_transposed(&b)),
@@ -670,7 +667,7 @@ mod tests {
 
     /// `m x k` He-uniform entries with every third one an exact zero,
     /// alternately `+0.0` and `-0.0`.
-    fn with_signed_zeros(m: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
+    pub(crate) fn with_signed_zeros(m: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
         let mut a = crate::init::he_uniform(m, k, rng);
         for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
             match i % 6 {
@@ -682,12 +679,12 @@ mod tests {
         a
     }
 
-    #[test]
-    fn tiled_kernel_is_bit_identical_to_the_naive_loop_in_every_layout() {
-        // Every row remainder of the 4-row tile against full, partial and
-        // no 16-wide column panels; 1x1, k = 1 and M = 1; the single-row
-        // inference shapes; and the training shapes (forward, a 2-row
-        // tail batch, and the dW and dX products of the 96-wide stack).
+    /// `(m, k, n)` shapes of the tiled-kernel test: every row remainder
+    /// of the 4-row tile against full, partial and no 16-wide column
+    /// panels; 1x1, k = 1 and M = 1; the single-row inference shapes;
+    /// and the training shapes (forward, a 2-row tail batch, and the dW
+    /// and dX products of the 96-wide stack).
+    pub(crate) fn tiled_kernel_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = vec![
             (1usize, 1usize, 1usize),
             (1, 772, 96),
@@ -705,8 +702,13 @@ mod tests {
                 shapes.push((m, 11, n));
             }
         }
+        shapes
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_identical_to_the_naive_loop_in_every_layout() {
         let mut rng = crate::init::seeded_rng(1717);
-        for (m, k, n) in shapes {
+        for (m, k, n) in tiled_kernel_shapes() {
             let a = with_signed_zeros(m, k, &mut rng);
             let b = crate::init::he_uniform(k, n, &mut rng);
             let want = bits(&a.matmul_naive(&b));
@@ -727,7 +729,7 @@ mod tests {
             // Seeded with a bias row, each output sums from its bias.
             let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 1.0).collect();
             let mut seeded = bias.repeat(m);
-            gemm_add(Lhs::rows_of(&a), &b, &mut seeded);
+            crate::simd::gemm_add(Lhs::rows_of(&a), &b, &mut seeded);
             let mut want = bias.repeat(m);
             for i in 0..m {
                 for j in 0..n {

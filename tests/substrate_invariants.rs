@@ -172,3 +172,72 @@ fn adascale_ms_scales_with_content() {
         "cluttered content should push AdaScale to higher scales"
     );
 }
+
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rust_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// `unsafe` is confined to lr-nn's AVX2 dispatch module: every library
+/// crate forbids it except lr-nn, which denies it so that one module may
+/// allow it, and no other source file mentions the lint or writes an
+/// `unsafe` block, function or impl.
+#[test]
+fn unsafe_code_lives_only_in_the_nn_dispatch_module() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dispatch = root.join("crates/nn/src/simd.rs");
+    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates directory")
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    crates.sort();
+    assert!(crates.len() >= 12, "found only {} crates", crates.len());
+    for krate in crates {
+        let nn = krate.ends_with("nn");
+        let lib = std::fs::read_to_string(krate.join("src/lib.rs"))
+            .unwrap_or_else(|e| panic!("{}/src/lib.rs: {e}", krate.display()));
+        let want = if nn {
+            "#![deny(unsafe_code)]"
+        } else {
+            "#![forbid(unsafe_code)]"
+        };
+        assert!(
+            lib.lines().any(|l| l.trim() == want),
+            "{} lacks {want}",
+            krate.display()
+        );
+        for file in rust_files(&krate.join("src")) {
+            let text = std::fs::read_to_string(&file).expect("source file");
+            for (n, line) in text.lines().enumerate() {
+                let line = line.trim();
+                let at = format!("{}:{}", file.display(), n + 1);
+                if line.contains("unsafe_code") {
+                    let allowed = line == "#![forbid(unsafe_code)]"
+                        || (nn && line == "#![deny(unsafe_code)]")
+                        || (file == dispatch && line == "#![allow(unsafe_code)]");
+                    assert!(allowed, "{at}: unexpected `{line}`");
+                }
+                let writes_unsafe = ["unsafe {", "unsafe fn", "unsafe impl", "unsafe extern"]
+                    .iter()
+                    .any(|u| line.contains(u));
+                assert!(
+                    !writes_unsafe || file == dispatch,
+                    "{at}: `unsafe` outside the dispatch module"
+                );
+            }
+        }
+    }
+}
