@@ -158,12 +158,6 @@ pub(crate) fn figure4(ctx: &Ctx) -> Result<String, ReproError> {
         "\nFigure 4 data: branch coverage per protocol (TX2, no contention)\n"
     )?;
     writeln!(out, "{}", table.render())?;
-    writeln!(
-        out,
-        "Expected shape: heavy-feature variants explore more branches than \
-         MinCost; the full system sits between, trading exploration against \
-         switching cost."
-    )?;
     Ok(out)
 }
 

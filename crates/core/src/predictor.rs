@@ -366,10 +366,11 @@ impl LatencyModel {
                 .iter()
                 .map(|r| r.branch_trk_ms[b] as f32)
                 .collect();
-            (
-                fit_ridge(&xs, &det_y, 1e-3).expect("ridge solve"),
-                fit_ridge(&xs, &trk_y, 1e-3).expect("ridge solve"),
-            )
+            #[expect(clippy::expect_used, reason = "the dataset was asserted non-empty")]
+            let det = fit_ridge(&xs, &det_y, 1e-3).expect("ridge solve");
+            #[expect(clippy::expect_used, reason = "the dataset was asserted non-empty")]
+            let trk = fit_ridge(&xs, &trk_y, 1e-3).expect("ridge solve");
+            (det, trk)
         });
         fits.into_iter().unzip()
     }

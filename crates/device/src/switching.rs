@@ -18,7 +18,7 @@
 //! term `C(b0, b)` uses); the *online* sampler adds the stochastic
 //! cold-miss process.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use rand::Rng;
 
@@ -85,8 +85,8 @@ impl Default for SwitchingCostModel {
 #[derive(Debug, Clone)]
 pub struct OnlineSwitchSampler {
     model: SwitchingCostModel,
-    // lr-lint: allow(d2) — membership-only set (insert/contains), never iterated.
-    warmed: HashSet<u64>,
+    /// Branches that have run (or been preheated) in this process.
+    warmed: BTreeSet<u64>,
     /// Probability that switching to a never-before-used branch triggers a
     /// cold graph build (the 1–5 s outliers of Figure 5(b)).
     cold_miss_prob: f64,
@@ -99,7 +99,7 @@ impl OnlineSwitchSampler {
     pub fn new(model: SwitchingCostModel) -> Self {
         Self {
             model,
-            warmed: HashSet::new(), // lr-lint: allow(d2)
+            warmed: BTreeSet::new(),
             cold_miss_prob: 0.25,
             warm_outlier_prob: 0.002,
         }

@@ -113,7 +113,7 @@ mod tests {
         let v = video();
         let mut ms = AdaScaleMs::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut scales = std::collections::HashSet::new();
+        let mut scales = std::collections::BTreeSet::new();
         for f in &v.frames {
             let _ = ms.step(f, &mut rng);
             scales.insert(ms.current_scale());

@@ -205,7 +205,7 @@ pub fn small_catalog() -> Vec<Branch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn default_catalog_has_272_branches() {
@@ -215,14 +215,14 @@ mod tests {
     #[test]
     fn catalog_keys_are_unique() {
         let cat = default_catalog();
-        let keys: HashSet<u64> = cat.iter().map(|b| b.key()).collect();
+        let keys: BTreeSet<u64> = cat.iter().map(|b| b.key()).collect();
         assert_eq!(keys.len(), cat.len());
     }
 
     #[test]
     fn small_catalog_keys_are_unique() {
         let cat = small_catalog();
-        let keys: HashSet<u64> = cat.iter().map(|b| b.key()).collect();
+        let keys: BTreeSet<u64> = cat.iter().map(|b| b.key()).collect();
         assert_eq!(keys.len(), cat.len());
     }
 

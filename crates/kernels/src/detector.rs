@@ -398,7 +398,7 @@ mod tests {
         let mut total = 0usize;
         for f in &v.frames {
             let out = sim.detect(f, cfg, &mut rng);
-            let detected: std::collections::HashSet<u32> =
+            let detected: std::collections::BTreeSet<u32> =
                 out.detections.iter().filter_map(|d| d.gt_id).collect();
             total += f.objects.len();
             hits += f
@@ -503,10 +503,10 @@ mod tests {
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut status: HashMap<u32, Vec<bool>> = HashMap::new();
+        let mut status: BTreeMap<u32, Vec<bool>> = BTreeMap::new();
         for f in epoch_frames {
             let out = sim.detect(f, cfg, &mut rng);
-            let det: std::collections::HashSet<u32> =
+            let det: std::collections::BTreeSet<u32> =
                 out.detections.iter().filter_map(|d| d.gt_id).collect();
             for &id in &always_present {
                 status.entry(id).or_default().push(det.contains(&id));
@@ -524,7 +524,7 @@ mod tests {
         }
     }
 
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// Two branches run on the same frame share detection outcomes in a
     /// monotone way: the higher-recall branch detects a superset of the
@@ -535,13 +535,13 @@ mod tests {
         let sim = DetectorSim::new(DetectorFamily::FasterRcnn);
         let mut rng = StdRng::seed_from_u64(12);
         for f in v.frames.iter().take(60) {
-            let weak: std::collections::HashSet<u32> = sim
+            let weak: std::collections::BTreeSet<u32> = sim
                 .detect(f, DetectorConfig::new(224, 100), &mut rng)
                 .detections
                 .iter()
                 .filter_map(|d| d.gt_id)
                 .collect();
-            let strong: std::collections::HashSet<u32> = sim
+            let strong: std::collections::BTreeSet<u32> = sim
                 .detect(f, DetectorConfig::new(576, 100), &mut rng)
                 .detections
                 .iter()

@@ -249,7 +249,8 @@ mod tests {
         let mut total = 0usize;
         for f in &v.frames {
             let dets = HeavyModel::SelsaResNet101.detect(f, &mut rng);
-            let ids: std::collections::HashSet<u32> = dets.iter().filter_map(|d| d.gt_id).collect();
+            let ids: std::collections::BTreeSet<u32> =
+                dets.iter().filter_map(|d| d.gt_id).collect();
             total += f.objects.len();
             hits += f.objects.iter().filter(|o| ids.contains(&o.id)).count();
         }
@@ -272,7 +273,7 @@ mod tests {
             let mut total = 0usize;
             for f in &v.frames {
                 let dets = m.detect(f, &mut rng);
-                let ids: std::collections::HashSet<u32> =
+                let ids: std::collections::BTreeSet<u32> =
                     dets.iter().filter_map(|d| d.gt_id).collect();
                 total += f.objects.len();
                 hits += f.objects.iter().filter(|o| ids.contains(&o.id)).count();

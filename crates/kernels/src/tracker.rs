@@ -244,7 +244,7 @@ fn survival_uniform(stream: u64, obj: u32, frame: u32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     use crate::branch::DetectorConfig;
     use crate::detector::{DetectorFamily, DetectorSim};
@@ -263,7 +263,7 @@ mod tests {
     }
 
     /// [`TrackerSim::step`] with the ground truth looked up in an id-keyed
-    /// `HashMap`, built in object order once per frame.
+    /// `BTreeMap`, built in object order once per frame.
     fn step_with_map(
         sim: &mut TrackerSim,
         truth: &FrameTruth,
@@ -272,7 +272,7 @@ mod tests {
         let p = sim.kind.params();
         let ds_drift = (sim.downsample as f32).sqrt();
         let ds_loss = 1.0 + p.ds_loss_coeff * (sim.downsample as f32 - 1.0);
-        let by_id: HashMap<u32, &lr_video::GtObject> =
+        let by_id: BTreeMap<u32, &lr_video::GtObject> =
             truth.objects.iter().map(|o| (o.id, o)).collect();
         let short_side = truth.width.min(truth.height).max(1.0);
         let mut out = Vec::with_capacity(sim.tracks.len());
@@ -429,7 +429,7 @@ mod tests {
                 boxes = tracker.step(f, &mut rng);
             }
             let truth = &v.frames[start + horizon];
-            let by_id: HashMap<u32, &lr_video::GtObject> =
+            let by_id: BTreeMap<u32, &lr_video::GtObject> =
                 truth.objects.iter().map(|o| (o.id, o)).collect();
             for b in &boxes {
                 if let Some(obj) = b.gt_id.and_then(|id| by_id.get(&id)) {

@@ -109,11 +109,31 @@ mod tests {
         x86_64::twins_match_on_every_kernel_test_shape();
     }
 
+    /// Each AVX2 wrapper must beat its plain body by `MIN_SPEEDUP` on
+    /// one kernel-test shape, so a body that stops being inlined into
+    /// its wrapper (and so runs its SSE2 build there) fails here, where
+    /// the bit-for-bit test above still passes.
+    #[test]
+    #[cfg_attr(
+        any(debug_assertions, not(target_arch = "x86_64")),
+        ignore = "a speed ratio needs an optimised x86-64 build"
+    )]
+    fn avx2_twins_outrun_the_plain_bodies() {
+        #[cfg(target_arch = "x86_64")]
+        x86_64::twins_outrun_the_plain_bodies();
+    }
+
     #[cfg(target_arch = "x86_64")]
     mod x86_64 {
         use super::super::*;
         use crate::init::{he_uniform, seeded_rng};
-        use crate::{conv, packed, tensor};
+        use crate::{conv, packed, tensor, MlpConfig};
+        use std::hint::black_box;
+
+        /// The least speedup of an AVX2 wrapper over its plain body. On
+        /// a 2-vCPU AVX2 Xeon the three measure 1.5–2.0x, and 0.97–1.01x
+        /// once a body's `#[inline(always)]` is deleted.
+        const MIN_SPEEDUP: f64 = 1.3;
 
         fn bits(xs: &[f32]) -> Vec<u32> {
             xs.iter().map(|v| v.to_bits()).collect()
@@ -200,6 +220,95 @@ mod tests {
             });
             let net = PackedMlp::from(packed::tests::stepped_mlp(&packed::tests::hoc_model(), 3));
             assert_forward_twins(&net, 772, 3, "772 -> 96x4 -> 272");
+        }
+
+        /// How many times faster `run(true)`, the AVX2 wrapper, is than
+        /// `run(false)`, the plain body: the median, over `REPS` rounds,
+        /// of `iters` plain calls timed against `iters` wide calls right
+        /// after, so that a busy spell of the host slows both sides of
+        /// a round.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a speed test times the host on purpose"
+        )]
+        fn speedup(iters: usize, mut run: impl FnMut(bool)) -> f64 {
+            const REPS: usize = 15;
+            let mut time = |wide: bool| {
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    run(black_box(wide));
+                }
+                start.elapsed().as_secs_f64()
+            };
+            let mut ratios: Vec<f64> = (0..REPS).map(|_| time(false) / time(true)).collect();
+            ratios.sort_by(f64::total_cmp);
+            ratios[REPS / 2]
+        }
+
+        pub(super) fn twins_outrun_the_plain_bodies() {
+            if !is_x86_feature_detected!("avx2") {
+                eprintln!("skipped: this CPU lacks the `avx2` feature");
+                return;
+            }
+            // A shape of the tiled-kernel test.
+            let mut rng = seeded_rng(1717);
+            let a = tensor::tests::with_signed_zeros(32, 1284, &mut rng);
+            let b = he_uniform(1284, 96, &mut rng);
+            let mut out = vec![0.0; 32 * 96];
+            let gemm = speedup(20, |wide| {
+                let (a, out) = (Lhs::rows_of(&a), black_box(&mut out));
+                if wide {
+                    // SAFETY: this CPU has AVX2, checked above.
+                    unsafe { avx2::gemm_add(a, &b, out) }
+                } else {
+                    tensor::gemm_add(a, &b, out)
+                }
+            });
+
+            // A shape of the one-row test. Its output is one 16-wide
+            // panel; on wider layers the AVX2 gain swings with the
+            // panels' alignment, from run to run.
+            let layer = MlpConfig::regression(772, &[], 16);
+            let net = PackedMlp::from(packed::tests::stepped_mlp(&layer, 3));
+            let [input, _] = packed::tests::rows(772, 3);
+            let (mut x, mut spare) = (Vec::new(), Vec::new());
+            let forward = speedup(10_000, |wide| {
+                x.clone_from(&input);
+                let x = black_box(&mut x);
+                if wide {
+                    // SAFETY: this CPU has AVX2, checked above.
+                    unsafe { avx2::forward_row(&net, x, &mut spare) }
+                } else {
+                    net.forward_row(x, &mut spare)
+                }
+            });
+
+            // The MobileNetV2 stand-in's middle layer (24 -> 96 channels,
+            // 3x3 taps) over 64 positions. The im2col test's products
+            // are at most 40 outputs wide, too narrow to show the gain.
+            let cols = tensor::tests::with_signed_zeros(64, 24 * 9, &mut rng);
+            let weights = he_uniform(24 * 9, 96, &mut rng);
+            let mut acc = vec![0.0; 64 * 96];
+            let conv = speedup(100, |wide| {
+                let acc = black_box(&mut acc);
+                if wide {
+                    // SAFETY: this CPU has AVX2, checked above.
+                    unsafe { avx2::add_im2col_product(&cols, &weights, acc) }
+                } else {
+                    conv::add_im2col_product(&cols, &weights, acc)
+                }
+            });
+
+            for (kernel, ratio) in [
+                ("gemm_add", gemm),
+                ("forward_row", forward),
+                ("add_im2col_product", conv),
+            ] {
+                assert!(
+                    ratio >= MIN_SPEEDUP,
+                    "the AVX2 build of {kernel} is only {ratio:.2}x its plain body (want {MIN_SPEEDUP}x)"
+                );
+            }
         }
     }
 }

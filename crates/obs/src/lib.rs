@@ -12,8 +12,8 @@
 //! - a **virtual-clock span** API ([`ObsSink::span_begin`] /
 //!   [`ObsSink::span_end`]): nestable spans stamped with
 //!   `DeviceSim::now_ms` — the *simulated* clock — so tracing performs
-//!   zero wall-clock reads (lr-lint rule D1 keeps holding) and can never
-//!   perturb the run it observes;
+//!   zero wall-clock reads (rule D1 of DESIGN.md §9 keeps holding) and
+//!   can never perturb the run it observes;
 //! - a deterministic **metrics registry** ([`Metrics`]): counters and
 //!   fixed-bucket histograms in `BTreeMap`s, merged across streams in a
 //!   serial, stream-ordered pass so rendered output is byte-identical

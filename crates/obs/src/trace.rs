@@ -278,7 +278,7 @@ impl Value {
 }
 
 /// Parse one JSON document.
-pub fn parse_json(src: &str) -> Result<Value, String> {
+fn parse_json(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
     let v = parse_value(bytes, &mut pos)?;

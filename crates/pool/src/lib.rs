@@ -118,26 +118,17 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.par_map_indexed(items, |_, item| f(item))
-    }
-
-    /// Like [`Pool::par_map`], passing the item's index alongside it.
-    pub fn par_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
         let n = items.len();
         if self.threads == 1 || n <= 1 {
-            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+            return items.iter().map(f).collect();
         }
-        self.run(n, |i| f(i, &items[i]))
+        self.run(n, |i| f(&items[i]))
     }
 
-    /// Like [`Pool::par_map_indexed`], but each worker owns a scratch
-    /// state built by `init` (e.g. a feature cache or reusable buffer)
-    /// that is threaded through every item that worker processes.
+    /// Like [`Pool::par_map`], but each worker owns a scratch state
+    /// built by `init` (e.g. a feature cache or reusable buffer) that is
+    /// threaded through every item that worker processes, and `f` also
+    /// receives the item's index.
     ///
     /// The determinism contract extends to the state: `f` must produce a
     /// result that does not depend on the state's history (caches and
@@ -179,6 +170,10 @@ impl Pool {
         }
         let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
         self.run(n, |i| {
+            #[expect(
+                clippy::expect_used,
+                reason = "each cell is locked once, so a poisoned lock is a pool bug"
+            )]
             let mut guard = cells[i].lock().expect("pool cell poisoned");
             f(i, &mut guard)
         })
@@ -197,6 +192,10 @@ impl Pool {
 
     /// [`Pool::run`] with a per-worker state built by `init` on the
     /// worker's own thread and reused across every index it claims.
+    #[expect(
+        clippy::expect_used,
+        reason = "the cursor hands out every index in 0..n exactly once"
+    )]
     fn run_with<R, S, I, G>(&self, n: usize, init: I, g: G) -> Vec<R>
     where
         R: Send,
@@ -256,13 +255,6 @@ mod tests {
             let out = pool.par_map(&items, |&x| x * 2);
             assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn indexed_variant_sees_true_indices() {
-        let items = vec!["a", "b", "c", "d"];
-        let out = Pool::new(4).par_map_indexed(&items, |i, s| format!("{i}:{s}"));
-        assert_eq!(out, vec!["0:a", "1:b", "2:c", "3:d"]);
     }
 
     #[test]

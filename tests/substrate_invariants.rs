@@ -10,6 +10,7 @@ use lr_obs::NullSink;
 use lr_video::{Video, VideoSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::{Path, PathBuf};
 
 fn video(seed: u64, frames: usize) -> Video {
     Video::generate(VideoSpec {
@@ -174,11 +175,14 @@ fn adascale_ms_scales_with_content() {
 }
 
 /// Every `.rs` file under `dir`, recursively, in path order.
-fn rust_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
-        .map(|e| e.expect("directory entry").path())
+        .map(|e| {
+            e.unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+                .path()
+        })
         .collect();
     entries.sort();
     for path in entries {
@@ -191,21 +195,44 @@ fn rust_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     out
 }
 
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The workspace's crates under `crates/`, in path order.
+fn crate_dirs() -> Vec<PathBuf> {
+    let dir = root().join("crates");
+    let mut crates: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
+        .map(|e| {
+            e.unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+                .path()
+        })
+        .filter(|p| p.is_dir())
+        .collect();
+    crates.sort();
+    assert_eq!(crates.len(), 11, "crates: {crates:?}");
+    crates
+}
+
+/// The library code of a source file: its lines, numbered from 1, up
+/// to its `#[cfg(test)]` module, without comment lines.
+fn library_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .take_while(|(_, l)| l.trim() != "#[cfg(test)]")
+        .filter(|(_, l)| !l.trim_start().starts_with("//"))
+        .map(|(i, l)| (i + 1, l))
+}
+
 /// `unsafe` is confined to lr-nn's AVX2 dispatch module: every library
 /// crate forbids it except lr-nn, which denies it so that one module may
 /// allow it, and no other source file mentions the lint or writes an
 /// `unsafe` block, function or impl.
 #[test]
 fn unsafe_code_lives_only_in_the_nn_dispatch_module() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let dispatch = root.join("crates/nn/src/simd.rs");
-    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
-        .expect("crates directory")
-        .map(|e| e.expect("directory entry").path())
-        .collect();
-    crates.sort();
-    assert!(crates.len() >= 12, "found only {} crates", crates.len());
-    for krate in crates {
+    let dispatch = root().join("crates/nn/src/simd.rs");
+    for krate in crate_dirs() {
         let nn = krate.ends_with("nn");
         let lib = std::fs::read_to_string(krate.join("src/lib.rs"))
             .unwrap_or_else(|e| panic!("{}/src/lib.rs: {e}", krate.display()));
@@ -240,4 +267,102 @@ fn unsafe_code_lives_only_in_the_nn_dispatch_module() {
             }
         }
     }
+}
+
+/// Clippy enforces D1, D2, P1 and O1 (DESIGN.md §9) only in a crate that
+/// opts into the workspace lints, so every crate must: lr-bench through
+/// its own table, which allows host timing and printing, every other
+/// crate by inheriting the workspace table unchanged.
+#[test]
+fn every_crate_opts_into_the_workspace_lints() {
+    for krate in crate_dirs() {
+        let manifest = krate.join("Cargo.toml");
+        let text = std::fs::read_to_string(&manifest)
+            .unwrap_or_else(|e| panic!("{}: {e}", manifest.display()));
+        let opts_in = if krate.ends_with("bench") {
+            text.contains("\n[lints.clippy]\n")
+        } else {
+            text.contains("\n[lints]\nworkspace = true\n")
+        };
+        assert!(
+            opts_in,
+            "{} does not opt into the workspace lints",
+            manifest.display()
+        );
+    }
+}
+
+/// D3 and N1, which Clippy cannot carry: no ambient randomness (every
+/// draw flows from a seed) and no `partial_cmp` (float orderings use the
+/// NaN-total `total_cmp`), in the library code of every crate, the root
+/// package and the examples.
+#[test]
+fn library_code_has_no_ambient_randomness_or_partial_cmp() {
+    const BANNED: [(&str, &str); 4] = [
+        ("thread_rng", "D3: seed every random draw"),
+        ("from_entropy", "D3: seed every random draw"),
+        ("OsRng", "D3: seed every random draw"),
+        ("partial_cmp", "N1: compare floats with total_cmp"),
+    ];
+    let mut dirs: Vec<PathBuf> = crate_dirs().iter().map(|k| k.join("src")).collect();
+    dirs.extend([root().join("src"), root().join("examples")]);
+    for file in dirs.iter().flat_map(|d| rust_files(d)) {
+        let text = std::fs::read_to_string(&file).expect("source file");
+        for (n, line) in library_lines(&text) {
+            for word in line.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                if let Some((token, why)) = BANNED.iter().find(|(t, _)| *t == word) {
+                    panic!("{}:{n}: `{token}` ({why})", file.display());
+                }
+            }
+        }
+    }
+}
+
+/// Lint expectations in the library code under `crates/`: the four
+/// `clippy::expect_used` sites whose panics cannot happen, two in
+/// `core/src/predictor.rs` and two in `pool/src/lib.rs`. The number may
+/// only fall.
+const LINT_EXPECTATIONS: usize = 4;
+
+/// The ratchet on suppressions: library code never `allow`s a rule lint,
+/// and its `#[expect(clippy::…)]` attributes (which Clippy rejects once
+/// they are unfulfilled) number [`LINT_EXPECTATIONS`].
+#[test]
+fn lint_expectations_match_the_committed_count() {
+    const RULE_LINTS: [&str; 7] = [
+        "disallowed_methods",
+        "disallowed_types",
+        "unwrap_used",
+        "expect_used",
+        "print_stdout",
+        "print_stderr",
+        "dbg_macro",
+    ];
+    let mut expectations = 0;
+    for file in crate_dirs().iter().flat_map(|k| rust_files(&k.join("src"))) {
+        let text = std::fs::read_to_string(&file).expect("source file");
+        // Whitespace dropped, so an attribute rustfmt spreads over
+        // several lines reads as one.
+        let code: String = library_lines(&text)
+            .flat_map(|(_, l)| l.chars())
+            .filter(|c| !c.is_whitespace())
+            .collect();
+        expectations += code.matches("expect(clippy::").count();
+        for allowed in code
+            .split("allow(")
+            .skip(1)
+            .filter_map(|a| a.split(')').next())
+        {
+            if let Some(lint) = RULE_LINTS
+                .iter()
+                .find(|lint| allowed.contains(&format!("clippy::{lint}")))
+            {
+                panic!("{}: allows clippy::{lint}", file.display());
+            }
+        }
+    }
+    assert_eq!(
+        expectations, LINT_EXPECTATIONS,
+        "#[expect(clippy::…)] attributes in library code"
+    );
 }
