@@ -69,12 +69,16 @@ pub struct BudgetBreakdown {
     pub slack_ms: f64,
     /// Mean *achieved* per-frame latency.
     pub actual_ms: f64,
-    /// 95th percentile of achieved per-frame latency.
+    /// 95th percentile over one sample per GoF (each record's mean
+    /// per-frame latency), taken at index `round((n - 1) * 0.95)` of the
+    /// sorted samples. It is not a per-frame P95: a GoF of 8 frames and
+    /// a GoF of 1 weigh the same.
     pub actual_p95_ms: f64,
 }
 
-/// Aggregate the budget decomposition over `records` (skips records
-/// with no scheduler explain, e.g. free-run GoFs never produce one).
+/// Aggregate the budget decomposition over every record in `records`.
+/// A record without a scheduler explain contributes its default (zero)
+/// budget terms and still counts as a decision.
 pub fn budget_breakdown(records: &[DecisionRecord]) -> BudgetBreakdown {
     let mut out = BudgetBreakdown::default();
     let mut actuals: Vec<f64> = Vec::new();

@@ -14,10 +14,11 @@
 //!   `DeviceSim::now_ms` — the *simulated* clock — so tracing performs
 //!   zero wall-clock reads (rule D1 of DESIGN.md §9 keeps holding) and
 //!   can never perturb the run it observes;
-//! - a deterministic **metrics registry** ([`Metrics`]): counters and
-//!   fixed-bucket histograms in `BTreeMap`s, merged across streams in a
-//!   serial, stream-ordered pass so rendered output is byte-identical
-//!   for any `LR_POOL_THREADS`;
+//! - a per-stream **event log** ([`StreamObs`]) of spans and decision
+//!   records, merged across streams in a serial, stream-ordered pass so
+//!   the merged log is byte-identical for any `LR_POOL_THREADS`. It is
+//!   the only record lr-obs keeps: every aggregate (switches, faults,
+//!   degraded GoFs, dispatch rounds) is counted from it;
 //! - a **JSONL trace sink** ([`ObsBundle::to_jsonl`]) plus a minimal
 //!   parser ([`trace::parse_jsonl`]) and an analysis layer ([`analyze`]):
 //!   per-branch residency, switch matrices, budget breakdowns, and
@@ -33,8 +34,7 @@
 //!    happens serially in `(stream, gof)` order after the run.
 //! 4. The no-op default ([`NullSink`]) makes the instrumented code paths
 //!    byte-identical to the uninstrumented ones: every `results_*.txt`
-//!    regenerates identically with tracing off, counting-only, or full
-//!    tracing on.
+//!    regenerates identically with tracing off or on.
 //!
 //! This crate is std-only and dependency-free so every runtime crate
 //! (`litereconfig`, `lr-kernels`, `lr-serve`) can depend on it without
@@ -44,13 +44,11 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod metrics;
 pub mod record;
 pub mod sink;
 pub mod stream;
 pub mod trace;
 
-pub use metrics::{Histogram, Metrics};
 pub use record::{
     DecisionExplain, DecisionRecord, FeatureBen, RoundRecord, SpanRecord, TraceEvent,
 };

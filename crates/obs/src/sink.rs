@@ -11,8 +11,8 @@
 use crate::record::DecisionRecord;
 
 /// What a span measures. The set is closed on purpose: a fixed
-/// vocabulary keeps histogram names, trace schemas, and the analysis
-/// layer in lockstep without string plumbing.
+/// vocabulary keeps the trace schema and the analysis layer in
+/// lockstep without string plumbing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
     /// One full scheduler decision (`Scheduler::decide`), light features
@@ -51,35 +51,6 @@ impl SpanKind {
             SpanKind::Track => "track",
             SpanKind::Fallback => "fallback",
         }
-    }
-
-    /// Name of the duration histogram this span kind feeds.
-    pub fn hist_name(self) -> &'static str {
-        match self {
-            SpanKind::Decision => "span_decision_ms",
-            SpanKind::LightFeature => "span_light_feature_ms",
-            SpanKind::HeavyFeature => "span_heavy_feature_ms",
-            SpanKind::Solve => "span_solve_ms",
-            SpanKind::Switch => "span_switch_ms",
-            SpanKind::Detect => "span_detect_ms",
-            SpanKind::Track => "span_track_ms",
-            SpanKind::Fallback => "span_fallback_ms",
-        }
-    }
-
-    /// Parse the stable name back into a kind (for trace readers).
-    pub fn parse(name: &str) -> Option<SpanKind> {
-        Some(match name {
-            "decision" => SpanKind::Decision,
-            "light_feature" => SpanKind::LightFeature,
-            "heavy_feature" => SpanKind::HeavyFeature,
-            "solve" => SpanKind::Solve,
-            "switch" => SpanKind::Switch,
-            "detect" => SpanKind::Detect,
-            "track" => SpanKind::Track,
-            "fallback" => SpanKind::Fallback,
-            _ => return None,
-        })
     }
 }
 
@@ -126,24 +97,5 @@ mod tests {
         assert!(!sink.enabled());
         sink.span_begin(SpanKind::Decision, "", 0.0);
         sink.span_end(1.0);
-    }
-
-    #[test]
-    fn span_kind_names_round_trip() {
-        let all = [
-            SpanKind::Decision,
-            SpanKind::LightFeature,
-            SpanKind::HeavyFeature,
-            SpanKind::Solve,
-            SpanKind::Switch,
-            SpanKind::Detect,
-            SpanKind::Track,
-            SpanKind::Fallback,
-        ];
-        for kind in all {
-            assert_eq!(SpanKind::parse(kind.name()), Some(kind));
-            assert!(kind.hist_name().starts_with("span_"));
-        }
-        assert_eq!(SpanKind::parse("bogus"), None);
     }
 }

@@ -1,8 +1,7 @@
-//! The per-stream sink: buffers spans, decision records, and metrics
-//! privately so parallel workers never contend, then hands everything
-//! to a serial merge.
+//! The per-stream sink: buffers spans and decision records privately
+//! so parallel workers never contend, then hands the event log to a
+//! serial merge.
 
-use crate::metrics::{Metrics, LATENCY_BOUNDS, SCHED_BOUNDS, SLACK_BOUNDS, SPAN_BOUNDS};
 use crate::record::{DecisionRecord, SpanRecord, TraceEvent};
 use crate::sink::{ObsSink, SpanKind};
 
@@ -12,9 +11,7 @@ pub enum ObsMode {
     /// Record nothing; behaves like [`crate::NullSink`].
     #[default]
     Off,
-    /// Update counters and histograms only — no per-event storage.
-    Counting,
-    /// Counting plus the full span/decision event log.
+    /// Record the full span/decision event log.
     Trace,
 }
 
@@ -24,7 +21,6 @@ pub enum ObsMode {
 #[derive(Clone, Debug, Default)]
 pub struct StreamObs {
     mode: ObsMode,
-    metrics: Metrics,
     events: Vec<TraceEvent>,
     stack: Vec<(SpanKind, &'static str, f64)>,
     gof: u64,
@@ -39,24 +35,11 @@ impl StreamObs {
         }
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> ObsMode {
-        self.mode
-    }
-
-    /// The metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Drain the buffered state for the serial merge, leaving the sink
+    /// Drain the buffered events for the serial merge, leaving the sink
     /// empty but usable.
-    pub fn take(&mut self) -> (Metrics, Vec<TraceEvent>) {
+    pub fn take(&mut self) -> Vec<TraceEvent> {
         debug_assert!(self.stack.is_empty(), "unbalanced spans at drain");
-        (
-            std::mem::take(&mut self.metrics),
-            std::mem::take(&mut self.events),
-        )
+        std::mem::take(&mut self.events)
     }
 }
 
@@ -80,19 +63,15 @@ impl ObsSink for StreamObs {
             debug_assert!(false, "span_end without matching span_begin");
             return;
         };
-        self.metrics
-            .observe(kind.hist_name(), &SPAN_BOUNDS, t_ms - t0);
-        if self.mode == ObsMode::Trace {
-            self.events.push(TraceEvent::Span(SpanRecord {
-                stream: 0,
-                gof: self.gof,
-                kind,
-                label,
-                depth: self.stack.len(),
-                t0,
-                t1: t_ms,
-            }));
-        }
+        self.events.push(TraceEvent::Span(SpanRecord {
+            stream: 0,
+            gof: self.gof,
+            kind,
+            label,
+            depth: self.stack.len(),
+            t0,
+            t1: t_ms,
+        }));
     }
 
     fn decision(&mut self, mut rec: DecisionRecord) {
@@ -101,37 +80,7 @@ impl ObsSink for StreamObs {
         }
         rec.gof = self.gof;
         self.gof += 1;
-
-        self.metrics.inc("decisions", 1);
-        self.metrics.inc("frames", rec.frames as u64);
-        self.metrics.inc("faults", u64::from(rec.faults));
-        if rec.switched {
-            self.metrics.inc("switches", 1);
-            self.metrics
-                .observe("switch_ms", &SCHED_BOUNDS, rec.switch_ms);
-        }
-        if !rec.explain.feasible {
-            self.metrics.inc("infeasible", 1);
-        }
-        if rec.explain.cost_only {
-            self.metrics.inc("cost_only", 1);
-        }
-        if rec.degraded {
-            self.metrics.inc("degraded_gofs", 1);
-        }
-        for name in &rec.degrades {
-            self.metrics.inc(name, 1);
-        }
-        self.metrics
-            .observe("per_frame_ms", &LATENCY_BOUNDS, rec.per_frame_ms);
-        self.metrics
-            .observe("sched_ms", &SCHED_BOUNDS, rec.sched_ms);
-        self.metrics
-            .observe("slack_ms", &SLACK_BOUNDS, rec.explain.slack_ms);
-
-        if self.mode == ObsMode::Trace {
-            self.events.push(TraceEvent::Decision(Box::new(rec)));
-        }
+        self.events.push(TraceEvent::Decision(Box::new(rec)));
     }
 }
 
@@ -139,18 +88,9 @@ impl ObsSink for StreamObs {
 mod tests {
     use super::*;
 
-    fn sample_record(frames: usize, switched: bool) -> DecisionRecord {
+    fn sample_record() -> DecisionRecord {
         DecisionRecord {
-            frames,
-            switched,
-            switch_ms: if switched { 3.0 } else { 0.0 },
-            per_frame_ms: 12.0,
-            sched_ms: 1.5,
-            explain: crate::DecisionExplain {
-                feasible: true,
-                slack_ms: 4.0,
-                ..Default::default()
-            },
+            frames: 8,
             ..Default::default()
         }
     }
@@ -161,25 +101,8 @@ mod tests {
         assert!(!s.enabled());
         s.span_begin(SpanKind::Detect, "", 0.0);
         s.span_end(2.0);
-        s.decision(sample_record(8, false));
-        let (m, ev) = s.take();
-        assert_eq!(m, Metrics::new());
-        assert!(ev.is_empty());
-    }
-
-    #[test]
-    fn counting_mode_updates_metrics_without_events() {
-        let mut s = StreamObs::new(ObsMode::Counting);
-        assert!(s.enabled());
-        s.span_begin(SpanKind::Detect, "", 0.0);
-        s.span_end(2.0);
-        s.decision(sample_record(8, true));
-        let (m, ev) = s.take();
-        assert!(ev.is_empty());
-        assert_eq!(m.counter("decisions"), 1);
-        assert_eq!(m.counter("frames"), 8);
-        assert_eq!(m.counter("switches"), 1);
-        assert_eq!(m.hist("span_detect_ms").map(|h| h.count()), Some(1));
+        s.decision(sample_record());
+        assert!(s.take().is_empty());
     }
 
     #[test]
@@ -189,11 +112,11 @@ mod tests {
         s.span_begin(SpanKind::LightFeature, "", 0.1);
         s.span_end(0.9);
         s.span_end(1.2);
-        s.decision(sample_record(8, false));
+        s.decision(sample_record());
         s.span_begin(SpanKind::Detect, "", 2.0);
         s.span_end(6.0);
-        s.decision(sample_record(8, false));
-        let (_, ev) = s.take();
+        s.decision(sample_record());
+        let ev = s.take();
 
         let spans: Vec<&SpanRecord> = ev
             .iter()

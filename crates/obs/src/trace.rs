@@ -8,16 +8,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::Metrics;
 use crate::record::{DecisionRecord, SpanRecord, TraceEvent};
 
-/// A completed run's observability output: the merged metrics registry
-/// and the event log in `(stream, gof)` order (rounds appended last).
+/// A completed run's observability output: the event log in
+/// `(stream, gof)` order (rounds appended last).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsBundle {
-    /// Metrics merged across all streams in stream order.
-    pub metrics: Metrics,
-    /// All trace events. Empty in `Counting` mode.
+    /// All trace events. Empty when observation is off.
     pub events: Vec<TraceEvent>,
 }
 
@@ -38,8 +35,7 @@ impl ObsBundle {
         })
     }
 
-    /// Serialize the bundle as JSONL: a meta header, every event, then
-    /// the metrics (counters and histograms).
+    /// Serialize the bundle as JSONL: a meta header, then every event.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -76,26 +72,6 @@ impl ObsBundle {
                     );
                 }
             }
-        }
-        for (name, v) in self.metrics.counters() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}",
-                json_str(name)
-            );
-        }
-        for (name, h) in self.metrics.hists() {
-            let bounds: Vec<String> = h.bounds().iter().map(|&b| json_f64(b)).collect();
-            let counts: Vec<String> = h.counts().iter().map(|c| c.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"hist\",\"name\":{},\"bounds\":[{}],\"counts\":[{}],\"sum\":{},\"count\":{}}}",
-                json_str(name),
-                bounds.join(","),
-                counts.join(","),
-                json_f64(h.sum()),
-                h.count(),
-            );
         }
         out
     }
@@ -453,9 +429,6 @@ mod tests {
     use crate::sink::SpanKind;
 
     fn sample_bundle() -> ObsBundle {
-        let mut metrics = Metrics::new();
-        metrics.inc("decisions", 2);
-        metrics.observe("per_frame_ms", &crate::metrics::LATENCY_BOUNDS, 7.25);
         let events = vec![
             TraceEvent::Span(SpanRecord {
                 stream: 1,
@@ -495,7 +468,7 @@ mod tests {
                 members: vec![0, 1],
             }),
         ];
-        ObsBundle { metrics, events }
+        ObsBundle { events }
     }
 
     #[test]
@@ -503,8 +476,8 @@ mod tests {
         let bundle = sample_bundle();
         let jsonl = bundle.to_jsonl();
         let values = parse_jsonl(&jsonl).expect("trace must parse");
-        // meta + 3 events + 1 counter + 1 hist
-        assert_eq!(values.len(), 6);
+        // meta + 3 events
+        assert_eq!(values.len(), 4);
         assert_eq!(values[0].get("type").and_then(Value::as_str), Some("meta"));
         let span = &values[1];
         assert_eq!(span.get("kind").and_then(Value::as_str), Some("detect"));

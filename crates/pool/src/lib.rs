@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable overriding the worker count (`>= 1`).
-pub const THREADS_ENV: &str = "LR_POOL_THREADS";
+const THREADS_ENV: &str = "LR_POOL_THREADS";
 
 /// A handle describing how many workers a parallel map may use.
 ///
@@ -51,16 +51,8 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
-/// The worker count [`Pool::from_env`] resolves to: `LR_POOL_THREADS`
-/// when set to a positive integer, otherwise the host's available
-/// parallelism (1 when that cannot be determined).
-pub fn threads_from_env() -> usize {
+/// The worker count [`Pool::from_env`] resolves to.
+fn threads_from_env() -> usize {
     parse_threads(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or_else(available_threads)
 }
 
@@ -68,7 +60,7 @@ pub fn threads_from_env() -> usize {
 /// positive integer (surrounding whitespace tolerated), `None` for an
 /// unset, empty, zero, or unparsable value — callers fall back to the
 /// host's available parallelism.
-pub fn parse_threads(value: Option<&str>) -> Option<usize> {
+fn parse_threads(value: Option<&str>) -> Option<usize> {
     value
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
@@ -88,7 +80,9 @@ impl Pool {
         }
     }
 
-    /// A pool sized from the environment (see [`threads_from_env`]).
+    /// A pool sized from the environment: `LR_POOL_THREADS` when set to a
+    /// positive integer, otherwise the host's available parallelism (1
+    /// when that cannot be determined).
     pub fn from_env() -> Self {
         Self::new(threads_from_env())
     }
@@ -102,12 +96,6 @@ impl Pool {
         } else {
             Self::new(threads)
         }
-    }
-
-    /// Number of workers this pool will spawn (at most; never more than
-    /// the number of items).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Maps `f` over `items` in parallel, returning results in input
@@ -319,8 +307,8 @@ mod tests {
 
     #[test]
     fn resolve_zero_means_env() {
-        assert!(Pool::resolve(0).threads() >= 1);
-        assert_eq!(Pool::resolve(3).threads(), 3);
+        assert!(Pool::resolve(0).threads >= 1);
+        assert_eq!(Pool::resolve(3).threads, 3);
     }
 
     #[test]

@@ -86,11 +86,11 @@ pub struct ServeConfig {
     /// stream's first video seed. `None` (the default) serves clean and
     /// is byte-identical to the pre-fault dispatcher.
     pub fault: Option<lr_device::FaultConfig>,
-    /// Observability mode for the run: per-stream sinks collect spans,
-    /// decision records, and metrics at this level. `Off` (the default)
-    /// is byte-identical to the unobserved dispatcher; `Counting` and
-    /// `Trace` never perturb the run either — observation only reads
-    /// the virtual clock.
+    /// Observability mode for the run: under `Trace` per-stream sinks
+    /// collect spans, decision records, and dispatch rounds. `Off` (the
+    /// default) is byte-identical to the unobserved dispatcher; `Trace`
+    /// never perturbs the run either — observation only reads the
+    /// virtual clock.
     pub obs: ObsMode,
 }
 
@@ -158,9 +158,9 @@ struct ActiveStream {
     /// Capacity fraction currently booked with the admission controller
     /// (released on eviction, re-booked on re-admission).
     booked_fraction: f64,
-    /// Stream-private observer: buffers spans, decision records, and
-    /// metrics with no cross-stream synchronization; drained into the
-    /// run's [`ObsBundle`] serially, in spec order, after the run.
+    /// Stream-private observer: buffers spans and decision records with
+    /// no cross-stream synchronization; drained into the run's
+    /// [`ObsBundle`] serially, in spec order, after the run.
     obs: StreamObs,
 }
 
@@ -219,9 +219,9 @@ fn stream_seed(base: u64, salt: u64) -> u64 {
 /// `svc` is used as a template (raster size) for the per-stream feature
 /// services; its cache is neither read nor written here.
 ///
-/// Alongside the report, returns the run's [`ObsBundle`]: merged
-/// metrics plus (under [`ObsMode::Trace`]) the ordered event stream —
-/// spans, scheduler decision records, and dispatch-round records.
+/// Alongside the report, returns the run's [`ObsBundle`]: under
+/// [`ObsMode::Trace`], the ordered event stream — spans, scheduler
+/// decision records, and dispatch-round records.
 /// Callers that only want the report take `.0`.
 ///
 /// Events are buffered per stream during the run (no cross-worker
@@ -313,7 +313,6 @@ pub fn serve_traced(
     // against the same pre-round occupancy snapshot.
     let pool = lr_pool::Pool::resolve(cfg.pool_threads);
     let mut round_records: Vec<RoundRecord> = Vec::new();
-    let mut round_idx = 0u64;
     loop {
         let min_key = active
             .iter()
@@ -363,10 +362,9 @@ pub fn serve_traced(
             // iteration; re-evaluate the remaining population.
             continue;
         }
-        round_idx += 1;
         if cfg.obs == ObsMode::Trace {
             round_records.push(RoundRecord {
-                idx: round_idx - 1,
+                idx: round_records.len() as u64,
                 threshold_ms: threshold,
                 members: round.iter().map(|s| s.spec_idx as u32).collect(),
             });
@@ -467,8 +465,7 @@ pub fn serve_traced(
     let mut bundle = ObsBundle::default();
     let mut finished: Vec<Option<StreamReport>> = (0..specs.len()).map(|_| None).collect();
     for mut s in active {
-        let (metrics, mut events) = s.obs.take();
-        bundle.metrics.merge(&metrics);
+        let mut events = s.obs.take();
         for ev in &mut events {
             ev.set_stream(s.spec_idx as u32);
         }
@@ -524,9 +521,6 @@ pub fn serve_traced(
         })
         .collect();
 
-    if cfg.obs != ObsMode::Off {
-        bundle.metrics.inc("rounds", round_idx);
-    }
     bundle
         .events
         .extend(round_records.into_iter().map(TraceEvent::Round));

@@ -12,6 +12,7 @@ use litereconfig::{FeatureService, Policy, TrainedScheduler};
 use lr_device::DeviceKind;
 use lr_kernels::branch::small_catalog;
 use lr_kernels::DetectorFamily;
+use lr_obs::TraceEvent;
 use lr_serve::{serve_traced, ObsMode, ServeConfig, ServeReport, SloClass, StreamSpec};
 use lr_video::{Video, VideoSpec};
 
@@ -181,7 +182,7 @@ fn faulted_serving_is_thread_count_invariant() {
 #[test]
 fn trace_jsonl_is_thread_count_invariant() {
     // The observability layer inherits the determinism contract: the
-    // serialized trace — spans, decision records, rounds, metrics — must
+    // serialized trace — spans, decision records, rounds — must
     // be byte-identical for any worker count, because per-stream sinks
     // buffer privately and are drained serially in spec order.
     let t = trained();
@@ -262,10 +263,8 @@ fn faulted_trace_jsonl_is_thread_count_invariant() {
 #[test]
 fn observation_never_perturbs_the_run() {
     // The zero-overhead contract: the report must be bit-identical
-    // whether observation is off, counting, or fully tracing — sinks
-    // only read the virtual clock, never advance it or draw RNG. And
-    // counting mode's metrics must equal trace mode's, since tracing
-    // only *adds* the event stream.
+    // whether observation is off or fully tracing — sinks only read the
+    // virtual clock, never advance it or draw RNG.
     let t = trained();
     let specs = mixed_specs(6);
     let run = |mode: ObsMode| {
@@ -276,23 +275,64 @@ fn observation_never_perturbs_the_run() {
         serve_traced(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc)
     };
     let (report_off, bundle_off) = run(ObsMode::Off);
-    let (report_count, bundle_count) = run(ObsMode::Counting);
-    let (report_trace, bundle_trace) = run(ObsMode::Trace);
-    assert_reports_identical(&report_off, &report_count, "off vs counting");
+    let (report_trace, _) = run(ObsMode::Trace);
     assert_reports_identical(&report_off, &report_trace, "off vs trace");
     assert!(
-        bundle_off.metrics.counters().next().is_none() && bundle_off.events.is_empty(),
+        bundle_off.events.is_empty(),
         "Off mode must collect nothing"
     );
-    assert!(
-        bundle_count.events.is_empty(),
-        "Counting mode must not buffer events"
-    );
-    assert_eq!(
-        bundle_count.metrics.render(),
-        bundle_trace.metrics.render(),
-        "counting and tracing must aggregate identical metrics"
-    );
+}
+
+#[test]
+fn trace_agrees_with_the_report() {
+    // The event log is the only record lr-obs keeps, so every aggregate
+    // counted from it must match what the dispatcher reports on its own
+    // books: one decision record per GoF, every frame, every fault, and
+    // every degraded GoF — clean and with faults injected.
+    let t = trained();
+    let specs = mixed_specs(6);
+    for faulted in [false, true] {
+        let mut cfg = ServeConfig::new(DeviceKind::JetsonTx2);
+        cfg.seed = 5;
+        cfg.obs = ObsMode::Trace;
+        if faulted {
+            cfg.fault = Some(lr_device::FaultConfig::moderate(404));
+        }
+        let mut svc = FeatureService::new();
+        let (report, bundle) = serve_traced(&specs, t.clone(), Policy::CostBenefit, &cfg, &mut svc);
+        let label = if faulted { "faulted" } else { "clean" };
+        let sum = |f: fn(&lr_serve::StreamReport) -> usize| report.streams.iter().map(f).sum();
+        let records: Vec<_> = bundle.decisions().collect();
+        assert_eq!(records.len(), sum(|s| s.gofs), "{label}: decisions vs GoFs");
+        assert_eq!(
+            records.iter().map(|r| r.frames).sum::<usize>(),
+            sum(|s| s.frames),
+            "{label}: frames"
+        );
+        assert_eq!(
+            records.iter().map(|r| r.faults as usize).sum::<usize>(),
+            report.total_faults(),
+            "{label}: faults"
+        );
+        assert_eq!(
+            records.iter().filter(|r| r.degraded).count(),
+            sum(|s| s.degraded_gofs),
+            "{label}: degraded GoFs"
+        );
+        assert!(
+            bundle
+                .events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Round(_))),
+            "{label}: no dispatch round was recorded"
+        );
+        if faulted {
+            assert!(
+                report.total_faults() > 0 && sum(|s| s.degraded_gofs) > 0,
+                "no fault degraded a GoF; the faulted case is vacuous"
+            );
+        }
+    }
 }
 
 #[test]

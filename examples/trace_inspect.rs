@@ -183,7 +183,7 @@ fn main() {
         decisions.len()
     );
     if decisions.is_empty() {
-        eprintln!("trace_inspect: no decision records in {path} (was it a Counting-mode run?)");
+        eprintln!("trace_inspect: no decision records in {path} (was it an ObsMode::Off run?)");
         std::process::exit(2);
     }
 
