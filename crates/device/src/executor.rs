@@ -129,12 +129,6 @@ impl DeviceSim {
             .unwrap_or_else(|e| panic!("DeviceSim::new: {e} (use try_new to handle this)"))
     }
 
-    /// Replaces the latency noise model (tests use [`LatencyNoise::none`]).
-    pub fn with_noise(mut self, noise: LatencyNoise) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Installs a deterministic fault schedule, replacing any earlier
     /// one; [`DeviceSim::run_op`] consults it for every GPU op.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -224,14 +218,6 @@ impl DeviceSim {
             // same way the CG's bursts jitter around its mean.
             Some(f) => 1.0 + (f - 1.0) * self.rng.gen_range(0.7..1.3),
             None => self.contention.sample_gpu_slowdown(&mut self.rng),
-        }
-    }
-
-    /// The mean GPU contention factor currently in effect.
-    fn mean_contention(&self) -> f64 {
-        match self.external_gpu_slowdown {
-            Some(f) => f,
-            None => self.contention.mean_gpu_slowdown(),
         }
     }
 
@@ -346,22 +332,6 @@ impl DeviceSim {
         ms
     }
 
-    /// The *expected* latency of an op on this device at the current mean
-    /// contention, without noise. Used when profiling offline tables, not
-    /// by the online scheduler (which must learn its latency model from
-    /// observed data).
-    pub fn expected_ms(&self, unit: OpUnit, base_tx2_ms: f64) -> f64 {
-        let device_factor = match unit {
-            OpUnit::Gpu => self.profile.gpu_speed_factor,
-            OpUnit::Cpu => self.profile.cpu_speed_factor,
-        };
-        let contention_factor = match unit {
-            OpUnit::Gpu => self.mean_contention(),
-            OpUnit::Cpu => 1.0,
-        };
-        base_tx2_ms * device_factor * contention_factor
-    }
-
     /// Access to the device RNG for co-located stochastic processes
     /// (detection noise shares the device's randomness stream so whole
     /// experiment runs stay reproducible from one seed).
@@ -373,6 +343,26 @@ impl DeviceSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A device without latency noise.
+    fn noiseless(kind: DeviceKind, contention_pct: f64, seed: u64) -> DeviceSim {
+        DeviceSim {
+            noise: LatencyNoise::none(),
+            ..DeviceSim::new(kind, contention_pct, seed)
+        }
+    }
+
+    /// The latency an op's charges average to at the device's current
+    /// mean contention.
+    fn expected_ms(dev: &DeviceSim, unit: OpUnit, base_tx2_ms: f64) -> f64 {
+        let mean_contention = dev
+            .external_gpu_slowdown
+            .unwrap_or_else(|| dev.contention.mean_gpu_slowdown());
+        match unit {
+            OpUnit::Gpu => base_tx2_ms * dev.profile.gpu_speed_factor * mean_contention,
+            OpUnit::Cpu => base_tx2_ms * dev.profile.cpu_speed_factor,
+        }
+    }
 
     #[test]
     fn charge_advances_clock_by_return_value() {
@@ -396,24 +386,21 @@ mod tests {
 
     #[test]
     fn noiseless_tx2_charge_equals_base() {
-        let mut dev =
-            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 1).with_noise(LatencyNoise::none());
+        let mut dev = noiseless(DeviceKind::JetsonTx2, 0.0, 1);
         assert_eq!(dev.charge(OpUnit::Gpu, 25.0), 25.0);
         assert_eq!(dev.charge(OpUnit::Cpu, 25.0), 25.0);
     }
 
     #[test]
     fn xavier_is_faster_than_tx2() {
-        let mut tx2 =
-            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 1).with_noise(LatencyNoise::none());
-        let mut xv = DeviceSim::new(DeviceKind::AgxXavier, 0.0, 1).with_noise(LatencyNoise::none());
+        let mut tx2 = noiseless(DeviceKind::JetsonTx2, 0.0, 1);
+        let mut xv = noiseless(DeviceKind::AgxXavier, 0.0, 1);
         assert!(xv.charge(OpUnit::Gpu, 30.0) < tx2.charge(OpUnit::Gpu, 30.0));
     }
 
     #[test]
     fn contention_slows_gpu_but_not_cpu() {
-        let mut dev =
-            DeviceSim::new(DeviceKind::JetsonTx2, 50.0, 2).with_noise(LatencyNoise::none());
+        let mut dev = noiseless(DeviceKind::JetsonTx2, 50.0, 2);
         let n = 2000;
         let gpu_mean: f64 = (0..n).map(|_| dev.charge(OpUnit::Gpu, 10.0)).sum::<f64>() / n as f64;
         let cpu_mean: f64 = (0..n).map(|_| dev.charge(OpUnit::Cpu, 10.0)).sum::<f64>() / n as f64;
@@ -424,8 +411,8 @@ mod tests {
     #[test]
     fn expected_ms_reflects_mean_contention() {
         let dev = DeviceSim::new(DeviceKind::JetsonTx2, 50.0, 3);
-        assert!((dev.expected_ms(OpUnit::Gpu, 10.0) - 20.0).abs() < 1e-9);
-        assert!((dev.expected_ms(OpUnit::Cpu, 10.0) - 10.0).abs() < 1e-9);
+        assert!((expected_ms(&dev, OpUnit::Gpu, 10.0) - 20.0).abs() < 1e-9);
+        assert!((expected_ms(&dev, OpUnit::Cpu, 10.0) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -460,8 +447,7 @@ mod tests {
 
     #[test]
     fn external_slowdown_overrides_static_contention() {
-        let mut dev =
-            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 5).with_noise(LatencyNoise::none());
+        let mut dev = noiseless(DeviceKind::JetsonTx2, 0.0, 5);
         dev.set_external_gpu_slowdown(3.0);
         let n = 2000;
         let mean: f64 = (0..n).map(|_| dev.charge(OpUnit::Gpu, 10.0)).sum::<f64>() / n as f64;
@@ -472,7 +458,7 @@ mod tests {
         // CPU unaffected.
         assert_eq!(dev.charge(OpUnit::Cpu, 10.0), 10.0);
         // Expected-latency queries see the external factor too.
-        assert!((dev.expected_ms(OpUnit::Gpu, 10.0) - 30.0).abs() < 1e-9);
+        assert!((expected_ms(&dev, OpUnit::Gpu, 10.0) - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -513,8 +499,7 @@ mod tests {
         let mut cfg = crate::fault::FaultConfig::moderate(5);
         cfg.transient_rate = 1.0;
         cfg.stall_rate = 0.0;
-        let mut dev =
-            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 13).with_noise(LatencyNoise::none());
+        let mut dev = noiseless(DeviceKind::JetsonTx2, 0.0, 13);
         dev.set_fault_plan(crate::fault::FaultPlan::generate(cfg));
         for _ in 0..10 {
             let err = dev.run_op(OpUnit::Gpu, 10.0).unwrap_err();
@@ -541,8 +526,7 @@ mod tests {
             .map(|i| i as f64 * 0.25)
             .find(|&t| plan.throttle_factor_at(t) > 1.0)
             .expect("a window exists");
-        let mut dev =
-            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 14).with_noise(LatencyNoise::none());
+        let mut dev = noiseless(DeviceKind::JetsonTx2, 0.0, 14);
         dev.set_fault_plan(plan);
         let clean = dev.run_op(OpUnit::Gpu, 10.0).expect("zero rates");
         assert_eq!(clean, 10.0);
@@ -568,8 +552,7 @@ mod tests {
 
     #[test]
     fn demand_accounting_excludes_contention_stretch() {
-        let mut dev =
-            DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 6).with_noise(LatencyNoise::none());
+        let mut dev = noiseless(DeviceKind::JetsonTx2, 0.0, 6);
         dev.set_external_gpu_slowdown(4.0);
         let charged = dev.charge(OpUnit::Gpu, 10.0);
         assert!(charged > 20.0, "contention must stretch the charge");

@@ -32,12 +32,6 @@ impl GofResult {
     pub fn kernel_ms(&self) -> f64 {
         self.detector_ms + self.tracker_ms
     }
-
-    /// Mean per-frame kernel latency over the GoF (the paper's time
-    /// metric).
-    pub fn mean_frame_ms(&self) -> f64 {
-        self.kernel_ms() / self.per_frame.len().max(1) as f64
-    }
 }
 
 /// The multi-branch execution kernel.
@@ -326,11 +320,12 @@ mod tests {
             .run_gof(&v.frames[0..20], &mut dev, &mut NullSink)
             .unwrap();
 
+        let per_frame = |r: &GofResult| r.kernel_ms() / r.per_frame.len() as f64;
         assert!(
-            tracked.mean_frame_ms() < dense.mean_frame_ms() / 3.0,
+            per_frame(&tracked) < per_frame(&dense) / 3.0,
             "tracked {} vs dense {}",
-            tracked.mean_frame_ms(),
-            dense.mean_frame_ms()
+            per_frame(&tracked),
+            per_frame(&dense)
         );
     }
 

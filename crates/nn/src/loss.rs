@@ -50,14 +50,6 @@ pub fn mse_with_batch_mean_gradient(pred: &Matrix, target: &Matrix, grad: &mut M
     loss
 }
 
-/// Mean absolute error — used only for reporting, never for training.
-pub fn mae(pred: &Matrix, target: &Matrix) -> f32 {
-    let d = pred.sub(target);
-    let loss = d.as_slice().iter().map(|v| v.abs()).sum::<f32>() / d.as_slice().len() as f32;
-    crate::debug_assert_finite!(loss, "mae loss");
-    loss
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,13 +73,6 @@ mod tests {
         let t = Matrix::row_vector(&[1.0]);
         let g = mse_gradient(&p, &t);
         assert_eq!(g, Matrix::row_vector(&[2.0]));
-    }
-
-    #[test]
-    fn mae_known_value() {
-        let p = Matrix::row_vector(&[0.0, 0.0]);
-        let t = Matrix::row_vector(&[3.0, -1.0]);
-        assert_eq!(mae(&p, &t), 2.0);
     }
 
     #[test]

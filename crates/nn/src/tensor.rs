@@ -401,13 +401,16 @@ impl Matrix {
     }
 }
 
-/// Rows of the register tile: left-operand rows sharing each loaded
-/// right-hand panel.
-const MR: usize = 4;
-/// Columns of the register tile: one right-hand panel row. 4 x 16 beat
-/// 4 x 8, 6 x 16 and 8 x 8 on the training shapes in the SSE2 build
-/// (x86-64), and it keeps the AVX2 build at eight 8-lane accumulators.
-const NR: usize = 16;
+/// Rows of the register tile in the plain and AVX2 builds: left-operand
+/// rows sharing each loaded right-hand panel. The AVX-512 build runs
+/// 8-row tiles first, then this height.
+pub(crate) const MR: usize = 4;
+/// Columns of the register tile in the plain and AVX2 builds: one
+/// right-hand panel row. 4 x 16 beat 4 x 8, 6 x 16 and 8 x 8 on the
+/// training shapes in the SSE2 build (x86-64), and it keeps the AVX2
+/// build at eight 8-lane accumulators. The AVX-512 build runs 32-wide
+/// panels first, then this width.
+pub(crate) const NR: usize = 16;
 
 /// The left operand of [`gemm_add`]: an `rows x inner` view whose
 /// element `(i, p)` is `data[i * row_stride + p * inner_stride]`, so a
@@ -452,37 +455,28 @@ impl<'a> Lhs<'a> {
 /// The crate's one dense product kernel: `out += a * b`, with `out`
 /// row-major `a.rows x b.cols()`.
 ///
-/// Column panels of `b` ([`NR`] wide) are the outer loop, so a panel
-/// stays in cache across every row tile. Each [`MR`] x [`NR`] tile of
-/// `out` is held in locals, starts from `out`'s current value, and adds
-/// `a(i, p) * b(p, j)` — a multiply, then an add — for `p` ascending.
-/// Every output is therefore the same sum, in the same order, that
-/// [`Matrix::matmul_naive`] computes from a zero-filled `out`, whatever
-/// the tile shape. No zero `a` is skipped: such a product is `±0.0`,
-/// which leaves a finite sum that starts from `+0.0` unchanged, so
-/// skipping would change no result and only cost a branch.
+/// Column panels of `b`, `W` wide, are the outer loop, so a panel stays
+/// in cache across every row tile; the columns a `W`-wide panel cannot
+/// cover run in [`NR`]-wide panels, and the last few one at a time.
+/// Within a panel, rows go in `M`-row tiles, then [`MR`]-row tiles, then
+/// one tile of the 1–3 rows left. Each tile of `out` is held in locals,
+/// starts from `out`'s current value, and adds `a(i, p) * b(p, j)` — a
+/// multiply, then an add — for `p` ascending. Every output is therefore
+/// the same sum, in the same order, that [`Matrix::matmul_naive`]
+/// computes from a zero-filled `out`, whatever the tile shape. No zero
+/// `a` is skipped: such a product is `±0.0`, which leaves a finite sum
+/// that starts from `+0.0` unchanged, so skipping would change no result
+/// and only cost a branch.
 ///
 /// This is the kernel's body; [`crate::simd::gemm_add`] runs it in the
-/// widest build the CPU supports.
+/// widest build the CPU supports: `M` x `W` = [`MR`] x [`NR`], except in
+/// the AVX-512 build.
 #[inline(always)]
-pub(crate) fn gemm_add(a: Lhs<'_>, b: &Matrix, out: &mut [f32]) {
+pub(crate) fn gemm_add<const M: usize, const W: usize>(a: Lhs<'_>, b: &Matrix, out: &mut [f32]) {
     debug_assert_eq!(a.inner, b.rows);
     debug_assert_eq!(out.len(), a.rows * b.cols);
-    let mut j = 0;
-    while j + NR <= b.cols {
-        let mut i = 0;
-        while i + MR <= a.rows {
-            tile::<MR>(a, i, b, j, out);
-            i += MR;
-        }
-        match a.rows - i {
-            1 => tile::<1>(a, i, b, j, out),
-            2 => tile::<2>(a, i, b, j, out),
-            3 => tile::<3>(a, i, b, j, out),
-            _ => {}
-        }
-        j += NR;
-    }
+    let j = panels::<M, W>(a, b, 0, out);
+    let j = panels::<M, NR>(a, b, j, out);
     // Columns past the last full panel: one sum per output, same order.
     let n = b.cols;
     for i in 0..a.rows {
@@ -496,18 +490,54 @@ pub(crate) fn gemm_add(a: Lhs<'_>, b: &Matrix, out: &mut [f32]) {
     }
 }
 
-/// One `R x NR` tile of [`gemm_add`]: rows `i..i + R`, columns
-/// `j..j + NR`.
+/// Every whole `W`-wide column panel of [`gemm_add`] from column `j`
+/// on, in `M`-row tiles first; returns the first column left over.
 #[inline(always)]
-fn tile<const R: usize>(a: Lhs<'_>, i: usize, b: &Matrix, j: usize, out: &mut [f32]) {
+fn panels<const M: usize, const W: usize>(
+    a: Lhs<'_>,
+    b: &Matrix,
+    mut j: usize,
+    out: &mut [f32],
+) -> usize {
+    while j + W <= b.cols {
+        let mut i = 0;
+        while i + M <= a.rows {
+            tile::<M, W>(a, i, b, j, out);
+            i += M;
+        }
+        while i + MR <= a.rows {
+            tile::<MR, W>(a, i, b, j, out);
+            i += MR;
+        }
+        match a.rows - i {
+            1 => tile::<1, W>(a, i, b, j, out),
+            2 => tile::<2, W>(a, i, b, j, out),
+            3 => tile::<3, W>(a, i, b, j, out),
+            _ => {}
+        }
+        j += W;
+    }
+    j
+}
+
+/// One `R x W` tile of [`gemm_add`]: rows `i..i + R`, columns
+/// `j..j + W`.
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    a: Lhs<'_>,
+    i: usize,
+    b: &Matrix,
+    j: usize,
+    out: &mut [f32],
+) {
     let n = b.cols;
-    let mut acc = [[0.0f32; NR]; R];
+    let mut acc = [[0.0f32; W]; R];
     for (r, row) in acc.iter_mut().enumerate() {
         let at = (i + r) * n + j;
-        row.copy_from_slice(&out[at..at + NR]);
+        row.copy_from_slice(&out[at..at + W]);
     }
     for p in 0..a.inner {
-        let panel = &b.data[p * n + j..p * n + j + NR];
+        let panel = &b.data[p * n + j..p * n + j + W];
         for (r, row) in acc.iter_mut().enumerate() {
             let x = a.at(i + r, p);
             for (o, &y) in row.iter_mut().zip(panel) {
@@ -517,7 +547,7 @@ fn tile<const R: usize>(a: Lhs<'_>, i: usize, b: &Matrix, j: usize, out: &mut [f
     }
     for (r, row) in acc.iter().enumerate() {
         let at = (i + r) * n + j;
-        out[at..at + NR].copy_from_slice(row);
+        out[at..at + W].copy_from_slice(row);
     }
 }
 
@@ -680,8 +710,9 @@ pub(crate) mod tests {
     }
 
     /// `(m, k, n)` shapes of the tiled-kernel test: every row remainder
-    /// of the 4-row tile against full, partial and no 16-wide column
-    /// panels; 1x1, k = 1 and M = 1; the single-row inference shapes;
+    /// of the 4- and 8-row tiles against full, partial and no 16- and
+    /// 32-wide column panels; 1x1, k = 1 and M = 1; the single-row
+    /// inference shapes;
     /// and the training shapes (forward, a 2-row tail batch, and the dW
     /// and dX products of the 96-wide stack).
     pub(crate) fn tiled_kernel_shapes() -> Vec<(usize, usize, usize)> {
@@ -696,7 +727,7 @@ pub(crate) mod tests {
             (96, 32, 272),
             (32, 272, 96),
         ];
-        for m in 1..=9 {
+        for m in 1..=13 {
             for n in [1, 3, 15, 16, 17, 32, 35] {
                 shapes.push((m, 1, n));
                 shapes.push((m, 11, n));

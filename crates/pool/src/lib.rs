@@ -1,4 +1,5 @@
-//! A std-only scoped worker pool with an order-preserving parallel map.
+//! A std-only scoped worker pool with an order-preserving parallel map
+//! and an ordered producer/consumer pipeline.
 //!
 //! The rest of the workspace is written so that every result is a pure
 //! function of its inputs and a seed; this crate adds host-side
@@ -24,13 +25,20 @@
 //! `(index, result)` pairs locally and the caller scatters them back
 //! into place after the join, which is what keeps order independent of
 //! scheduling.
+//!
+//! [`Pool::pipeline`] is for work whose items cannot be listed up front
+//! because one serial chain makes them: the chain runs on the caller's
+//! thread and hands each item, in a recycled buffer, to the other
+//! workers, at most a fixed number ahead. Results come back in the order
+//! the chain made the items.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex, PoisonError};
 
 /// Environment variable overriding the worker count (`>= 1`).
 const THREADS_ENV: &str = "LR_POOL_THREADS";
@@ -178,6 +186,89 @@ impl Pool {
         self.run_with(n, || (), |(), i| g(i))
     }
 
+    /// Runs `produce` on the caller's thread while the other workers
+    /// consume what it makes, and hands each item's result to `collect`,
+    /// on the caller's thread, in production order.
+    ///
+    /// `produce` hands items over through [`Feed::push`], which fills a
+    /// buffer of type `B` in place. At most `bound` buffers exist: a push
+    /// with all of them in flight blocks until a consumer returns one, so
+    /// a fast producer runs at most `bound` items ahead. Buffers are
+    /// recycled, never freed, so a buffer arrives holding an earlier
+    /// item's contents and the producer must overwrite them. Each result
+    /// comes back with its buffer and goes to `collect` as soon as every
+    /// earlier one has, so memory stays bounded however many items the
+    /// producer makes, and the consumers keep nothing.
+    ///
+    /// Each consumer owns a state built by `init`, under the same rule as
+    /// [`Pool::par_map_init`]: `consume` may use it as a cache or scratch
+    /// space, but its result must not depend on which items the state
+    /// has seen. The producer is the one place where order may carry
+    /// state (a serial RNG, say), and it runs in one order for every
+    /// worker count. With one worker `consume` runs inline, right after
+    /// each push, on one buffer. Panics in any of the closures propagate.
+    pub fn pipeline<B, R, S, P, I, C, K>(
+        &self,
+        bound: usize,
+        produce: P,
+        init: I,
+        consume: C,
+        mut collect: K,
+    ) where
+        B: Default + Send,
+        R: Send,
+        P: FnOnce(&mut Feed<'_, B, R>),
+        I: Fn() -> S + Sync,
+        C: Fn(&mut S, &B) -> R + Sync,
+        K: FnMut(R),
+    {
+        if self.threads == 1 {
+            let mut state = init();
+            let mut inline = |buf: &B| consume(&mut state, buf);
+            let mut feed = Feed::new(1, Link::Inline(&mut inline), &mut collect);
+            produce(&mut feed);
+            return feed.finish();
+        }
+
+        let (work_tx, work_rx) = mpsc::channel::<(usize, B)>();
+        let (back_tx, back_rx) = mpsc::channel::<(usize, R, B)>();
+        let work_rx = Mutex::new(work_rx);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..self.threads)
+                .map(|_| {
+                    let back_tx = back_tx.clone();
+                    let (work_rx, init, consume) = (&work_rx, &init, &consume);
+                    scope.spawn(move || {
+                        let mut state = init();
+                        loop {
+                            let next = work_rx
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .recv();
+                            let Ok((seq, buf)) = next else { break };
+                            let result = consume(&mut state, &buf);
+                            // The producer outlives every consumer.
+                            let _ = back_tx.send((seq, result, buf));
+                        }
+                    })
+                })
+                .collect();
+            drop(back_tx);
+            let link = Link::Workers {
+                work: work_tx,
+                back: &back_rx,
+            };
+            let mut feed = Feed::new(bound.max(1), link, &mut collect);
+            produce(&mut feed);
+            feed.finish();
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+    }
+
     /// [`Pool::run`] with a per-worker state built by `init` on the
     /// worker's own thread and reused across every index it claims.
     #[expect(
@@ -228,6 +319,133 @@ impl Pool {
             .into_iter()
             .map(|r| r.expect("every index computed exactly once"))
             .collect()
+    }
+}
+
+/// How a [`Feed`] reaches its consumers.
+enum Link<'a, B, R> {
+    /// One worker: the producer's thread consumes each item as it is
+    /// pushed.
+    Inline(&'a mut dyn FnMut(&B) -> R),
+    /// Items go out on `work`; each comes back on `back` with its result.
+    Workers {
+        work: mpsc::Sender<(usize, B)>,
+        back: &'a mpsc::Receiver<(usize, R, B)>,
+    },
+}
+
+/// Puts results back into production order for [`Pool::pipeline`]'s
+/// `collect`.
+struct Collector<'a, R> {
+    collect: &'a mut dyn FnMut(R),
+    /// Results back ahead of an earlier one, by sequence number.
+    early: BTreeMap<usize, R>,
+    /// Sequence number of the next result `collect` takes.
+    next: usize,
+}
+
+impl<R> Collector<'_, R> {
+    /// Takes item `seq`'s result, and collects every result now in
+    /// order.
+    fn take(&mut self, seq: usize, result: R) {
+        self.early.insert(seq, result);
+        while let Some(result) = self.early.remove(&self.next) {
+            (self.collect)(result);
+            self.next += 1;
+        }
+    }
+}
+
+/// The producer's end of [`Pool::pipeline`].
+pub struct Feed<'a, B, R> {
+    link: Link<'a, B, R>,
+    results: Collector<'a, R>,
+    /// A buffer ready for the next push.
+    spare: Option<B>,
+    /// Buffers made so far, at most `bound`.
+    made: usize,
+    bound: usize,
+    /// Sequence number of the next push.
+    next: usize,
+}
+
+impl<'a, B: Default, R> Feed<'a, B, R> {
+    fn new(bound: usize, link: Link<'a, B, R>, collect: &'a mut dyn FnMut(R)) -> Self {
+        Self {
+            link,
+            results: Collector {
+                collect,
+                early: BTreeMap::new(),
+                next: 0,
+            },
+            spare: None,
+            made: 0,
+            bound,
+            next: 0,
+        }
+    }
+
+    /// Hands the next item to a consumer: `fill` writes it into a free
+    /// buffer, which holds an earlier item's contents unless it is new.
+    /// Blocks while every buffer is in flight.
+    pub fn push(&mut self, fill: impl FnOnce(&mut B)) {
+        let Some(mut buf) = self.free_buffer() else {
+            // Every consumer has panicked: drop the item, and let the
+            // join re-raise their panic.
+            return;
+        };
+        fill(&mut buf);
+        let seq = self.next;
+        self.next += 1;
+        match &mut self.link {
+            Link::Inline(consume) => {
+                self.results.take(seq, consume(&buf));
+                self.spare = Some(buf);
+            }
+            Link::Workers { work, .. } => {
+                // A send fails only once every consumer has panicked.
+                let _ = work.send((seq, buf));
+            }
+        }
+    }
+
+    /// The spare buffer or a returned one, else a new one while fewer
+    /// than `bound` exist, else the next one a consumer returns. `None`
+    /// once every consumer has panicked.
+    fn free_buffer(&mut self) -> Option<B> {
+        if let Some(buf) = self.spare.take() {
+            return Some(buf);
+        }
+        let back = match &self.link {
+            Link::Workers { back, .. } => Some(*back),
+            Link::Inline(_) => None,
+        };
+        let returned = match back.map(mpsc::Receiver::try_recv) {
+            Some(Ok(returned)) => returned,
+            _ if self.made < self.bound => {
+                self.made += 1;
+                return Some(B::default());
+            }
+            _ => back?.recv().ok()?,
+        };
+        let (seq, result, buf) = returned;
+        self.results.take(seq, result);
+        Some(buf)
+    }
+
+    /// Closes the feed and collects every item still in flight.
+    fn finish(self) {
+        let Self {
+            link, mut results, ..
+        } = self;
+        if let Link::Workers { work, back } = link {
+            // Closes the work channel: each consumer drains it and stops,
+            // which closes `back` once the last one is gone.
+            drop(work);
+            for (seq, result, _) in back.iter() {
+                results.take(seq, result);
+            }
+        }
     }
 }
 
@@ -371,6 +589,133 @@ mod tests {
         assert!(out.is_empty());
         let mut none: Vec<u32> = Vec::new();
         assert!(pool.par_map_mut(&mut none, |_, x| *x).is_empty());
+    }
+
+    /// [`Pool::pipeline`], returning what `collect` received.
+    fn pipelined<B, R, S>(
+        pool: Pool,
+        bound: usize,
+        produce: impl FnOnce(&mut Feed<'_, B, R>),
+        init: impl Fn() -> S + Sync,
+        consume: impl Fn(&mut S, &B) -> R + Sync,
+    ) -> Vec<R>
+    where
+        B: Default + Send,
+        R: Send,
+    {
+        let mut out = Vec::new();
+        pool.pipeline(bound, produce, init, consume, |r| out.push(r));
+        out
+    }
+
+    /// Produces `n` items, item `i` a buffer of `i % 7 + 1` words drawn
+    /// from one serial SplitMix64 chain (state the producer carries from
+    /// item to item), and sums each item on a consumer.
+    fn chain_sums(pool: Pool, n: usize, bound: usize) -> Vec<u64> {
+        pipelined(
+            pool,
+            bound,
+            |feed| {
+                let mut z = 0u64;
+                for i in 0..n {
+                    feed.push(|buf: &mut Vec<u64>| {
+                        buf.clear();
+                        for _ in 0..=i % 7 {
+                            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                            buf.push((z ^ (z >> 31)) >> 8);
+                        }
+                    });
+                }
+            },
+            || (),
+            |(), buf| buf.iter().sum::<u64>(),
+        )
+    }
+
+    #[test]
+    fn pipeline_collects_results_in_production_order_for_any_worker_count() {
+        let serial = chain_sums(Pool::new(1), 500, 4);
+        assert_eq!(serial.len(), 500);
+        for threads in [2, 4] {
+            for bound in [1, 3, 64] {
+                assert_eq!(chain_sums(Pool::new(threads), 500, bound), serial);
+            }
+        }
+        let none = pipelined(
+            Pool::new(4),
+            2,
+            |_: &mut Feed<'_, u64, u64>| {},
+            || (),
+            |(), &x| x,
+        );
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn pipeline_keeps_in_flight_items_within_the_bound() {
+        for (threads, bound) in [(1, 1), (2, 1), (2, 3), (4, 5)] {
+            let in_flight = AtomicUsize::new(0);
+            let high_water = AtomicUsize::new(0);
+            let made = AtomicUsize::new(0);
+            let out = pipelined(
+                Pool::new(threads),
+                bound,
+                |feed| {
+                    for i in 0..200u32 {
+                        feed.push(|buf: &mut u32| {
+                            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                            high_water.fetch_max(now, Ordering::SeqCst);
+                            *buf = i;
+                        });
+                    }
+                },
+                || made.fetch_add(1, Ordering::SeqCst),
+                |_, &x| {
+                    // A slow consumer, so the producer runs into the bound.
+                    std::thread::sleep(std::time::Duration::from_micros(20));
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                    x
+                },
+            );
+            assert_eq!(out, (0..200).collect::<Vec<_>>());
+            let high = high_water.load(Ordering::SeqCst);
+            assert!(high <= bound, "{high} items in flight, bound {bound}");
+            assert_eq!(made.load(Ordering::SeqCst), threads.max(2) - 1);
+        }
+    }
+
+    #[test]
+    fn pipeline_panics_propagate_from_every_side() {
+        let produce = |feed: &mut Feed<'_, u32, u32>| {
+            for i in 0..50u32 {
+                assert!(i != 20, "boom in producer");
+                feed.push(|buf| *buf = i);
+            }
+        };
+        for threads in [1, 2, 4] {
+            let producer = std::panic::catch_unwind(|| {
+                Pool::new(threads).pipeline(2, produce, || (), |(), &x| x, |_| {})
+            });
+            assert!(producer.is_err(), "producer, {threads} workers");
+            let feed_all = |feed: &mut Feed<'_, u32, u32>| {
+                for i in 0..50u32 {
+                    feed.push(|buf| *buf = i);
+                }
+            };
+            let consumer = std::panic::catch_unwind(|| {
+                let consume = |(): &mut (), &x: &u32| {
+                    assert!(x != 20, "boom in consumer");
+                    x
+                };
+                Pool::new(threads).pipeline(2, feed_all, || (), consume, |_| {})
+            });
+            assert!(consumer.is_err(), "consumer, {threads} workers");
+            let collector = std::panic::catch_unwind(|| {
+                let collect = |x: u32| assert!(x != 20, "boom in collect");
+                Pool::new(threads).pipeline(2, feed_all, || (), |(), &x| x, collect)
+            });
+            assert!(collector.is_err(), "collect, {threads} workers");
+        }
     }
 
     #[test]

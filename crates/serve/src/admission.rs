@@ -26,7 +26,13 @@ pub enum AdmissionDecision {
 /// Floor and typical demand of one SLO-feasible branch set.
 #[derive(Debug, Clone, Copy)]
 struct DemandFractions {
+    /// See [`AdmissionController::floor_demand_fraction`].
     floor: f64,
+    /// The mean per-frame GPU cost of the set, over the SLO. An adaptive
+    /// stream wanders across exactly that set as contention varies —
+    /// heavy branches when the device is quiet, cheap ones under load —
+    /// so the set's mean is the controller's prior for what an admitted
+    /// stream will actually consume.
     typical: f64,
 }
 
@@ -101,20 +107,6 @@ impl AdmissionController {
             floor: min / slo_ms,
             typical: sum / n as f64 / slo_ms,
         })
-    }
-
-    /// The *typical* GPU demand fraction of a stream with the given
-    /// SLO: the mean per-frame GPU cost of the SLO-feasible branch set,
-    /// over the SLO. An adaptive stream wanders across exactly that set
-    /// as contention varies — heavy branches when the device is quiet,
-    /// cheap ones under load — so the set's mean is the controller's
-    /// prior for what an admitted stream will actually consume.
-    pub fn typical_demand_fraction(
-        trained: &TrainedScheduler,
-        profile: &DeviceProfile,
-        slo_ms: f64,
-    ) -> Option<f64> {
-        Self::demand_fractions(trained, profile, slo_ms).map(|d| d.typical)
     }
 
     /// The fraction [`AdmissionController::offer`] books for a stream of
@@ -210,6 +202,13 @@ mod tests {
         train_scheduler(&ds, DetectorFamily::FasterRcnn, &TrainConfig::tiny())
     }
 
+    /// The typical demand the controller books for an admitted stream.
+    fn typical_demand_fraction(t: &TrainedScheduler, profile: &DeviceProfile, slo: f64) -> f64 {
+        AdmissionController::demand_fractions(t, profile, slo)
+            .unwrap()
+            .typical
+    }
+
     #[test]
     fn floor_demand_decreases_with_looser_slo() {
         let t = trained();
@@ -261,7 +260,7 @@ mod tests {
         let profile = DeviceKind::JetsonTx2.profile();
         for slo in [33.3, 50.0, 100.0] {
             let floor = AdmissionController::floor_demand_fraction(&t, &profile, slo).unwrap();
-            let typical = AdmissionController::typical_demand_fraction(&t, &profile, slo).unwrap();
+            let typical = typical_demand_fraction(&t, &profile, slo);
             assert!(
                 typical >= floor,
                 "typical {typical} < floor {floor} @ {slo}"
@@ -275,7 +274,7 @@ mod tests {
         let profile = DeviceKind::JetsonTx2.profile();
         let slo = SloClass::Bronze.slo_ms();
         let floor = AdmissionController::floor_demand_fraction(&t, &profile, slo).unwrap();
-        let typical = AdmissionController::typical_demand_fraction(&t, &profile, slo).unwrap();
+        let typical = typical_demand_fraction(&t, &profile, slo);
         // Capacity for one full booking plus a bit more than one floor:
         // the second offer cannot be admitted, but its floor still fits.
         let mut ctl = AdmissionController::new((typical + floor * 1.2).min(1.0));

@@ -78,19 +78,6 @@ impl RgbFrame {
         }
     }
 
-    /// Serializes the image as binary PPM (P6), for debugging and the
-    /// examples — e.g. `std::fs::write("frame.ppm", img.to_ppm())`.
-    pub fn to_ppm(&self) -> Vec<u8> {
-        let mut out = format!("P6\n{} {}\n255\n", self.width, self.height).into_bytes();
-        let n = self.width * self.height;
-        for i in 0..n {
-            for c in 0..3 {
-                out.push((self.data[c * n + i].clamp(0.0, 1.0) * 255.0) as u8);
-            }
-        }
-        out
-    }
-
     /// Per-pixel luminance (Rec. 601 weights), row-major.
     pub fn luminance(&self) -> Vec<f32> {
         let n = self.width * self.height;
@@ -459,24 +446,6 @@ mod tests {
         let v = sample_video();
         let img = rasterize(&v.frames[0], &v.style, 32);
         assert_eq!(img.luminance().len(), 32 * 32);
-    }
-
-    #[test]
-    fn ppm_has_correct_header_and_size() {
-        let img = RgbFrame::new(4, 3);
-        let ppm = img.to_ppm();
-        assert!(ppm.starts_with(b"P6\n4 3\n255\n"));
-        assert_eq!(ppm.len(), b"P6\n4 3\n255\n".len() + 4 * 3 * 3);
-    }
-
-    #[test]
-    fn ppm_pixel_order_is_interleaved_rgb() {
-        let mut img = RgbFrame::new(2, 1);
-        img.set(0, 0, 0, 1.0); // red at pixel 0
-        img.set(2, 1, 0, 1.0); // blue at pixel 1
-        let ppm = img.to_ppm();
-        let body = &ppm[b"P6\n2 1\n255\n".len()..];
-        assert_eq!(body, &[255, 0, 0, 0, 0, 255]);
     }
 
     #[test]
