@@ -159,7 +159,7 @@ pub(crate) fn ablations(ctx: &Ctx) -> Result<String, ReproError> {
     } else {
         &[50, 100, 200]
     };
-    for row in pool.par_map_init(lens, FeatureService::new, |svc, _, &n| {
+    for row in pool.par_map(lens, |&n| {
         // The suite's own snippet length is its Faster R-CNN build.
         let built;
         let (ds, trained) = if n == scale.snippet_len() {
@@ -169,7 +169,7 @@ pub(crate) fn ablations(ctx: &Ctx) -> Result<String, ReproError> {
                 snippet_len: n,
                 ..OfflineConfig::paper(scale.frcnn_catalog(), DetectorFamily::FasterRcnn)
             };
-            let ds = profile_videos(&suite.train_videos, &cfg, svc);
+            let ds = profile_videos(&suite.train_videos, &cfg, &FeatureService::new());
             let trained = train_scheduler(&ds, DetectorFamily::FasterRcnn, &scale.train_config());
             built = (ds, trained);
             (&built.0, &built.1)

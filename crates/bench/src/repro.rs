@@ -10,6 +10,7 @@ use std::time::Instant;
 use litereconfig::pipeline::RunResult;
 use litereconfig::protocols::AdaptiveProtocol;
 use lr_device::DeviceKind;
+use lr_features::DeepExtractors;
 use lr_pool::Pool;
 
 use crate::suite::{ExperimentScale, Suite};
@@ -76,6 +77,10 @@ pub(crate) static ARTIFACTS: [Artifact; 13] = [
 /// matched its committed file.
 pub fn run(args: &Args, root: &Path) -> bool {
     let t0 = Instant::now();
+    // Feature services free the deep stand-ins' weights with their last
+    // handle; this one keeps them for the run, so they are built once
+    // rather than again in every cell that extracts a deep feature.
+    let _deep = DeepExtractors::shared();
     let pool = Pool::from_env();
     let small = Ctx::new(ExperimentScale::Small, pool);
     let paper = Ctx::new(ExperimentScale::Paper, pool);

@@ -118,7 +118,7 @@ impl Suite {
             snippet_len: scale.snippet_len(),
             ..OfflineConfig::paper(scale.frcnn_catalog(), DetectorFamily::FasterRcnn)
         };
-        let frcnn_dataset = profile_videos(&train_videos, &cfg, &mut FeatureService::new());
+        let frcnn_dataset = profile_videos(&train_videos, &cfg, &FeatureService::new());
         eprintln!(
             "[suite] {} snippets profiled in {:.1}s; training scheduler...",
             frcnn_dataset.len(),
@@ -159,7 +159,7 @@ impl Suite {
             snippet_len: self.scale.snippet_len(),
             ..OfflineConfig::paper(self.scale.one_stage_catalog(), family)
         };
-        let ds = profile_videos(&self.train_videos, &cfg, &mut FeatureService::new());
+        let ds = profile_videos(&self.train_videos, &cfg, &FeatureService::new());
         Arc::new(train_scheduler(
             &ds,
             family,

@@ -6,14 +6,19 @@
 //! stand-ins are kept as their `f32` vectors; HoC, a histogram, is kept as
 //! its integer bin counts ([`hoc::counts`]), from which a hit rebuilds
 //! the vector bit for bit.
+//!
+//! A miss extracts through `raster_entry`, which offline profiling
+//! also calls directly: it extracts each snippet head once, so it has no
+//! use for a cache.
 
 use std::collections::BTreeMap;
 use std::mem::size_of;
+use std::sync::Arc;
 
 use lr_features::{cpop, hoc, hog, DeepExtractors, FeatureKind, LightFeatures, ALL_FEATURE_KINDS};
 use lr_kernels::ProposalLogits;
 use lr_video::raster::{rasterize, DEFAULT_RASTER_SIZE};
-use lr_video::{BBox, RgbFrame, Video};
+use lr_video::{BBox, Video};
 
 /// Cache key: `(video seed, frame index, feature kind)`.
 ///
@@ -71,7 +76,7 @@ fn widest_entry_bytes(raster_size: usize) -> usize {
 /// raster has at most 16 such bins per channel, so an entry is about
 /// 0.8 KB instead of the 3 KB of the vector.
 #[derive(Debug)]
-struct HocCounts {
+pub(crate) struct HocCounts {
     /// Every bin's count, saturated at 255, channel-major.
     low: Box<[u8; hoc::DIM]>,
     /// `(bin, count)` for every bin whose count is 255 or more.
@@ -119,9 +124,9 @@ impl HocCounts {
     }
 }
 
-/// A cached feature.
+/// A raster-derived feature as the cache keeps it.
 #[derive(Debug)]
-enum Entry {
+pub(crate) enum Entry {
     /// HoC, as its bin counts.
     HoC(HocCounts),
     /// HOG and the deep stand-ins, as the vector itself.
@@ -130,7 +135,7 @@ enum Entry {
 
 impl Entry {
     /// The feature vector, for a raster of `pixels` pixels.
-    fn decode(&self, pixels: usize) -> Vec<f32> {
+    pub(crate) fn decode(&self, pixels: usize) -> Vec<f32> {
         match self {
             Entry::HoC(counts) => counts.decode(pixels),
             Entry::Dense(vector) => vector.clone(),
@@ -146,6 +151,41 @@ impl Entry {
         };
         payload + ENTRY_OVERHEAD_BYTES
     }
+}
+
+/// A raster-derived feature of frame `frame_idx` of `video`: the frame
+/// rendered at `raster_size` and the feature extracted from it, as the
+/// cache keeps it. `None` for the features that do not come from the
+/// raster (light and CPoP), which renders nothing.
+///
+/// The deep stand-ins extract through `deep`, which takes a handle on
+/// [`DeepExtractors::shared`] on the first ResNet50 or MobileNetV2
+/// extraction and keeps it; HoC and HOG leave it as it is.
+///
+/// # Panics
+///
+/// Panics if `frame_idx` is out of range.
+pub(crate) fn raster_entry(
+    kind: FeatureKind,
+    video: &Video,
+    frame_idx: usize,
+    raster_size: usize,
+    deep: &mut Option<Arc<DeepExtractors>>,
+) -> Option<Entry> {
+    let raster = || rasterize(&video.frames[frame_idx], &video.style, raster_size);
+    Some(match kind {
+        FeatureKind::Light | FeatureKind::CPoP => return None,
+        FeatureKind::HoC => Entry::HoC(HocCounts::encode(&hoc::counts(&raster()))),
+        FeatureKind::Hog => Entry::Dense(hog::extract(&raster())),
+        FeatureKind::ResNet50 => Entry::Dense(
+            deep.get_or_insert_with(DeepExtractors::shared)
+                .resnet50(&raster()),
+        ),
+        FeatureKind::MobileNetV2 => Entry::Dense(
+            deep.get_or_insert_with(DeepExtractors::shared)
+                .mobilenetv2(&raster()),
+        ),
+    })
 }
 
 /// One feature kind's cache counters.
@@ -204,12 +244,16 @@ impl CacheStats {
 /// from the Table 1 cost table, not here; this service only computes the
 /// feature values.
 ///
-/// The deep stand-ins' weights are not part of a service: every service
-/// extracts through the one process-wide [`DeepExtractors::shared`] copy,
-/// so a service is only its cache and costs nothing to build.
+/// The deep stand-ins' weights are shared, not copied: a service takes a
+/// handle on [`DeepExtractors::shared`] at its first ResNet50 or
+/// MobileNetV2 miss and keeps it for its lifetime, so every live service
+/// extracts through one copy. A service that never extracts a deep
+/// feature holds none, and costs nothing to build.
 #[derive(Debug)]
 pub struct FeatureService {
     raster_size: usize,
+    /// The deep stand-ins, from this service's first deep miss on.
+    deep: Option<Arc<DeepExtractors>>,
     cache: BTreeMap<CacheKey, (Entry, u64)>,
     /// Stamp -> key index over `cache`, one slot per entry, for O(log n)
     /// LRU eviction (see [`Self::make_room`]).
@@ -241,6 +285,7 @@ impl FeatureService {
         assert!(raster_size >= 16, "raster too small: {raster_size}");
         Self {
             raster_size,
+            deep: None,
             cache: BTreeMap::new(),
             lru: BTreeMap::new(),
             stats: CacheStats {
@@ -336,18 +381,11 @@ impl FeatureService {
         frame_idx: usize,
         proposal_logits: Option<&[ProposalLogits]>,
     ) -> Option<Vec<f32>> {
-        let extract: fn(&RgbFrame) -> Entry = match kind {
+        match kind {
             FeatureKind::Light => return None,
             FeatureKind::CPoP => return proposal_logits.map(cpop::cpop_vector),
-            FeatureKind::HoC => |raster| Entry::HoC(HocCounts::encode(&hoc::counts(raster))),
-            FeatureKind::Hog => |raster| Entry::Dense(hog::extract(raster)),
-            FeatureKind::ResNet50 => {
-                |raster| Entry::Dense(DeepExtractors::shared().resnet50(raster))
-            }
-            FeatureKind::MobileNetV2 => {
-                |raster| Entry::Dense(DeepExtractors::shared().mobilenetv2(raster))
-            }
-        };
+            _ => {}
+        }
         let pixels = self.raster_size * self.raster_size;
         let key = (video.spec.seed, frame_idx as u32, kind);
         self.tick += 1;
@@ -357,8 +395,7 @@ impl FeatureService {
             return Some(entry.decode(pixels));
         }
         self.stats.kind_mut(kind).misses += 1;
-        let raster = rasterize(&video.frames[frame_idx], &video.style, self.raster_size);
-        let entry = extract(&raster);
+        let entry = raster_entry(kind, video, frame_idx, self.raster_size, &mut self.deep)?;
         let value = entry.decode(pixels);
         self.cache_insert(key, entry);
         Some(value)
@@ -368,7 +405,7 @@ impl FeatureService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_video::VideoSpec;
+    use lr_video::{RgbFrame, VideoSpec};
 
     fn video() -> Video {
         Video::generate(VideoSpec {
@@ -526,9 +563,9 @@ mod tests {
 
     #[test]
     fn services_share_one_copy_of_the_deep_weights() {
-        // A service holds no weights: `extract_heavy` reads the deep
-        // stand-ins from `DeepExtractors::shared()`, so two services
-        // agree on every deep feature.
+        // A service holds no weights of its own: `extract_heavy` reads
+        // the deep stand-ins through a handle on `DeepExtractors::shared()`,
+        // so two services agree on every deep feature.
         let v = video();
         let mut a = FeatureService::new();
         let mut b = FeatureService::new();

@@ -8,15 +8,16 @@
 //! observations (the data for the latency regressions).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use lr_device::{DeviceKind, DeviceSim};
 use lr_eval::{GtBox, MapAccumulator, PredBox};
-use lr_features::{cpop, FeatureKind, LightFeatures};
+use lr_features::{cpop, DeepExtractors, FeatureKind, LightFeatures};
 use lr_kernels::{Branch, Detection, DetectorFamily, Mbek};
 use lr_obs::NullSink;
 use lr_video::{FrameTruth, Video};
 
-use crate::featsvc::FeatureService;
+use crate::featsvc::{raster_entry, FeatureService};
 
 /// Detector config used once per snippet to collect the
 /// detector-byproduct features (CPoP logits, boxes for light features).
@@ -230,13 +231,14 @@ impl Scorer {
 /// which score each branch's mAP and extract the features. Every result
 /// is the same, bit for bit, for any `LR_POOL_THREADS`.
 ///
-/// Features are extracted at `svc`'s raster size, by services private to
-/// the workers: each snippet head is extracted once, so a shared cache
-/// would save nothing, and `svc`'s cache is left as it was.
+/// Features are extracted at `svc`'s raster size and cached nowhere:
+/// each snippet head is extracted once, so a cache would save nothing,
+/// and `svc`'s cache is left as it was. The workers hold handles on the
+/// deep stand-ins' weights only while profiling runs.
 pub fn profile_videos(
     videos: &[Video],
     cfg: &OfflineConfig,
-    svc: &mut FeatureService,
+    svc: &FeatureService,
 ) -> OfflineDataset {
     assert!(cfg.snippet_len > 0, "snippet length must be positive");
     assert!(!cfg.catalog.is_empty(), "empty catalog");
@@ -301,18 +303,14 @@ pub fn profile_videos(
                 chain.push(side);
             }
         },
-        || {
-            (
-                Scorer::default(),
-                FeatureService::with_raster_size(raster_size),
-            )
-        },
-        |(scorer, extractor), item: &Handoff| {
+        || (Scorer::default(), None::<Arc<DeepExtractors>>),
+        |(scorer, deep), item: &Handoff| {
             let scored = match item.feature {
                 None => Scored::Branch(scorer.score(videos, item)),
                 Some(kind) => {
                     let video = &videos[item.video];
-                    Scored::Feature(kind, extractor.extract_heavy(kind, video, item.start, None))
+                    let entry = raster_entry(kind, video, item.start, raster_size, deep);
+                    Scored::Feature(kind, entry.map(|e| e.decode(raster_size * raster_size)))
                 }
             };
             (item.snippet, scored)
@@ -431,7 +429,7 @@ mod tests {
     }
 
     fn tiny_dataset() -> OfflineDataset {
-        profile_videos(&tiny_videos(), &tiny_config(), &mut FeatureService::new())
+        profile_videos(&tiny_videos(), &tiny_config(), &FeatureService::new())
     }
 
     /// The serial profiling loop `profile_videos` replaced: the chain
@@ -518,8 +516,8 @@ mod tests {
         let (videos, cfg) = (tiny_videos(), tiny_config());
         let want = profile_videos_serially(&videos, &cfg, &mut FeatureService::new());
         assert_eq!(want.records.len(), 4);
-        let mut svc = FeatureService::new();
-        let got = profile_videos(&videos, &cfg, &mut svc);
+        let svc = FeatureService::new();
+        let got = profile_videos(&videos, &cfg, &svc);
         assert_eq!(got.catalog, want.catalog);
         assert_eq!(got.records.len(), want.records.len());
         for (i, (g, w)) in got.records.iter().zip(&want.records).enumerate() {

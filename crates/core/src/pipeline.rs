@@ -668,14 +668,14 @@ mod tests {
                 })
             })
             .collect();
-        let mut svc = FeatureService::new();
+        let svc = FeatureService::new();
         let cfg = OfflineConfig {
             snippet_len: 40,
             catalog,
             family: DetectorFamily::FasterRcnn,
             seed: 11,
         };
-        let ds = profile_videos(&train_videos, &cfg, &mut svc);
+        let ds = profile_videos(&train_videos, &cfg, &svc);
         let trained = Arc::new(train_scheduler(
             &ds,
             DetectorFamily::FasterRcnn,

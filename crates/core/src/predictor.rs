@@ -191,6 +191,8 @@ impl AccuracyModel {
         for row in &inputs {
             scaler.transform_into(&[row], &mut x);
         }
+        // Training reads only the scaled matrix.
+        drop(inputs);
         let mut y = Vec::with_capacity(n * out_dim);
         for r in &dataset.records {
             y.extend_from_slice(&r.branch_map);
@@ -468,7 +470,7 @@ mod tests {
             family: DetectorFamily::FasterRcnn,
             seed: 8,
         };
-        profile_videos(&videos, &cfg, &mut FeatureService::new())
+        profile_videos(&videos, &cfg, &FeatureService::new())
     }
 
     #[test]

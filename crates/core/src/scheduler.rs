@@ -694,8 +694,7 @@ mod tests {
             family: DetectorFamily::FasterRcnn,
             seed: 9,
         };
-        let mut svc = FeatureService::new();
-        let ds = profile_videos(&videos, &cfg, &mut svc);
+        let ds = profile_videos(&videos, &cfg, &FeatureService::new());
         let mut accuracy = BTreeMap::new();
         accuracy.insert(
             FeatureKind::Light,

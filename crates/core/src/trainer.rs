@@ -146,7 +146,7 @@ mod tests {
             family: DetectorFamily::FasterRcnn,
             seed: 10,
         };
-        profile_videos(&videos, &cfg, &mut FeatureService::new())
+        profile_videos(&videos, &cfg, &FeatureService::new())
     }
 
     #[test]

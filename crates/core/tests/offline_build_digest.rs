@@ -78,7 +78,7 @@ fn offline_build_matches_the_pinned_digests() {
         family: DetectorFamily::FasterRcnn,
         seed: 12,
     };
-    let dataset = profile_videos(&videos, &offline, &mut FeatureService::new());
+    let dataset = profile_videos(&videos, &offline, &FeatureService::new());
 
     let mut features = Fnv1a::new();
     let mut labels = Fnv1a::new();
@@ -132,7 +132,7 @@ fn offline_build_matches_the_pinned_digests() {
     let sized_latency = LatencyModel::train(&profile_videos(
         &sized,
         &sized_offline,
-        &mut FeatureService::new(),
+        &FeatureService::new(),
     ));
 
     let mut latency = Fnv1a::new();

@@ -347,7 +347,7 @@ mod tests {
     /// A device without latency noise.
     fn noiseless(kind: DeviceKind, contention_pct: f64, seed: u64) -> DeviceSim {
         DeviceSim {
-            noise: LatencyNoise::none(),
+            noise: crate::noise::tests::NO_NOISE,
             ..DeviceSim::new(kind, contention_pct, seed)
         }
     }

@@ -32,15 +32,6 @@ impl Default for LatencyNoise {
 }
 
 impl LatencyNoise {
-    /// A zero-noise configuration for deterministic tests.
-    pub fn none() -> Self {
-        Self {
-            sigma: 0.0,
-            spike_prob: 0.0,
-            spike_factor: 1.0,
-        }
-    }
-
     /// Samples one noise factor (always >= a small positive bound).
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         let z = approx_standard_normal(rng);
@@ -60,14 +51,21 @@ fn approx_standard_normal(rng: &mut impl Rng) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A zero-noise configuration for deterministic tests.
+    pub(crate) const NO_NOISE: LatencyNoise = LatencyNoise {
+        sigma: 0.0,
+        spike_prob: 0.0,
+        spike_factor: 1.0,
+    };
+
     #[test]
     fn zero_noise_is_identity() {
-        let n = LatencyNoise::none();
+        let n = NO_NOISE;
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(n.sample(&mut rng), 1.0);

@@ -11,10 +11,12 @@
 //! Output dimensions match Table 1: ResNet50 -> 1024, MobileNetV2 -> 1280.
 //!
 //! The weights come from fixed seeds, so every copy of the stacks is the
-//! same: [`DeepExtractors::shared`] builds them once per process, on first
-//! use, and every feature service extracts through that one copy.
+//! same. [`DeepExtractors::shared`] hands out handles on one copy: it is
+//! built when the first handle is taken and freed when the last one is
+//! dropped, so a process that no longer extracts deep features does not
+//! keep their 6.6 MiB of weights.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use lr_nn::conv::{ConvStack, FeatureMap};
 use lr_video::RgbFrame;
@@ -56,11 +58,20 @@ impl DeepExtractors {
         Self { resnet, mobilenet }
     }
 
-    /// The process-wide copy, built by the first caller; racing first
-    /// callers block until it is ready.
-    pub fn shared() -> &'static Self {
-        static SHARED: OnceLock<DeepExtractors> = OnceLock::new();
-        SHARED.get_or_init(Self::new)
+    /// A handle on the one live copy. The first caller while no handle
+    /// is held builds it, and racing callers block until it is ready;
+    /// the copy is freed when the last handle is dropped.
+    pub fn shared() -> Arc<Self> {
+        static SHARED: Mutex<Weak<DeepExtractors>> = Mutex::new(Weak::new());
+        // The slot is only ever overwritten whole, so a poisoned lock
+        // still holds a valid `Weak`.
+        let mut slot = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(live) = slot.upgrade() {
+            return live;
+        }
+        let fresh = Arc::new(Self::new());
+        *slot = Arc::downgrade(&fresh);
+        fresh
     }
 
     /// The ResNet50 stand-in embedding (1024-d).
@@ -129,7 +140,7 @@ mod tests {
                 bits(fresh.mobilenetv2(frame))
             );
         }
-        assert!(std::ptr::eq(shared, DeepExtractors::shared()));
+        assert!(Arc::ptr_eq(&shared, &DeepExtractors::shared()));
     }
 
     #[test]

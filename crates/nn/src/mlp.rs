@@ -236,23 +236,25 @@ struct Workspace {
     grad_weights: Matrix,
     /// One layer's bias gradient at a time.
     grad_bias: Matrix,
-    /// One layer's transposed weights at a time, for `dX`.
+    /// One layer's transposed weights at a time, for `dX`. Layer 0 has
+    /// no layer below to pass `dX` to, so this is sized to the widest of
+    /// the others.
     weights_t: Matrix,
 }
 
 impl Workspace {
     fn new(layers: &[Dense], batch: usize) -> Self {
         let most = |f: fn(&Dense) -> usize| layers.iter().map(f).max().unwrap_or(1);
-        let weights = most(|l| l.in_dim() * l.out_dim());
+        let size = |l: &Dense| l.in_dim() * l.out_dim();
         let mut acts = vec![Matrix::zeros(batch, layers[0].in_dim())];
         acts.extend(layers.iter().map(|l| Matrix::zeros(batch, l.out_dim())));
         Self {
             grads: acts[1..].to_vec(),
             targets: acts[layers.len()].clone(),
             acts,
-            grad_weights: Matrix::zeros(1, weights),
+            grad_weights: Matrix::zeros(1, most(size)),
             grad_bias: Matrix::zeros(1, most(Dense::out_dim)),
-            weights_t: Matrix::zeros(1, weights),
+            weights_t: Matrix::zeros(1, layers[1..].iter().map(size).max().unwrap_or(1)),
         }
     }
 }

@@ -19,6 +19,13 @@ use crate::mlp::Mlp;
 const WIDE: usize = 32;
 /// Columns of the one narrower panel a layer may end with.
 const NARROW: usize = 16;
+/// Bytes every layer's first panel is aligned to: one cache line, so
+/// where the allocator puts the panels changes no load's cache-line
+/// split from one run to the next.
+const PANEL_ALIGN: usize = 64;
+/// Spare values allocated ahead of the panels, enough to reach the
+/// next [`PANEL_ALIGN`] boundary from any `f32` address.
+const PANEL_PAD: usize = PANEL_ALIGN / size_of::<f32>() - 1;
 
 /// A stack of dense layers that runs one example at a time and cannot
 /// be trained.
@@ -50,9 +57,49 @@ struct PackedDense {
     /// `in_dim` rows of `WIDE`, then at most one [`NARROW`] panel the
     /// same way, then each leftover column as `in_dim` contiguous
     /// values.
-    panels: Vec<f32>,
+    panels: AlignedPanels,
     bias: Vec<f32>,
     activation: Activation,
+}
+
+/// Values whose first one sits on a [`PANEL_ALIGN`]-byte boundary: a
+/// buffer allocated [`PANEL_PAD`] values longer than its contents and
+/// read from the boundary on.
+#[derive(Debug)]
+struct AlignedPanels {
+    buf: Vec<f32>,
+    /// Index in `buf` of the first value.
+    start: usize,
+}
+
+impl AlignedPanels {
+    /// An empty buffer with room for `len` values after the boundary.
+    fn with_capacity(len: usize) -> Self {
+        let mut buf: Vec<f32> = Vec::with_capacity(len + PANEL_PAD);
+        let start = buf.as_ptr().align_offset(PANEL_ALIGN).min(PANEL_PAD);
+        buf.resize(start, 0.0);
+        Self { buf, start }
+    }
+
+    /// Appends `values`, which must fit the capacity: a buffer that
+    /// grew would move, and lose its alignment.
+    fn extend_from_slice(&mut self, values: &[f32]) {
+        debug_assert!(self.buf.len() + values.len() <= self.buf.capacity());
+        self.buf.extend_from_slice(values);
+    }
+
+    fn as_slice(&self) -> &[f32] {
+        &self.buf[self.start..]
+    }
+}
+
+impl Clone for AlignedPanels {
+    /// A copy aligned afresh, at its own offset.
+    fn clone(&self) -> Self {
+        let mut copy = Self::with_capacity(self.as_slice().len());
+        copy.extend_from_slice(self.as_slice());
+        copy
+    }
 }
 
 impl PackedMlp {
@@ -119,7 +166,7 @@ impl PackedDense {
         let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
         let (weights, bias, activation) = layer.into_parts();
         let (wide, narrow) = panel_split(out_dim);
-        let mut panels = Vec::with_capacity(in_dim * out_dim);
+        let mut panels = AlignedPanels::with_capacity(in_dim * out_dim);
         let widths = std::iter::repeat_n(WIDE, wide / WIDE)
             .chain(std::iter::repeat_n(NARROW, narrow / NARROW))
             .chain(std::iter::repeat_n(1, out_dim - wide - narrow));
@@ -144,7 +191,7 @@ impl PackedDense {
     fn forward(&self, x: &[f32], out: &mut [f32]) {
         let k = self.in_dim;
         let (wide, narrow) = panel_split(self.out_dim);
-        let (wide_w, rest) = self.panels.split_at(wide * k);
+        let (wide_w, rest) = self.panels.as_slice().split_at(wide * k);
         let (narrow_w, single_w) = rest.split_at(narrow * k);
         let (wide_out, rest) = out.split_at_mut(wide);
         let (narrow_out, single_out) = rest.split_at_mut(narrow);
@@ -312,6 +359,24 @@ pub(crate) mod tests {
         assert_eq!(x.len(), 3);
         // Three layers: an odd number of swaps.
         assert_eq!([spare.as_ptr(), x.as_ptr()], pointers);
+    }
+
+    #[test]
+    fn every_layer_and_every_clone_starts_on_a_cache_line() {
+        let packed = PackedMlp::from(stepped_mlp(&hoc_model(), 3));
+        let copy = packed.clone();
+        for net in [&packed, &copy] {
+            for layer in &net.layers {
+                let panels = layer.panels.as_slice();
+                assert_eq!(panels.len(), layer.in_dim * layer.out_dim);
+                assert_eq!(panels.as_ptr().addr() % PANEL_ALIGN, 0);
+            }
+        }
+        let (mut x, mut spare) = (rows(772, 3)[0].clone(), Vec::new());
+        let mut y = x.clone();
+        packed.infer_row(&mut x, &mut spare);
+        copy.infer_row(&mut y, &mut spare);
+        assert_eq!(bits(&x), bits(&y));
     }
 
     #[test]

@@ -346,8 +346,7 @@ mod tests {
             });
 
             // A shape of the one-row test. Its output is one 16-wide
-            // panel; on wider layers the AVX2 gain swings with the
-            // panels' alignment, from run to run.
+            // panel.
             let layer = MlpConfig::regression(772, &[], 16);
             let net = PackedMlp::from(packed::tests::stepped_mlp(&layer, 3));
             let [input, _] = packed::tests::rows(772, 3);

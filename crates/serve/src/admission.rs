@@ -26,7 +26,13 @@ pub enum AdmissionDecision {
 /// Floor and typical demand of one SLO-feasible branch set.
 #[derive(Debug, Clone, Copy)]
 struct DemandFractions {
-    /// See [`AdmissionController::floor_demand_fraction`].
+    /// The per-frame GPU milliseconds of the cheapest branch whose GPU
+    /// work alone fits the SLO, over the SLO (the stream's frame
+    /// budget).
+    ///
+    /// This is a capacity *estimate*: trackers run on the CPU and the
+    /// scheduler adapts online, so the GPU-only per-branch cost is the
+    /// right currency for GPU admission.
     floor: f64,
     /// The mean per-frame GPU cost of the set, over the SLO. An adaptive
     /// stream wanders across exactly that set as contention varies —
@@ -66,26 +72,10 @@ impl AdmissionController {
         self.committed
     }
 
-    /// The *floor* GPU demand fraction of a stream with the given SLO:
-    /// the per-frame GPU milliseconds of the cheapest branch whose GPU
-    /// work alone fits the SLO, over the SLO (the stream's frame
-    /// budget). Returns `None` when no branch fits even in isolation —
-    /// such a stream cannot be served on this device at all.
-    ///
-    /// This is a capacity *estimate*: trackers run on the CPU and the
-    /// scheduler adapts online, so the GPU-only per-branch cost is the
-    /// right currency for GPU admission.
-    pub fn floor_demand_fraction(
-        trained: &TrainedScheduler,
-        profile: &DeviceProfile,
-        slo_ms: f64,
-    ) -> Option<f64> {
-        Self::demand_fractions(trained, profile, slo_ms).map(|d| d.floor)
-    }
-
     /// Floor and typical demand of the SLO-feasible branch set, computed
     /// in one pass. `None` iff the feasible set is empty, so callers get
-    /// both-or-neither by construction.
+    /// both-or-neither by construction; such a stream cannot be served
+    /// on this device at all.
     fn demand_fractions(
         trained: &TrainedScheduler,
         profile: &DeviceProfile,
@@ -191,15 +181,21 @@ mod tests {
                 })
             })
             .collect();
-        let mut svc = FeatureService::new();
         let cfg = OfflineConfig {
             snippet_len: 30,
             catalog: small_catalog(),
             family: DetectorFamily::FasterRcnn,
             seed: 21,
         };
-        let ds = profile_videos(&videos, &cfg, &mut svc);
+        let ds = profile_videos(&videos, &cfg, &FeatureService::new());
         train_scheduler(&ds, DetectorFamily::FasterRcnn, &TrainConfig::tiny())
+    }
+
+    /// The floor demand the controller books for a degraded stream.
+    fn floor_demand_fraction(t: &TrainedScheduler, profile: &DeviceProfile, slo: f64) -> f64 {
+        AdmissionController::demand_fractions(t, profile, slo)
+            .unwrap()
+            .floor
     }
 
     /// The typical demand the controller books for an admitted stream.
@@ -213,8 +209,8 @@ mod tests {
     fn floor_demand_decreases_with_looser_slo() {
         let t = trained();
         let profile = DeviceKind::JetsonTx2.profile();
-        let tight = AdmissionController::floor_demand_fraction(&t, &profile, 33.3).unwrap();
-        let loose = AdmissionController::floor_demand_fraction(&t, &profile, 100.0).unwrap();
+        let tight = floor_demand_fraction(&t, &profile, 33.3);
+        let loose = floor_demand_fraction(&t, &profile, 100.0);
         assert!(tight > loose, "tight {tight} <= loose {loose}");
         assert!(loose > 0.0);
     }
@@ -222,12 +218,8 @@ mod tests {
     #[test]
     fn xavier_demands_less_than_tx2() {
         let t = trained();
-        let tx2 =
-            AdmissionController::floor_demand_fraction(&t, &DeviceKind::JetsonTx2.profile(), 50.0)
-                .unwrap();
-        let xavier =
-            AdmissionController::floor_demand_fraction(&t, &DeviceKind::AgxXavier.profile(), 50.0)
-                .unwrap();
+        let tx2 = floor_demand_fraction(&t, &DeviceKind::JetsonTx2.profile(), 50.0);
+        let xavier = floor_demand_fraction(&t, &DeviceKind::AgxXavier.profile(), 50.0);
         assert!(xavier < tx2);
     }
 
@@ -259,7 +251,7 @@ mod tests {
         let t = trained();
         let profile = DeviceKind::JetsonTx2.profile();
         for slo in [33.3, 50.0, 100.0] {
-            let floor = AdmissionController::floor_demand_fraction(&t, &profile, slo).unwrap();
+            let floor = floor_demand_fraction(&t, &profile, slo);
             let typical = typical_demand_fraction(&t, &profile, slo);
             assert!(
                 typical >= floor,
@@ -273,7 +265,7 @@ mod tests {
         let t = trained();
         let profile = DeviceKind::JetsonTx2.profile();
         let slo = SloClass::Bronze.slo_ms();
-        let floor = AdmissionController::floor_demand_fraction(&t, &profile, slo).unwrap();
+        let floor = floor_demand_fraction(&t, &profile, slo);
         let typical = typical_demand_fraction(&t, &profile, slo);
         // Capacity for one full booking plus a bit more than one floor:
         // the second offer cannot be admitted, but its floor still fits.

@@ -26,14 +26,13 @@ fn trained() -> Arc<TrainedScheduler> {
             })
         })
         .collect();
-    let mut svc = FeatureService::new();
     let cfg = OfflineConfig {
         snippet_len: 30,
         catalog: small_catalog(),
         family: DetectorFamily::FasterRcnn,
         seed: 77,
     };
-    let ds = profile_videos(&videos, &cfg, &mut svc);
+    let ds = profile_videos(&videos, &cfg, &FeatureService::new());
     Arc::new(train_scheduler(
         &ds,
         DetectorFamily::FasterRcnn,

@@ -38,11 +38,7 @@ fn main() {
         snippet_len: 50,
         ..OfflineConfig::paper(small_catalog(), DetectorFamily::FasterRcnn)
     };
-    let offline = profile_videos(
-        &dataset.videos(Split::TrainScheduler),
-        &offline_cfg,
-        &mut svc,
-    );
+    let offline = profile_videos(&dataset.videos(Split::TrainScheduler), &offline_cfg, &svc);
     let trained = Arc::new(train_scheduler(
         &offline,
         DetectorFamily::FasterRcnn,

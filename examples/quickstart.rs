@@ -45,7 +45,7 @@ fn main() {
         "profiling {} branches offline...",
         offline_cfg.catalog.len()
     );
-    let offline = profile_videos(&train_videos, &offline_cfg, &mut svc);
+    let offline = profile_videos(&train_videos, &offline_cfg, &svc);
     println!("profiled {} snippets; training scheduler...", offline.len());
     let trained = Arc::new(train_scheduler(
         &offline,

@@ -23,12 +23,12 @@ fn build(id_offset: u32) -> (Arc<TrainedScheduler>, Vec<Video>, FeatureService) 
     });
     let train = dataset.videos(Split::TrainScheduler);
     let val = dataset.videos(Split::Validation);
-    let mut svc = FeatureService::new();
+    let svc = FeatureService::new();
     let cfg = OfflineConfig {
         snippet_len: 50,
         ..OfflineConfig::paper(small_catalog(), DetectorFamily::FasterRcnn)
     };
-    let ds = profile_videos(&train, &cfg, &mut svc);
+    let ds = profile_videos(&train, &cfg, &svc);
     let trained = Arc::new(train_scheduler(
         &ds,
         DetectorFamily::FasterRcnn,

@@ -22,12 +22,12 @@ fn build() -> (Arc<TrainedScheduler>, Video, FeatureService) {
     });
     let train = dataset.videos(Split::TrainScheduler);
     let val = dataset.video(Split::Validation, 0);
-    let mut svc = FeatureService::new();
+    let svc = FeatureService::new();
     let cfg = OfflineConfig {
         snippet_len: 50,
         ..OfflineConfig::paper(small_catalog(), DetectorFamily::FasterRcnn)
     };
-    let ds = profile_videos(&train, &cfg, &mut svc);
+    let ds = profile_videos(&train, &cfg, &svc);
     // The byproduct-gating tests below need content models for the
     // detector-derived features, which the default tiny config skips.
     let train_cfg = TrainConfig {
