@@ -505,7 +505,7 @@ fn analysis_section(label: &str, bundle: &ObsBundle) -> Result<String, ReproErro
         "Amortized (ms)",
         "Slack (ms)",
         "Actual (ms)",
-        "Actual p95 (ms)",
+        "p95 by GoF (ms)",
     ]);
     budget.add_row_owned(
         [
@@ -524,7 +524,7 @@ fn analysis_section(label: &str, bundle: &ObsBundle) -> Result<String, ReproErro
     );
     writeln!(
         out,
-        "Latency-budget decomposition (mean per-frame, {} decisions):\n{}",
+        "Latency-budget decomposition (mean over GoFs of per-frame terms, {} decisions):\n{}",
         bd.decisions,
         budget.render()
     )?;

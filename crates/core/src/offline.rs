@@ -6,6 +6,20 @@
 //! decide), the snippet-specific mAP of *every* catalog branch (the labels
 //! for the content-aware accuracy model), and per-branch latency
 //! observations (the data for the latency regressions).
+//!
+//! [`profile_videos`] runs in two phases, ordered so that the offline
+//! build's largest allocations never live at once:
+//!
+//! 1. **Deep pass.** The ResNet50 and MobileNetV2 stand-ins (6.6 MiB of
+//!    conv weights) embed every snippet head on the caller's thread, and
+//!    the pass drops its handle on the weights when it returns.
+//! 2. **Chain.** One device walks every snippet in order and runs every
+//!    branch; the pool's other workers score the branches and extract
+//!    HoC and HOG beside it. The chain never touches the deep weights.
+//!
+//! Every feature is a pure function of its frame, so moving the deep
+//! extractions out of the chain changes no value and leaves the chain's
+//! RNG order as it was.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,8 +27,9 @@ use std::sync::Arc;
 use lr_device::{DeviceKind, DeviceSim};
 use lr_eval::{GtBox, MapAccumulator, PredBox};
 use lr_features::{cpop, DeepExtractors, FeatureKind, LightFeatures};
-use lr_kernels::{Branch, Detection, DetectorFamily, Mbek};
+use lr_kernels::{Branch, Detection, DetectorFamily, GofResult, Mbek};
 use lr_obs::NullSink;
+use lr_video::raster::rasterize;
 use lr_video::{FrameTruth, Video};
 
 use crate::featsvc::{raster_entry, FeatureService};
@@ -125,20 +140,15 @@ pub fn pred_boxes(dets: &[Detection]) -> impl Iterator<Item = PredBox> + '_ {
 }
 
 /// In-flight bound of the profiling pipeline. At paper scale the chain
-/// makes an item about every 55 µs, so 32 items ride out the longest
-/// feature extraction (MobileNetV2, about 1.3 ms) without a stall, and
+/// makes an item about every 55 µs, so 32 items ride out a consumer's
+/// longest feature extraction (HOG, about 0.3 ms) without a stall, and
 /// hold at most 32 x 26 KB of predictions (the largest item has 827).
 const PIPELINE_BOUND: usize = 32;
 
-/// The heavy features computed from a frame's raster alone. A consumer
-/// extracts them; the chain assembles CPoP from its reference
-/// detection's logits.
-const RASTER_KINDS: [FeatureKind; 4] = [
-    FeatureKind::HoC,
-    FeatureKind::Hog,
-    FeatureKind::ResNet50,
-    FeatureKind::MobileNetV2,
-];
+/// The light raster features, which a consumer extracts beside the
+/// chain. The deep pass has already embedded ResNet50 and MobileNetV2,
+/// and the chain assembles CPoP from its reference detection's logits.
+const RASTER_KINDS: [FeatureKind; 2] = [FeatureKind::HoC, FeatureKind::Hog];
 
 /// One item the profiling chain hands to a consumer: a raster feature of
 /// a snippet's first frame to extract, or one branch's predictions over
@@ -223,18 +233,20 @@ impl Scorer {
 /// calibration reference; the online latency model adapts to other devices
 /// and contention levels through its multiplicative corrections.
 ///
-/// One device walks every snippet in order on the caller's thread: its
+/// First the deep pass embeds every snippet head with the deep
+/// stand-ins on the caller's thread and lets go of their weights. Then
+/// one device walks every snippet in order on the caller's thread: its
 /// RNG drives the reference detection and every branch's jitter, false
 /// positives and latency noise, so this chain is serial. It hands each
-/// branch's predictions, and each raster feature of the snippet's first
-/// frame, to the pool's other workers ([`lr_pool::Pool::pipeline`]),
+/// branch's predictions, and HoC and HOG of the snippet's first frame,
+/// to the pool's other workers ([`lr_pool::Pool::pipeline`]),
 /// which score each branch's mAP and extract the features. Every result
 /// is the same, bit for bit, for any `LR_POOL_THREADS`.
 ///
 /// Features are extracted at `svc`'s raster size and cached nowhere:
 /// each snippet head is extracted once, so a cache would save nothing,
-/// and `svc`'s cache is left as it was. The workers hold handles on the
-/// deep stand-ins' weights only while profiling runs.
+/// and `svc`'s cache is left as it was. Profiling holds a handle on the
+/// deep stand-ins' weights only during the deep pass.
 pub fn profile_videos(
     videos: &[Video],
     cfg: &OfflineConfig,
@@ -242,9 +254,53 @@ pub fn profile_videos(
 ) -> OfflineDataset {
     assert!(cfg.snippet_len > 0, "snippet length must be positive");
     assert!(!cfg.catalog.is_empty(), "empty catalog");
+    let raster_size = svc.raster_size();
+    let deep = deep_pass(
+        DeepExtractors::shared(),
+        videos,
+        cfg.snippet_len,
+        raster_size,
+    );
+    profile_chain(videos, cfg, raster_size, deep)
+}
+
+/// The deep features of every snippet head, in profiling order: the
+/// head rendered once at `raster_size` and embedded by both stand-ins,
+/// on the caller's thread. `deep` is dropped on return, so when no one
+/// else holds the weights they are freed before the chain starts.
+fn deep_pass(
+    deep: Arc<DeepExtractors>,
+    videos: &[Video],
+    snippet_len: usize,
+    raster_size: usize,
+) -> Vec<BTreeMap<FeatureKind, Vec<f32>>> {
+    let heads = videos.iter().flat_map(|video| {
+        let starts = video.snippets(snippet_len).into_iter();
+        starts.map(move |snippet| (video, snippet[0].frame_index as usize))
+    });
+    heads
+        .map(|(video, start)| {
+            let raster = rasterize(&video.frames[start], &video.style, raster_size);
+            BTreeMap::from([
+                (FeatureKind::ResNet50, deep.resnet50(&raster)),
+                (FeatureKind::MobileNetV2, deep.mobilenetv2(&raster)),
+            ])
+        })
+        .collect()
+}
+
+/// The chain of [`profile_videos`]: every branch of every snippet on one
+/// device, labelled and featured beside it by the pool; `deep` holds
+/// each snippet's deep features, in profiling order, and becomes the
+/// start of its record's heavy features.
+fn profile_chain(
+    videos: &[Video],
+    cfg: &OfflineConfig,
+    raster_size: usize,
+    deep: Vec<BTreeMap<FeatureKind, Vec<f32>>>,
+) -> OfflineDataset {
     let mut device = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, cfg.seed);
     let reference = lr_kernels::DetectorSim::new(cfg.family);
-    let raster_size = svc.raster_size();
 
     let mut chain: Vec<ChainSide> = Vec::new();
     let mut labels: Vec<Labels> = Vec::new();
@@ -303,13 +359,14 @@ pub fn profile_videos(
                 chain.push(side);
             }
         },
-        || (Scorer::default(), None::<Arc<DeepExtractors>>),
-        |(scorer, deep), item: &Handoff| {
+        Scorer::default,
+        |scorer, item: &Handoff| {
             let scored = match item.feature {
                 None => Scored::Branch(scorer.score(videos, item)),
                 Some(kind) => {
                     let video = &videos[item.video];
-                    let entry = raster_entry(kind, video, item.start, raster_size, deep);
+                    // HoC and HOG take no handle on the deep weights.
+                    let entry = raster_entry(kind, video, item.start, raster_size, &mut None);
                     Scored::Feature(kind, entry.map(|e| e.decode(raster_size * raster_size)))
                 }
             };
@@ -341,8 +398,9 @@ pub fn profile_videos(
     let records = chain
         .into_iter()
         .zip(labels)
-        .map(|(side, labels)| {
-            let mut heavy = labels.heavy;
+        .zip(deep)
+        .map(|((side, labels), mut heavy)| {
+            heavy.extend(labels.heavy);
             heavy.insert(FeatureKind::CPoP, side.cpop);
             SnippetRecord {
                 video_id: side.video_id,
@@ -377,19 +435,19 @@ fn run_branch_on_snippet(
     item: &mut Handoff,
 ) -> (f64, f64) {
     let mut mbek = Mbek::new(family, branch);
+    let mut result = GofResult::default();
     let mut det_ms = 0.0;
     let mut trk_ms = 0.0;
     let gof = branch.gof_size.max(1) as usize;
     let mut t = 0;
     while t < snippet.len() {
         let end = (t + gof).min(snippet.len());
-        let result = match mbek.run_gof(&snippet[t..end], device, &mut NullSink) {
-            Ok(result) => result,
-            Err(e) => panic!("{e}"),
-        };
+        if let Err(e) = mbek.run_gof(&snippet[t..end], device, &mut NullSink, &mut result) {
+            panic!("{e}");
+        }
         det_ms += result.detector_ms;
         trk_ms += result.tracker_ms;
-        for dets in &result.per_frame {
+        for dets in result.per_frame() {
             item.preds.extend(pred_boxes(dets));
             item.frame_ends.push(item.preds.len());
         }
@@ -470,12 +528,12 @@ mod tests {
                     let mut t = 0;
                     while t < snippet.len() {
                         let end = (t + gof).min(snippet.len());
-                        let result = mbek
-                            .run_gof(&snippet[t..end], &mut device, &mut NullSink)
+                        let mut result = GofResult::default();
+                        mbek.run_gof(&snippet[t..end], &mut device, &mut NullSink, &mut result)
                             .unwrap();
                         det_ms += result.detector_ms;
                         trk_ms += result.tracker_ms;
-                        for (frame, dets) in (t..end).zip(&result.per_frame) {
+                        for (frame, dets) in (t..end).zip(result.per_frame()) {
                             acc.add_predictions(frame, pred_boxes(dets));
                         }
                         t = end;
@@ -554,9 +612,32 @@ mod tests {
             );
         }
         // The caller's cache is left as it was.
-        for kind in RASTER_KINDS {
+        for kind in lr_features::HEAVY_FEATURE_KINDS {
             let stats = svc.cache_stats().kind(kind);
             assert_eq!((stats.hits, stats.misses), (0, 0), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn the_deep_pass_lets_go_of_the_weights_before_the_chain_runs() {
+        // A private copy, so that no other test's handle keeps it alive.
+        let (videos, cfg) = (tiny_videos(), tiny_config());
+        let weights = Arc::new(DeepExtractors::new());
+        let earlier = Arc::downgrade(&weights);
+        let raster_size = FeatureService::new().raster_size();
+        let deep = deep_pass(weights, &videos, cfg.snippet_len, raster_size);
+        assert!(
+            earlier.upgrade().is_none(),
+            "the deep weights outlived the deep pass"
+        );
+        // The chain takes the deep features as they are and adds the
+        // others: the same records as profiling in one call.
+        let want = profile_videos(&videos, &cfg, &FeatureService::new());
+        let got = profile_chain(&videos, &cfg, raster_size, deep);
+        assert_eq!(got.records.len(), want.records.len());
+        for (g, w) in got.records.iter().zip(&want.records) {
+            assert_eq!(g.heavy, w.heavy);
+            assert_eq!(bits32(&g.branch_map), bits32(&w.branch_map));
         }
     }
 

@@ -225,6 +225,8 @@ pub struct StreamPipeline {
     trained: Arc<TrainedScheduler>,
     scheduler: Scheduler,
     mbek: lr_kernels::Mbek,
+    /// The last GoF's results, whose buffers the next GoF reuses.
+    gof: lr_kernels::GofResult,
     sampler: OnlineSwitchSampler,
     fixed_overhead_ms_per_frame: f64,
 
@@ -286,6 +288,7 @@ impl StreamPipeline {
             trained,
             scheduler,
             mbek,
+            gof: lr_kernels::GofResult::default(),
             sampler,
             fixed_overhead_ms_per_frame: cfg.fixed_overhead_ms_per_frame,
             video_idx: 0,
@@ -417,8 +420,10 @@ impl StreamPipeline {
                 wasted_ms: 0.0,
             });
         }
-        let result = match self.mbek.run_gof(frames, device, obs) {
-            Ok(r) => r,
+        // The GoF buffers are reused from step to step, and put back below.
+        let mut result = std::mem::take(&mut self.gof);
+        match self.mbek.run_gof(frames, device, obs, &mut result) {
+            Ok(()) => {}
             Err(OpError::Transient { wasted_ms: w }) => {
                 gof_faults += 1;
                 wasted_ms += w;
@@ -426,7 +431,7 @@ impl StreamPipeline {
                 // shorter detector op, less exposure to the fault episode
                 // — unless we are already on it.
                 let cheapest = argmin(&self.trained.det_inference_ms);
-                let mut retried = None;
+                let mut retried = false;
                 if cheapest != exec_branch_idx {
                     switch_ms += self.switch_to(cheapest, device, obs);
                     exec_branch_idx = cheapest;
@@ -436,32 +441,30 @@ impl StreamPipeline {
                         kind: DegradeKind::CheaperRetry,
                         wasted_ms: w,
                     });
-                    match self.mbek.run_gof(frames, device, obs) {
-                        Ok(r) => retried = Some(r),
+                    match self.mbek.run_gof(frames, device, obs, &mut result) {
+                        Ok(()) => retried = true,
                         Err(OpError::Transient { wasted_ms: w2 }) => {
                             gof_faults += 1;
                             wasted_ms += w2;
                         }
                     }
                 }
-                match retried {
-                    Some(r) => r,
-                    None => {
-                        // Rung 2: give up on detection for this GoF —
-                        // tracker-only on the last known detections.
-                        fallback_gof = true;
-                        self.degrade_events.push(DegradeEvent {
-                            video_idx,
-                            frame: t,
-                            kind: DegradeKind::TrackerOnlyGof,
-                            wasted_ms,
-                        });
-                        let seed = self.last_detections.clone();
-                        self.mbek.run_gof_fallback(frames, device, &seed, obs)
-                    }
+                if !retried {
+                    // Rung 2: give up on detection for this GoF —
+                    // tracker-only on the last known detections.
+                    fallback_gof = true;
+                    self.degrade_events.push(DegradeEvent {
+                        video_idx,
+                        frame: t,
+                        kind: DegradeKind::TrackerOnlyGof,
+                        wasted_ms,
+                    });
+                    let seed = &self.last_detections;
+                    self.mbek
+                        .run_gof_fallback(frames, device, seed, obs, &mut result);
                 }
             }
-        };
+        }
         gof_faults += result.absorbed_faults;
 
         // Fixed pipeline overhead per frame.
@@ -477,7 +480,7 @@ impl StreamPipeline {
         // count toward both the samples and the detector breakdown.
         let gof_total = sched_ms + switch_ms + result.kernel_ms() + wasted_ms + overhead_ms;
         let per_frame = gof_total / frames.len() as f64;
-        for (truth, dets) in frames.iter().zip(result.per_frame.iter()) {
+        for (truth, dets) in frames.iter().zip(result.per_frame()) {
             self.acc.add_frame(gt_boxes(truth), pred_boxes(dets));
             self.latency.record(per_frame);
         }
@@ -535,8 +538,8 @@ impl StreamPipeline {
             result.tracker_ms / n,
         );
         if !fallback_gof {
-            self.scheduler
-                .record_detection(t, result.first_frame_output.proposal_logits);
+            let logits = std::mem::take(&mut result.first_frame_output.proposal_logits);
+            self.scheduler.record_detection(t, logits);
             // The light features of the next decision come from the most
             // recent *detector* output — matching the offline protocol,
             // where they were collected from reference detections (tracked
@@ -544,9 +547,12 @@ impl StreamPipeline {
             // would skew the models' input distribution). A fallback GoF
             // produced no detector output, so the previous byproducts,
             // boxes, and fallback seed all stay.
-            self.last_detections = result.first_frame_output.detections;
+            self.last_detections
+                .clone_from(&result.first_frame_output.detections);
             self.boxes = self.last_detections.iter().map(|det| det.bbox).collect();
         }
+
+        self.gof = result;
 
         let frames_done = end - t;
         self.t = end;

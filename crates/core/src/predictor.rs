@@ -16,9 +16,9 @@ use rand::SeedableRng;
 
 use lr_features::{light, FeatureKind};
 use lr_nn::linreg::{fit_ridge, LinearModel};
-use lr_nn::{Matrix, Mlp, MlpConfig, PackedMlp, Sgd};
+use lr_nn::{Examples, Mlp, MlpConfig, PackedMlp, Sgd};
 
-use crate::offline::OfflineDataset;
+use crate::offline::{OfflineDataset, SnippetRecord};
 
 /// Per-dimension standardization fitted on training data.
 #[derive(Debug, Clone)]
@@ -28,28 +28,37 @@ pub struct Scaler {
 }
 
 impl Scaler {
-    /// Fits mean/std per dimension.
+    /// Fits mean/std per dimension over `rows`, each row the
+    /// concatenation of its parts. The rows are read twice, once for the
+    /// means and once for the variances, and never concatenated.
     ///
     /// # Panics
     ///
     /// Panics on an empty or ragged dataset.
-    pub fn fit(rows: &[Vec<f32>]) -> Self {
-        assert!(!rows.is_empty(), "cannot fit a scaler on no data");
-        let d = rows[0].len();
-        let n = rows.len() as f32;
+    pub fn fit<'a, P: AsRef<[&'a [f32]]>>(rows: impl Iterator<Item = P> + Clone) -> Self {
+        fn values<'b>(parts: &'b [&[f32]]) -> impl Iterator<Item = f32> + 'b {
+            parts.iter().flat_map(|p| p.iter()).copied()
+        }
+        let width = |parts: &[&[f32]]| parts.iter().map(|p| p.len()).sum::<usize>();
+        let Some(d) = rows.clone().next().map(|row| width(row.as_ref())) else {
+            panic!("cannot fit a scaler on no data");
+        };
         let mut mean = vec![0.0f32; d];
-        for r in rows {
-            assert_eq!(r.len(), d, "ragged rows");
-            for (m, &v) in mean.iter_mut().zip(r.iter()) {
+        let mut n = 0usize;
+        for row in rows.clone() {
+            assert_eq!(width(row.as_ref()), d, "ragged rows");
+            for (m, v) in mean.iter_mut().zip(values(row.as_ref())) {
                 *m += v;
             }
+            n += 1;
         }
+        let n = n as f32;
         for m in &mut mean {
             *m /= n;
         }
         let mut var = vec![0.0f32; d];
-        for r in rows {
-            for ((s, &v), &m) in var.iter_mut().zip(r.iter()).zip(mean.iter()) {
+        for row in rows {
+            for ((s, v), &m) in var.iter_mut().zip(values(row.as_ref())).zip(mean.iter()) {
                 *s += (v - m) * (v - m);
             }
         }
@@ -60,17 +69,27 @@ impl Scaler {
         Self { mean, std }
     }
 
+    /// The standardization of the concatenated `parts`, value by value:
+    /// `(v - mean) / std`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts' total width differs from the fitted one.
+    fn scaled<'a>(&'a self, parts: &'a [&'a [f32]]) -> impl Iterator<Item = f32> + 'a {
+        let width: usize = parts.iter().map(|p| p.len()).sum();
+        assert_eq!(width, self.mean.len(), "dimension mismatch");
+        let values = parts.iter().flat_map(|p| p.iter());
+        let stats = self.mean.iter().zip(self.std.iter());
+        values.zip(stats).map(|(&v, (&m, &s))| (v - m) / s)
+    }
+
     /// Appends the standardization of the concatenated `parts` to `out`.
     ///
     /// # Panics
     ///
     /// Panics if the parts' total width differs from the fitted one.
     pub fn transform_into(&self, parts: &[&[f32]], out: &mut Vec<f32>) {
-        let width: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(width, self.mean.len(), "dimension mismatch");
-        let values = parts.iter().flat_map(|p| p.iter());
-        let stats = self.mean.iter().zip(self.std.iter());
-        out.extend(values.zip(stats).map(|(&v, (&m, &s))| (v - m) / s));
+        out.extend(self.scaled(parts));
     }
 
     /// Input dimensionality.
@@ -170,6 +189,10 @@ impl AccuracyModel {
     }
 
     /// The fitted scaler and network, and the final training MSE.
+    ///
+    /// The network reads each record's standardized input and its labels
+    /// as it gathers a batch ([`ScaledRecords`]), so training holds no
+    /// copy of the dataset.
     fn fit(
         kind: FeatureKind,
         dataset: &OfflineDataset,
@@ -177,28 +200,19 @@ impl AccuracyModel {
         seed: u64,
     ) -> (Scaler, Mlp, f32) {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let inputs: Vec<Vec<f32>> = dataset
-            .records
-            .iter()
-            .map(|r| input_parts(kind, &r.light, r.heavy.get(&kind).map(|v| v.as_slice())).concat())
-            .collect();
-        let scaler = Scaler::fit(&inputs);
-        let n = inputs.len();
-        let in_dim = inputs[0].len();
+        let scaler = Scaler::fit(
+            dataset
+                .records
+                .iter()
+                .map(|r| input_parts(kind, &r.light, r.heavy.get(&kind).map(|v| v.as_slice()))),
+        );
+        let examples = ScaledRecords {
+            kind,
+            records: &dataset.records,
+            scaler: &scaler,
+        };
+        let in_dim = scaler.dim();
         let out_dim = dataset.catalog.len();
-
-        let mut x = Vec::with_capacity(n * in_dim);
-        for row in &inputs {
-            scaler.transform_into(&[row], &mut x);
-        }
-        // Training reads only the scaled matrix.
-        drop(inputs);
-        let mut y = Vec::with_capacity(n * out_dim);
-        for r in &dataset.records {
-            y.extend_from_slice(&r.branch_map);
-        }
-        let x = Matrix::from_vec(n, in_dim, x);
-        let y = Matrix::from_vec(n, out_dim, y);
 
         let mut rng = StdRng::seed_from_u64(seed ^ kind_seed(kind));
         // Leaky ReLU hidden layers: with only a few hundred snippets of
@@ -216,7 +230,7 @@ impl AccuracyModel {
         let (mlp, final_train_mse) = loop {
             let mut mlp = Mlp::new(&mlp_cfg, &mut rng);
             let opt = Sgd::paper(lr, cfg.weight_decay).with_grad_clip(2.0);
-            let history = mlp.fit(&x, &y, opt, cfg.epochs, cfg.batch_size, &mut rng);
+            let history = mlp.fit(&examples, opt, cfg.epochs, cfg.batch_size, &mut rng);
             let final_mse = history.last().copied().unwrap_or(f32::INFINITY);
             if final_mse.is_finite() || attempt >= 3 {
                 break (mlp, final_mse);
@@ -277,6 +291,33 @@ fn input_parts<'a>(
             light,
             heavy.unwrap_or_else(|| panic!("record lacks {kind:?} feature")),
         ]
+    }
+}
+
+/// The offline records as an accuracy model's training examples: the
+/// standardized input of `kind`, and the per-branch mAP labels.
+struct ScaledRecords<'a> {
+    kind: FeatureKind,
+    records: &'a [SnippetRecord],
+    scaler: &'a Scaler,
+}
+
+impl Examples for ScaledRecords<'_> {
+    fn count(&self) -> usize {
+        self.records.len()
+    }
+
+    fn input_into(&self, i: usize, out: &mut [f32]) {
+        let r = &self.records[i];
+        let heavy = r.heavy.get(&self.kind).map(|v| v.as_slice());
+        let parts = input_parts(self.kind, &r.light, heavy);
+        for (o, v) in out.iter_mut().zip(self.scaler.scaled(&parts)) {
+            *o = v;
+        }
+    }
+
+    fn target_into(&self, i: usize, out: &mut [f32]) {
+        out.copy_from_slice(&self.records[i].branch_map);
     }
 }
 
@@ -450,6 +491,7 @@ mod tests {
     use crate::offline::{profile_videos, OfflineConfig};
     use lr_kernels::branch::small_catalog;
     use lr_kernels::DetectorFamily;
+    use lr_nn::Matrix;
     use lr_video::{Video, VideoSpec};
 
     fn dataset() -> OfflineDataset {
@@ -475,8 +517,8 @@ mod tests {
 
     #[test]
     fn scaler_standardizes() {
-        let rows = vec![vec![0.0, 10.0], vec![2.0, 30.0], vec![4.0, 50.0]];
-        let s = Scaler::fit(&rows);
+        let rows = [[0.0, 10.0], [2.0, 30.0], [4.0, 50.0]];
+        let s = Scaler::fit(rows.iter().map(|r| [r.as_slice()]));
         let mut t = Vec::new();
         s.transform_into(&[&[2.0], &[30.0]], &mut t);
         assert!(

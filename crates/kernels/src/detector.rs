@@ -41,7 +41,7 @@ pub struct Detection {
 }
 
 /// Full output of a detector run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DetectorOutput {
     /// Detections after NMS.
     pub detections: Vec<Detection>,
@@ -161,6 +161,22 @@ impl DetectorSim {
         cfg: DetectorConfig,
         rng: &mut impl Rng,
     ) -> DetectorOutput {
+        let mut out = DetectorOutput::default();
+        self.detect_into(truth, cfg, rng, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`DetectorSim::detect`] into `out`, whose vectors are cleared and
+    /// refilled; `order` is scratch. Buffers reused across frames keep
+    /// a detection from allocating once they have grown.
+    pub fn detect_into(
+        &self,
+        truth: &FrameTruth,
+        cfg: DetectorConfig,
+        rng: &mut impl Rng,
+        order: &mut Vec<usize>,
+        out: &mut DetectorOutput,
+    ) {
         let q = self.family.quality();
         let shape = cfg.shape as f32;
         let texture = truth.regime.clutter.texture_amplitude();
@@ -169,7 +185,8 @@ impl DetectorSim {
         // Rank objects by salience for proposal competition. NaN-total
         // ordering plus an index tie-break keeps the ranking deterministic
         // even for degenerate (NaN-area) boxes.
-        let mut order: Vec<usize> = (0..truth.objects.len()).collect();
+        order.clear();
+        order.extend(0..truth.objects.len());
         order.sort_by(|&a, &b| {
             salience(&truth.objects[b])
                 .total_cmp(&salience(&truth.objects[a]))
@@ -180,8 +197,12 @@ impl DetectorSim {
         let distractors = 3.0 + texture * 20.0;
         let effective_props = 2.0 * cfg.nprop as f32 / (1.0 + 0.4 * distractors);
 
-        let mut detections = Vec::new();
-        let mut proposal_logits = Vec::new();
+        let DetectorOutput {
+            detections,
+            proposal_logits,
+        } = out;
+        detections.clear();
+        proposal_logits.clear();
 
         for (rank, &idx) in order.iter().enumerate() {
             let obj = &truth.objects[idx];
@@ -287,10 +308,6 @@ impl DetectorSim {
         }
 
         detections.sort_by(|a, b| b.score.total_cmp(&a.score));
-        DetectorOutput {
-            detections,
-            proposal_logits,
-        }
     }
 }
 

@@ -10,10 +10,16 @@ use crate::latency;
 use crate::tracker::TrackerSim;
 
 /// Everything produced by running one GoF under a branch.
-#[derive(Debug, Clone)]
+///
+/// A caller keeps one and hands it to every [`Mbek::run_gof`] and
+/// [`Mbek::run_gof_fallback`], which clear and refill it: once its
+/// buffers have grown, running a GoF allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct GofResult {
-    /// Detections per frame, aligned with the input frames.
-    pub per_frame: Vec<Vec<Detection>>,
+    /// Every frame's detections, frame after frame.
+    detections: Vec<Detection>,
+    /// Per frame, the end of its detections in `detections`.
+    frame_ends: Vec<usize>,
     /// Virtual milliseconds charged to the detector (GPU).
     pub detector_ms: f64,
     /// Virtual milliseconds charged to the tracker (CPU), summed over the
@@ -32,6 +38,43 @@ impl GofResult {
     pub fn kernel_ms(&self) -> f64 {
         self.detector_ms + self.tracker_ms
     }
+
+    /// Number of frames the GoF ran.
+    pub fn frames(&self) -> usize {
+        self.frame_ends.len()
+    }
+
+    /// Frame `i`'s detections.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a frame of the GoF.
+    pub fn frame(&self, i: usize) -> &[Detection] {
+        let begin = if i == 0 { 0 } else { self.frame_ends[i - 1] };
+        &self.detections[begin..self.frame_ends[i]]
+    }
+
+    /// Detections per frame, aligned with the input frames.
+    pub fn per_frame(&self) -> impl ExactSizeIterator<Item = &[Detection]> + '_ {
+        (0..self.frames()).map(|i| self.frame(i))
+    }
+
+    /// Empties the result for the next GoF, keeping its buffers.
+    fn clear(&mut self) {
+        self.detections.clear();
+        self.frame_ends.clear();
+        self.detector_ms = 0.0;
+        self.tracker_ms = 0.0;
+        self.first_frame_output.detections.clear();
+        self.first_frame_output.proposal_logits.clear();
+        self.absorbed_faults = 0;
+    }
+
+    /// Closes the current frame: the detections pushed since the last
+    /// one are its own.
+    fn end_frame(&mut self) {
+        self.frame_ends.push(self.detections.len());
+    }
 }
 
 /// The multi-branch execution kernel.
@@ -47,6 +90,10 @@ pub struct Mbek {
     /// Multiplier on kernel base latencies — models implementation
     /// inefficiency of older pipelines (ApproxDet's TF-1.14 stack).
     latency_factor: f64,
+    /// The detector's scratch ranking, reused across frames.
+    order: Vec<usize>,
+    /// A mid-GoF detection's output, reused across frames.
+    frame_output: DetectorOutput,
 }
 
 impl Mbek {
@@ -59,6 +106,8 @@ impl Mbek {
             tracker: None,
             branch,
             latency_factor: 1.0,
+            order: Vec::new(),
+            frame_output: DetectorOutput::default(),
         };
         mbek.set_branch(branch);
         mbek
@@ -91,15 +140,16 @@ impl Mbek {
 
     /// Runs one GoF over `frames` (detector on the first frame, tracker on
     /// the rest; detector on *every* frame for detector-only branches),
-    /// charging all kernel latencies to `device`.
+    /// charging all kernel latencies to `device`, and writes what it
+    /// produced into `out`.
     ///
     /// Device ops go through [`DeviceSim::run_op`], so an injected
     /// transient failure on the detection frame surfaces as the op's
-    /// [`OpError`]: no detections were produced, and the wasted time is
-    /// already charged. Mid-GoF detector failures (detector-only
-    /// branches) are absorbed by reusing the previous frame's
-    /// detections. With no fault plan on the device the result is always
-    /// `Ok`.
+    /// [`OpError`]: no detections were produced, the wasted time is
+    /// already charged, and `out` holds nothing of use. Mid-GoF detector
+    /// failures (detector-only branches) are absorbed by reusing the
+    /// previous frame's detections. With no fault plan on the device the
+    /// result is always `Ok`.
     ///
     /// The observer sees a `Detect` span around the detection frame
     /// (closed even when the op faults, so the wasted time is visible)
@@ -114,14 +164,11 @@ impl Mbek {
         frames: &[FrameTruth],
         device: &mut DeviceSim,
         obs: &mut impl ObsSink,
-    ) -> Result<GofResult, OpError> {
+        out: &mut GofResult,
+    ) -> Result<(), OpError> {
         let branch = self.branch;
         assert!(!frames.is_empty(), "empty GoF");
-
-        let mut per_frame: Vec<Vec<Detection>> = Vec::with_capacity(frames.len());
-        let mut detector_ms = 0.0;
-        let mut tracker_ms = 0.0;
-        let mut absorbed_faults = 0usize;
+        out.clear();
 
         // Detection frame. A transient failure here means the GoF has no
         // detections to track from: propagate to the caller's ladder.
@@ -129,18 +176,24 @@ impl Mbek {
             * self.latency_factor;
         obs.span_begin(SpanKind::Detect, "", device.now_ms());
         match device.run_op(OpUnit::Gpu, det_base) {
-            Ok(ms) => detector_ms += ms,
+            Ok(ms) => out.detector_ms += ms,
             Err(e) => {
                 obs.span_end(device.now_ms());
                 return Err(e);
             }
         }
-        let first_output = self
-            .detector
-            .detect(&frames[0], branch.detector, device.rng());
-        per_frame.push(first_output.detections.clone());
+        let first = &mut out.first_frame_output;
+        self.detector.detect_into(
+            &frames[0],
+            branch.detector,
+            device.rng(),
+            &mut self.order,
+            first,
+        );
+        out.detections.extend_from_slice(&first.detections);
+        out.end_frame();
         if let Some(tracker) = &mut self.tracker {
-            tracker.reinit(&first_output.detections, &frames[0]);
+            tracker.reinit(&out.first_frame_output.detections, &frames[0]);
         }
         obs.span_end(device.now_ms());
 
@@ -149,7 +202,7 @@ impl Mbek {
         if frames.len() > 1 {
             obs.span_begin(SpanKind::Track, "", device.now_ms());
         }
-        for (idx, frame) in frames.iter().enumerate().skip(1) {
+        for frame in &frames[1..] {
             match &mut self.tracker {
                 Some(tracker) => {
                     let base = latency::tracker_base_ms(
@@ -157,46 +210,51 @@ impl Mbek {
                         branch.downsample,
                         tracker.num_tracks(),
                     ) * self.latency_factor;
-                    tracker_ms += device.charge(OpUnit::Cpu, base);
-                    let boxes = tracker.step(frame, device.rng());
-                    per_frame.push(boxes);
+                    out.tracker_ms += device.charge(OpUnit::Cpu, base);
+                    tracker.step(frame, device.rng(), &mut out.detections);
                 }
                 None => match device.run_op(OpUnit::Gpu, det_base) {
                     Ok(ms) => {
-                        detector_ms += ms;
-                        let out = self.detector.detect(frame, branch.detector, device.rng());
-                        per_frame.push(out.detections);
+                        out.detector_ms += ms;
+                        let det = &mut self.frame_output;
+                        let rng = device.rng();
+                        self.detector.detect_into(
+                            frame,
+                            branch.detector,
+                            rng,
+                            &mut self.order,
+                            det,
+                        );
+                        out.detections.extend_from_slice(&det.detections);
                     }
                     Err(OpError::Transient { wasted_ms }) => {
                         // Mid-GoF failure with prior detections in hand:
                         // absorb by holding the previous frame's boxes.
-                        detector_ms += wasted_ms;
-                        absorbed_faults += 1;
-                        per_frame.push(per_frame[idx - 1].clone());
+                        out.detector_ms += wasted_ms;
+                        out.absorbed_faults += 1;
+                        let previous = out.frames() - 1;
+                        let begin = out.detections.len() - out.frame(previous).len();
+                        out.detections.extend_from_within(begin..);
                     }
                 },
             }
+            out.end_frame();
         }
         if frames.len() > 1 {
             obs.span_end(device.now_ms());
         }
-
-        Ok(GofResult {
-            per_frame,
-            detector_ms,
-            tracker_ms,
-            first_frame_output: first_output,
-            absorbed_faults,
-        })
+        Ok(())
     }
 
     /// Tracker-only fallback GoF: runs `frames` with **no** detection,
     /// seeding the branch's tracker from `seed_dets` (the last known-good
-    /// detections). This is the bottom rung of the pipeline's fallback
-    /// ladder after a detection failure. Detector-only branches have no
-    /// tracker to seed, so the whole GoF coasts on `seed_dets` unchanged
-    /// (charged nothing — the detector is the thing that failed). The
-    /// observer sees one `Fallback` span over the whole GoF.
+    /// detections), and writes what it produced into `out`. This is the
+    /// bottom rung of the pipeline's fallback ladder after a detection
+    /// failure. Detector-only branches have no tracker to seed, so the
+    /// whole GoF coasts on `seed_dets` unchanged (charged nothing — the
+    /// detector is the thing that failed). The observer sees one
+    /// `Fallback` span over the whole GoF. The result's first-frame
+    /// output holds the first frame's boxes and no proposals.
     ///
     /// # Panics
     ///
@@ -207,13 +265,12 @@ impl Mbek {
         device: &mut DeviceSim,
         seed_dets: &[Detection],
         obs: &mut impl ObsSink,
-    ) -> GofResult {
+        out: &mut GofResult,
+    ) {
         let branch = self.branch;
         assert!(!frames.is_empty(), "empty GoF");
         obs.span_begin(SpanKind::Fallback, "", device.now_ms());
-
-        let mut per_frame: Vec<Vec<Detection>> = Vec::with_capacity(frames.len());
-        let mut tracker_ms = 0.0;
+        out.clear();
 
         match &mut self.tracker {
             Some(tracker) => {
@@ -224,25 +281,22 @@ impl Mbek {
                         branch.downsample,
                         tracker.num_tracks(),
                     ) * self.latency_factor;
-                    tracker_ms += device.charge(OpUnit::Cpu, base);
-                    per_frame.push(tracker.step(frame, device.rng()));
+                    out.tracker_ms += device.charge(OpUnit::Cpu, base);
+                    tracker.step(frame, device.rng(), &mut out.detections);
+                    out.end_frame();
                 }
             }
-            None => per_frame.extend(std::iter::repeat_n(seed_dets.to_vec(), frames.len())),
+            None => {
+                for _ in frames {
+                    out.detections.extend_from_slice(seed_dets);
+                    out.end_frame();
+                }
+            }
         }
 
         obs.span_end(device.now_ms());
-        let first_frame_output = DetectorOutput {
-            detections: per_frame[0].clone(),
-            proposal_logits: Vec::new(),
-        };
-        GofResult {
-            per_frame,
-            detector_ms: 0.0,
-            tracker_ms,
-            first_frame_output,
-            absorbed_faults: 0,
-        }
+        let first = &out.detections[..out.frame_ends[0]];
+        out.first_frame_output.detections.extend_from_slice(first);
     }
 }
 
@@ -253,6 +307,17 @@ mod tests {
     use lr_device::DeviceKind;
     use lr_obs::NullSink;
     use lr_video::{Video, VideoSpec};
+
+    /// One GoF into a fresh result.
+    fn run(
+        mbek: &mut Mbek,
+        frames: &[FrameTruth],
+        dev: &mut DeviceSim,
+    ) -> Result<GofResult, OpError> {
+        let mut out = GofResult::default();
+        mbek.run_gof(frames, dev, &mut NullSink, &mut out)?;
+        Ok(out)
+    }
 
     fn video() -> Video {
         Video::generate(VideoSpec {
@@ -272,10 +337,8 @@ mod tests {
             DetectorFamily::FasterRcnn,
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
-        let r = mbek
-            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
-            .unwrap();
-        assert_eq!(r.per_frame.len(), 8);
+        let r = run(&mut mbek, &v.frames[0..8], &mut dev).unwrap();
+        assert_eq!(r.frames(), 8);
         assert!(r.detector_ms > 0.0);
         assert!(r.tracker_ms > 0.0);
         // One detection charge: far below 8x the detector cost.
@@ -294,10 +357,8 @@ mod tests {
         let v = video();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 2);
         let mut mbek = Mbek::new(DetectorFamily::FasterRcnn, Branch::detector_only(224, 5));
-        let r = mbek
-            .run_gof(&v.frames[0..4], &mut dev, &mut NullSink)
-            .unwrap();
-        assert_eq!(r.per_frame.len(), 4);
+        let r = run(&mut mbek, &v.frames[0..4], &mut dev).unwrap();
+        assert_eq!(r.frames(), 4);
         assert_eq!(r.tracker_ms, 0.0);
         let one = latency::detector_base_ms(
             DetectorFamily::FasterRcnn,
@@ -311,16 +372,12 @@ mod tests {
         let v = video();
         let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 3);
         let mut mbek = Mbek::new(DetectorFamily::FasterRcnn, Branch::detector_only(448, 100));
-        let dense = mbek
-            .run_gof(&v.frames[0..20], &mut dev, &mut NullSink)
-            .unwrap();
+        let dense = run(&mut mbek, &v.frames[0..20], &mut dev).unwrap();
 
         mbek.set_branch(Branch::tracked(448, 100, TrackerKind::MedianFlow, 20, 4));
-        let tracked = mbek
-            .run_gof(&v.frames[0..20], &mut dev, &mut NullSink)
-            .unwrap();
+        let tracked = run(&mut mbek, &v.frames[0..20], &mut dev).unwrap();
 
-        let per_frame = |r: &GofResult| r.kernel_ms() / r.per_frame.len() as f64;
+        let per_frame = |r: &GofResult| r.kernel_ms() / r.frames() as f64;
         assert!(
             per_frame(&tracked) < per_frame(&dense) / 3.0,
             "tracked {} vs dense {}",
@@ -338,9 +395,7 @@ mod tests {
             Branch::tracked(320, 5, TrackerKind::Csrt, 8, 1),
         );
         let before = dev.now_ms();
-        let r = mbek
-            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
-            .unwrap();
+        let r = run(&mut mbek, &v.frames[0..8], &mut dev).unwrap();
         assert!((dev.now_ms() - before - r.kernel_ms()).abs() < 1e-6);
     }
 
@@ -352,9 +407,7 @@ mod tests {
             DetectorFamily::FasterRcnn,
             Branch::tracked(576, 100, TrackerKind::Kcf, 8, 4),
         );
-        let r = mbek
-            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
-            .unwrap();
+        let r = run(&mut mbek, &v.frames[0..8], &mut dev).unwrap();
         assert!(!r.first_frame_output.proposal_logits.is_empty());
     }
 
@@ -371,9 +424,7 @@ mod tests {
             DetectorFamily::FasterRcnn,
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
-        let err = mbek
-            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
-            .unwrap_err();
+        let err = run(&mut mbek, &v.frames[0..8], &mut dev).unwrap_err();
         let OpError::Transient { wasted_ms } = err;
         assert!(wasted_ms > 0.0);
     }
@@ -392,9 +443,9 @@ mod tests {
                 ..lr_device::FaultConfig::moderate(seed)
             }));
             let mut mbek = Mbek::new(DetectorFamily::FasterRcnn, Branch::detector_only(224, 5));
-            if let Ok(r) = mbek.run_gof(&v.frames[0..8], &mut dev, &mut NullSink) {
+            if let Ok(r) = run(&mut mbek, &v.frames[0..8], &mut dev) {
                 if r.absorbed_faults > 0 {
-                    assert_eq!(r.per_frame.len(), 8);
+                    assert_eq!(r.frames(), 8);
                     found = true;
                     break;
                 }
@@ -411,12 +462,17 @@ mod tests {
             DetectorFamily::FasterRcnn,
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
-        let seeded = mbek
-            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
-            .unwrap();
-        let seed_dets = seeded.per_frame.last().unwrap().clone();
-        let r = mbek.run_gof_fallback(&v.frames[8..16], &mut dev, &seed_dets, &mut NullSink);
-        assert_eq!(r.per_frame.len(), 8);
+        let seeded = run(&mut mbek, &v.frames[0..8], &mut dev).unwrap();
+        let seed_dets = seeded.frame(seeded.frames() - 1).to_vec();
+        let mut r = GofResult::default();
+        mbek.run_gof_fallback(
+            &v.frames[8..16],
+            &mut dev,
+            &seed_dets,
+            &mut NullSink,
+            &mut r,
+        );
+        assert_eq!(r.frames(), 8);
         assert_eq!(r.detector_ms, 0.0);
         assert!(r.tracker_ms > 0.0);
         assert!(r.first_frame_output.proposal_logits.is_empty());
@@ -430,16 +486,157 @@ mod tests {
             DetectorFamily::FasterRcnn,
             Branch::tracked(448, 20, TrackerKind::Kcf, 8, 4),
         );
-        let seeded = mbek
-            .run_gof(&v.frames[0..8], &mut dev, &mut NullSink)
-            .unwrap();
-        let seed_dets = seeded.per_frame.last().unwrap().clone();
+        let seeded = run(&mut mbek, &v.frames[0..8], &mut dev).unwrap();
+        let seed_dets = seeded.frame(seeded.frames() - 1).to_vec();
         mbek.set_branch(Branch::detector_only(224, 5));
         let before = dev.now_ms();
-        let r = mbek.run_gof_fallback(&v.frames[8..16], &mut dev, &seed_dets, &mut NullSink);
-        assert_eq!(r.per_frame.len(), 8);
-        assert!(r.per_frame.iter().all(|dets| *dets == seed_dets));
+        let mut r = GofResult::default();
+        mbek.run_gof_fallback(
+            &v.frames[8..16],
+            &mut dev,
+            &seed_dets,
+            &mut NullSink,
+            &mut r,
+        );
+        assert_eq!(r.frames(), 8);
+        assert!(r.per_frame().all(|dets| *dets == seed_dets));
         assert_eq!(r.kernel_ms(), 0.0);
         assert_eq!(dev.now_ms(), before);
+    }
+
+    /// What the allocating loop produced for one GoF.
+    struct Allocated {
+        per_frame: Vec<Vec<Detection>>,
+        detector_ms: f64,
+        tracker_ms: f64,
+        first_frame_output: DetectorOutput,
+        absorbed_faults: usize,
+    }
+
+    /// The GoF loop before its buffers were reused: a fresh detector
+    /// output per detection, a fresh `Vec` per frame and a clone of the
+    /// first frame's detections.
+    fn run_gof_allocating(
+        mbek: &mut Mbek,
+        frames: &[FrameTruth],
+        device: &mut DeviceSim,
+    ) -> Result<Allocated, OpError> {
+        let branch = mbek.branch;
+        let mut per_frame: Vec<Vec<Detection>> = Vec::with_capacity(frames.len());
+        let (mut detector_ms, mut tracker_ms, mut absorbed_faults) = (0.0, 0.0, 0);
+        let det_base = latency::detector_base_ms(mbek.detector.family(), branch.detector)
+            * mbek.latency_factor;
+        detector_ms += device.run_op(OpUnit::Gpu, det_base)?;
+        let first_output = mbek
+            .detector
+            .detect(&frames[0], branch.detector, device.rng());
+        per_frame.push(first_output.detections.clone());
+        if let Some(tracker) = &mut mbek.tracker {
+            tracker.reinit(&first_output.detections, &frames[0]);
+        }
+        for (idx, frame) in frames.iter().enumerate().skip(1) {
+            match &mut mbek.tracker {
+                Some(tracker) => {
+                    let base = latency::tracker_base_ms(
+                        tracker.kind(),
+                        branch.downsample,
+                        tracker.num_tracks(),
+                    ) * mbek.latency_factor;
+                    tracker_ms += device.charge(OpUnit::Cpu, base);
+                    let mut boxes = Vec::new();
+                    tracker.step(frame, device.rng(), &mut boxes);
+                    per_frame.push(boxes);
+                }
+                None => match device.run_op(OpUnit::Gpu, det_base) {
+                    Ok(ms) => {
+                        detector_ms += ms;
+                        let out = mbek.detector.detect(frame, branch.detector, device.rng());
+                        per_frame.push(out.detections);
+                    }
+                    Err(OpError::Transient { wasted_ms }) => {
+                        detector_ms += wasted_ms;
+                        absorbed_faults += 1;
+                        per_frame.push(per_frame[idx - 1].clone());
+                    }
+                },
+            }
+        }
+        Ok(Allocated {
+            per_frame,
+            detector_ms,
+            tracker_ms,
+            first_frame_output: first_output,
+            absorbed_faults,
+        })
+    }
+
+    #[test]
+    fn reused_buffers_give_the_allocating_loop_bit_for_bit() {
+        let v = video();
+        let faulty = || {
+            let mut dev = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 21);
+            dev.set_fault_plan(lr_device::FaultPlan::generate(lr_device::FaultConfig {
+                transient_rate: 0.3,
+                stall_rate: 0.0,
+                ..lr_device::FaultConfig::moderate(5)
+            }));
+            dev
+        };
+        let clean = || DeviceSim::new(DeviceKind::JetsonTx2, 0.0, 21);
+        let (mut faults, mut absorbed) = (0, 0);
+        for make in [&clean as &dyn Fn() -> DeviceSim, &faulty] {
+            for branch in crate::branch::small_catalog() {
+                let (mut dev, mut reference_dev) = (make(), make());
+                let mut mbek = Mbek::new(DetectorFamily::FasterRcnn, branch);
+                let mut reference = mbek.clone();
+                // One result reused over every GoF of the video. The
+                // caller picks a GoF's frames; 5 frames give detector-only
+                // branches mid-GoF detections, and a short last GoF.
+                let mut out = GofResult::default();
+                for start in (0..v.frames.len()).step_by(5) {
+                    let frames = &v.frames[start..(start + 5).min(v.frames.len())];
+                    let got = mbek.run_gof(frames, &mut dev, &mut NullSink, &mut out);
+                    let want = run_gof_allocating(&mut reference, frames, &mut reference_dev);
+                    let what = format!("{}, frame {start}", branch.name());
+                    assert_eq!(
+                        dev.now_ms().to_bits(),
+                        reference_dev.now_ms().to_bits(),
+                        "{what}"
+                    );
+                    let want = match (got, want) {
+                        (Ok(()), Ok(want)) => want,
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a, b, "{what}");
+                            faults += 1;
+                            continue;
+                        }
+                        (got, want) => panic!("{what}: {got:?} vs {:?}", want.is_ok()),
+                    };
+                    assert_eq!(out.frames(), want.per_frame.len(), "{what}");
+                    for (i, (g, w)) in out.per_frame().zip(&want.per_frame).enumerate() {
+                        assert_eq!(g, w.as_slice(), "{what}: frame {i}");
+                    }
+                    assert_eq!(
+                        out.detector_ms.to_bits(),
+                        want.detector_ms.to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        out.tracker_ms.to_bits(),
+                        want.tracker_ms.to_bits(),
+                        "{what}"
+                    );
+                    let (g, w) = (&out.first_frame_output, &want.first_frame_output);
+                    assert_eq!(g.detections, w.detections, "{what}");
+                    assert_eq!(g.proposal_logits, w.proposal_logits, "{what}");
+                    assert_eq!(out.absorbed_faults, want.absorbed_faults, "{what}");
+                    absorbed += out.absorbed_faults;
+                }
+            }
+        }
+        assert!(
+            faults > 0 && absorbed > 0,
+            "{faults} faults, {absorbed} absorbed"
+        );
     }
 }

@@ -134,10 +134,9 @@ impl TrackerSim {
     /// detection frame of a GoF). `truth` is the frame the detections came
     /// from; it seeds each track's deterministic survival threshold.
     pub fn reinit(&mut self, detections: &[Detection], truth: &FrameTruth) {
-        self.tracks = detections
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
+        self.tracks.clear();
+        self.tracks
+            .extend(detections.iter().enumerate().map(|(i, d)| {
                 let u = survival_uniform(
                     truth.stream_id,
                     d.gt_id.unwrap_or(0xFFFF_0000 + i as u32),
@@ -156,19 +155,17 @@ impl TrackerSim {
                     // hazard exceeds -ln(u).
                     loss_threshold: -(u.max(1e-6).ln()),
                 }
-            })
-            .collect();
+            }));
     }
 
-    /// Propagates all tracks across one frame and returns the tracked
-    /// boxes as detections.
-    pub fn step(&mut self, truth: &FrameTruth, rng: &mut impl Rng) -> Vec<Detection> {
+    /// Propagates all tracks across one frame and appends the tracked
+    /// boxes to `out` as detections.
+    pub fn step(&mut self, truth: &FrameTruth, rng: &mut impl Rng, out: &mut Vec<Detection>) {
         let p = self.kind.params();
         let ds_drift = (self.downsample as f32).sqrt();
         let ds_loss = 1.0 + p.ds_loss_coeff * (self.downsample as f32 - 1.0);
         let short_side = truth.width.min(truth.height).max(1.0);
 
-        let mut out = Vec::with_capacity(self.tracks.len());
         for track in &mut self.tracks {
             // A frame holds a handful of objects, so a scan beats a map.
             // Scanning from the back picks the last object with a
@@ -225,7 +222,6 @@ impl TrackerSim {
                 });
             }
         }
-        out
     }
 }
 
@@ -251,6 +247,13 @@ mod tests {
     use lr_video::{Video, VideoSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One [`TrackerSim::step`]'s boxes.
+    fn stepped(tracker: &mut TrackerSim, truth: &FrameTruth, rng: &mut StdRng) -> Vec<Detection> {
+        let mut out = Vec::new();
+        tracker.step(truth, rng, &mut out);
+        out
+    }
 
     fn video() -> Video {
         Video::generate(VideoSpec {
@@ -370,7 +373,7 @@ mod tests {
                             duplicated += 1;
                         }
                     }
-                    let got = fast.step(&truth, &mut rng);
+                    let got = stepped(&mut fast, &truth, &mut rng);
                     let want = step_with_map(&mut reference, &truth, &mut reference_rng);
                     let what = format!("video {seed}, start {start}, frame {i}");
                     assert_eq!(detection_bits(&got), detection_bits(&want), "{what}");
@@ -404,7 +407,7 @@ mod tests {
         fast.reinit(&[seed], start);
         let mut reference = fast.clone();
         let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
-        let got = fast.step(&truth, &mut rng);
+        let got = stepped(&mut fast, &truth, &mut rng);
         let want = step_with_map(&mut reference, &truth, &mut reference_rng);
         assert_eq!(detection_bits(&got), detection_bits(&want));
         assert_eq!(rng, reference_rng);
@@ -426,7 +429,7 @@ mod tests {
             tracker.reinit(&out.detections, &v.frames[start]);
             let mut boxes = Vec::new();
             for f in &v.frames[start + 1..start + 1 + horizon] {
-                boxes = tracker.step(f, &mut rng);
+                boxes = stepped(&mut tracker, f, &mut rng);
             }
             let truth = &v.frames[start + horizon];
             let by_id: BTreeMap<u32, &lr_video::GtObject> =
@@ -489,7 +492,7 @@ mod tests {
         empty.objects.clear();
         let mut last_len = usize::MAX;
         for _ in 0..120 {
-            let boxes = tracker.step(&empty, &mut rng);
+            let boxes = stepped(&mut tracker, &empty, &mut rng);
             assert!(boxes.len() <= last_len.max(1));
             last_len = boxes.len();
         }
@@ -505,7 +508,7 @@ mod tests {
         let mut tracker = TrackerSim::new(TrackerKind::MedianFlow, 4);
         tracker.reinit(&out.detections, &v.frames[0]);
         for f in &v.frames[1..60] {
-            for b in tracker.step(f, &mut rng) {
+            for b in stepped(&mut tracker, f, &mut rng) {
                 assert!(b.bbox.x >= 0.0 && b.bbox.right() <= f.width + 1e-3);
                 assert!(b.bbox.y >= 0.0 && b.bbox.bottom() <= f.height + 1e-3);
             }

@@ -175,42 +175,50 @@ impl Dense {
         crate::debug_assert_finite!(&*out, "dense layer forward");
     }
 
-    /// One SGD-with-momentum step from the given parameter gradients,
-    /// updating `velocity` and the parameters in place.
+    /// One SGD-with-momentum step on the weight rows from `first` on that
+    /// `grad` covers (whole rows, row-major), updating those rows of the
+    /// weights and of `velocity` in place.
     ///
     /// Per weight: `v = v * momentum + g + decay * w`, then
-    /// `w = w - lr * v`. Biases are not decayed, matching common
-    /// practice.
-    pub(crate) fn sgd_step(
+    /// `w = w - lr * v`. Each update reads only its own weight, velocity
+    /// and gradient, so stepping a layer a few rows at a time ends bit
+    /// for bit where one whole-matrix step would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` is not whole rows or runs past the last row.
+    pub(crate) fn sgd_step_rows(
         &mut self,
-        grad_weights: &Matrix,
-        grad_bias: &Matrix,
+        first: usize,
+        grad: &[f32],
         opt: Sgd,
         velocity: &mut DenseVelocity,
     ) {
+        let width = self.out_dim();
+        assert_eq!(grad.len() % width, 0, "gradient is not whole rows");
+        let span = first * width..first * width + grad.len();
         let (momentum, decay, step) = (opt.momentum, opt.weight_decay, -opt.learning_rate);
-        let weights = self.weights.as_mut_slice().iter_mut();
-        let v = velocity.weights.as_mut_slice().iter_mut();
-        for ((w, v), &g) in weights.zip(v).zip(grad_weights.as_slice()) {
+        let weights = self.weights.as_mut_slice()[span.clone()].iter_mut();
+        let v = velocity.weights.as_mut_slice()[span].iter_mut();
+        for ((w, v), &g) in weights.zip(v).zip(grad) {
             *v *= momentum;
             *v += g;
             *v += *w * decay;
             *w += *v * step;
         }
+    }
+
+    /// The bias's SGD-with-momentum step from its gradient: the weights'
+    /// update without decay (biases are not decayed, matching common
+    /// practice).
+    pub(crate) fn sgd_step_bias(&mut self, grad: &[f32], opt: Sgd, velocity: &mut DenseVelocity) {
+        let (momentum, step) = (opt.momentum, -opt.learning_rate);
         let bias = self.bias.as_mut_slice().iter_mut();
         let v = velocity.bias.as_mut_slice().iter_mut();
-        for ((b, v), &g) in bias.zip(v).zip(grad_bias.as_slice()) {
+        for ((b, v), &g) in bias.zip(v).zip(grad) {
             *v *= momentum;
             *v += g;
             *b += *v * step;
-        }
-    }
-
-    /// Creates a zeroed velocity buffer matching this layer's shape.
-    pub(crate) fn zero_velocity(&self) -> DenseVelocity {
-        DenseVelocity {
-            weights: Matrix::zeros(self.weights.rows(), self.weights.cols()),
-            bias: Matrix::zeros(1, self.bias.cols()),
         }
     }
 }
@@ -220,6 +228,25 @@ impl Dense {
 pub(crate) struct DenseVelocity {
     weights: Matrix,
     bias: Matrix,
+}
+
+impl DenseVelocity {
+    /// Zeroed momentum for an `in_dim x out_dim` layer. The weights'
+    /// buffer has room for the layer's packed panels, which it becomes
+    /// when training ends ([`crate::PackedMlp`]'s `From<Mlp>`).
+    pub(crate) fn zeros(in_dim: usize, out_dim: usize) -> Self {
+        let mut weights = Vec::with_capacity(in_dim * out_dim + crate::packed::PANEL_PAD);
+        weights.resize(in_dim * out_dim, 0.0);
+        Self {
+            weights: Matrix::from_vec(in_dim, out_dim, weights),
+            bias: Matrix::zeros(1, out_dim),
+        }
+    }
+
+    /// The weights' momentum buffer, for reuse, consuming the velocity.
+    pub(crate) fn into_weight_buffer(self) -> Vec<f32> {
+        self.weights.into_vec()
+    }
 }
 
 #[cfg(test)]
@@ -289,16 +316,13 @@ mod tests {
         let w = Matrix::from_rows(&[&[1.0]]);
         let b = Matrix::row_vector(&[0.0]);
         let mut layer = Dense::from_parameters(w, b, Activation::Linear);
-        let mut vel = layer.zero_velocity();
+        let mut vel = DenseVelocity::zeros(1, 1);
         // Target 0, so output 1.0 has positive gradient: weight must shrink.
         let x = Matrix::row_vector(&[1.0]);
         let grad = layer.infer(&x);
-        layer.sgd_step(
-            &x.transposed_matmul(&grad),
-            &grad,
-            Sgd::plain(0.1),
-            &mut vel,
-        );
+        let opt = Sgd::plain(0.1);
+        layer.sgd_step_rows(0, x.transposed_matmul(&grad).as_slice(), opt, &mut vel);
+        layer.sgd_step_bias(grad.as_slice(), opt, &mut vel);
         assert!(layer.weights()[(0, 0)] < 1.0);
         assert!(layer.bias()[(0, 0)] < 0.0);
     }

@@ -40,7 +40,7 @@ pub mod sanitize;
 mod simd;
 pub mod tensor;
 
-pub use mlp::{Mlp, MlpConfig};
+pub use mlp::{Examples, Mlp, MlpConfig};
 pub use optim::Sgd;
 pub use packed::PackedMlp;
 pub use tensor::Matrix;

@@ -25,7 +25,7 @@ const NARROW: usize = 16;
 const PANEL_ALIGN: usize = 64;
 /// Spare values allocated ahead of the panels, enough to reach the
 /// next [`PANEL_ALIGN`] boundary from any `f32` address.
-const PANEL_PAD: usize = PANEL_ALIGN / size_of::<f32>() - 1;
+pub(crate) const PANEL_PAD: usize = PANEL_ALIGN / size_of::<f32>() - 1;
 
 /// A stack of dense layers that runs one example at a time and cannot
 /// be trained.
@@ -73,9 +73,11 @@ struct AlignedPanels {
 }
 
 impl AlignedPanels {
-    /// An empty buffer with room for `len` values after the boundary.
-    fn with_capacity(len: usize) -> Self {
-        let mut buf: Vec<f32> = Vec::with_capacity(len + PANEL_PAD);
+    /// An empty buffer with room for `len` values after the boundary,
+    /// made in `buf`'s allocation when that has room.
+    fn in_buffer(mut buf: Vec<f32>, len: usize) -> Self {
+        buf.clear();
+        buf.reserve_exact(len + PANEL_PAD);
         let start = buf.as_ptr().align_offset(PANEL_ALIGN).min(PANEL_PAD);
         buf.resize(start, 0.0);
         Self { buf, start }
@@ -96,7 +98,7 @@ impl AlignedPanels {
 impl Clone for AlignedPanels {
     /// A copy aligned afresh, at its own offset.
     fn clone(&self) -> Self {
-        let mut copy = Self::with_capacity(self.as_slice().len());
+        let mut copy = Self::in_buffer(Vec::new(), self.as_slice().len());
         copy.extend_from_slice(self.as_slice());
         copy
     }
@@ -115,7 +117,10 @@ impl PackedMlp {
             assert_eq!(pair[0].out_dim(), pair[1].in_dim(), "layer width mismatch");
         }
         Self {
-            layers: layers.into_iter().map(PackedDense::new).collect(),
+            layers: layers
+                .into_iter()
+                .map(|layer| PackedDense::new(layer, Vec::new()))
+                .collect(),
         }
     }
 
@@ -155,18 +160,26 @@ impl PackedMlp {
 
 impl From<Mlp> for PackedMlp {
     /// Converts a trained network for inference, dropping its training
-    /// state.
+    /// state. Each layer is packed into the buffer of its weights'
+    /// momentum, which training sized for the panels, so the conversion
+    /// allocates no panel buffer and frees the row-major weights.
     fn from(mlp: Mlp) -> Self {
-        Self::new(mlp.into_layers())
+        let layers = mlp.into_layers();
+        Self {
+            layers: layers
+                .map(|(layer, spare)| PackedDense::new(layer, spare))
+                .collect(),
+        }
     }
 }
 
 impl PackedDense {
-    fn new(layer: Dense) -> Self {
+    /// Packs `layer`, in `spare`'s allocation when that has room.
+    fn new(layer: Dense, spare: Vec<f32>) -> Self {
         let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
         let (weights, bias, activation) = layer.into_parts();
         let (wide, narrow) = panel_split(out_dim);
-        let mut panels = AlignedPanels::with_capacity(in_dim * out_dim);
+        let mut panels = AlignedPanels::in_buffer(spare, in_dim * out_dim);
         let widths = std::iter::repeat_n(WIDE, wide / WIDE)
             .chain(std::iter::repeat_n(NARROW, narrow / NARROW))
             .chain(std::iter::repeat_n(1, out_dim - wide - narrow));
@@ -256,7 +269,7 @@ pub(crate) mod tests {
         let mut mlp = Mlp::new(cfg, &mut rng);
         let inputs = uniform(2, cfg.input_dim, 1.0, &mut rng);
         let targets = uniform(2, cfg.output_dim, 1.0, &mut rng);
-        mlp.fit(&inputs, &targets, Sgd::plain(0.1), 1, 2, &mut rng);
+        mlp.fit(&(&inputs, &targets), Sgd::plain(0.1), 1, 2, &mut rng);
         mlp
     }
 

@@ -119,6 +119,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying row-major buffer, consuming the matrix.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Mutable access to the underlying row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
@@ -220,33 +225,23 @@ impl Matrix {
     }
 
     /// Product of the transpose of `self` with `rhs`: `self^T * rhs`.
+    /// The kernel reads `self` column-wise in place; no transpose is
+    /// built. Training runs the same product a few dozen columns of
+    /// `self` at a time (`Mlp::fit`'s weight gradient).
     ///
     /// # Panics
     ///
     /// Panics on row-count mismatch.
     pub fn transposed_matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.transposed_matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// `self^T * rhs` written into `out`, which is resized to
-    /// `self.cols x rhs.cols` and fully overwritten. The kernel reads
-    /// `self` column-wise in place; no transpose is built.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row-count mismatch.
-    pub fn transposed_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "transposed_matmul shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        out.resize(self.cols, rhs.cols);
-        out.data.fill(0.0);
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
         crate::simd::gemm_add(Lhs::columns_of(self), rhs, &mut out.data);
-        crate::debug_assert_finite!(&*out, "transposed_matmul");
+        crate::debug_assert_finite!(&out, "transposed_matmul");
+        out
     }
 
     /// Returns the transpose.
@@ -438,9 +433,24 @@ impl<'a> Lhs<'a> {
 
     /// The transpose of `m`, read in place.
     pub(crate) fn columns_of(m: &'a Matrix) -> Self {
+        Self::column_range(m, 0..m.cols)
+    }
+
+    /// The transpose of columns `cols` of `m`, read in place: row `i` of
+    /// the view is column `cols.start + i` of `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or runs past `m`'s last column.
+    pub(crate) fn column_range(m: &'a Matrix, cols: std::ops::Range<usize>) -> Self {
+        assert!(
+            cols.start < cols.end && cols.end <= m.cols,
+            "column range {cols:?} of a {}-column matrix",
+            m.cols
+        );
         Self {
-            data: &m.data,
-            rows: m.cols,
+            data: &m.data[cols.start..],
+            rows: cols.len(),
             inner: m.rows,
             row_stride: 1,
             inner_stride: m.cols,

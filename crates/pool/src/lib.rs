@@ -18,9 +18,10 @@
 //!   available parallelism), so any run can be A/B'd against
 //!   `LR_POOL_THREADS=1` and must produce byte-identical artifacts.
 //!
-//! Workers are `std::thread::scope` threads spawned per call: the pool
-//! holds no persistent threads, so it can borrow from the caller's stack
-//! and never outlives the data it maps over. Items are handed out via an
+//! Workers are the caller's thread and `std::thread::scope` threads
+//! spawned per call: the pool holds no persistent threads, so it can
+//! borrow from the caller's stack and never outlives the data it maps
+//! over. Items are handed out via an
 //! atomic cursor (dynamic load balancing); each worker accumulates
 //! `(index, result)` pairs locally and the caller scatters them back
 //! into place after the join, which is what keeps order independent of
@@ -271,6 +272,14 @@ impl Pool {
 
     /// [`Pool::run`] with a per-worker state built by `init` on the
     /// worker's own thread and reused across every index it claims.
+    ///
+    /// The caller's thread is one of the workers: it claims indices
+    /// beside the spawned ones instead of idling until they join. Its
+    /// allocations then come from its own malloc arena, which earlier
+    /// phases have already grown, rather than from one more thread's
+    /// fresh arena: with glibc on a 2-vCPU x86-64 host, the paper-scale
+    /// offline build's training peaks about 0.9 MB lower than with every
+    /// worker spawned.
     #[expect(
         clippy::expect_used,
         reason = "the cursor hands out every index in 0..n exactly once"
@@ -286,23 +295,23 @@ impl Pool {
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
 
+        let work = || {
+            let mut state = init();
+            let mut local: Vec<(usize, R)> = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                local.push((i, g(&mut state, i)));
+            }
+            local
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut state = init();
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, g(&mut state, i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            for (i, r) in work() {
+                slots[i] = Some(r);
+            }
             for handle in handles {
                 match handle.join() {
                     Ok(local) => {

@@ -59,10 +59,15 @@ fn tracked_quality_decays_within_gof() {
     let mut first_iou = 0.0f32;
     let mut last_iou = 0.0f32;
     let mut n = 0;
+    let mut r = lr_kernels::GofResult::default();
     for start in (0..300).step_by(20) {
-        let r = mbek
-            .run_gof(&v.frames[start..start + 20], &mut dev, &mut NullSink)
-            .expect("no fault plan");
+        mbek.run_gof(
+            &v.frames[start..start + 20],
+            &mut dev,
+            &mut NullSink,
+            &mut r,
+        )
+        .expect("no fault plan");
         let iou_of = |dets: &[lr_kernels::Detection], truth: &lr_video::FrameTruth| -> f32 {
             let mut total = 0.0;
             let mut count = 0;
@@ -79,8 +84,8 @@ fn tracked_quality_decays_within_gof() {
             }
             total / count as f32
         };
-        let f = iou_of(&r.per_frame[0], &v.frames[start]);
-        let l = iou_of(&r.per_frame[19], &v.frames[start + 19]);
+        let f = iou_of(r.frame(0), &v.frames[start]);
+        let l = iou_of(r.frame(19), &v.frames[start + 19]);
         if f.is_finite() && l.is_finite() {
             first_iou += f;
             last_iou += l;
