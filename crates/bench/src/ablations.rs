@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use litereconfig::offline::{profile_videos, OfflineConfig};
 use litereconfig::pipeline::{run_adaptive, RunConfig, StreamPipeline};
-use litereconfig::trainer::train_scheduler;
+use litereconfig::train_scheduler;
 use litereconfig::{FeatureService, Policy};
 use lr_device::{DeviceKind, DeviceSim, SwitchingCostModel};
 use lr_eval::TextTable;
@@ -170,7 +170,9 @@ pub(crate) fn ablations(ctx: &Ctx) -> Result<String, ReproError> {
                 ..OfflineConfig::paper(scale.frcnn_catalog(), DetectorFamily::FasterRcnn)
             };
             let ds = profile_videos(&suite.train_videos, &cfg, &FeatureService::new());
-            let trained = train_scheduler(&ds, DetectorFamily::FasterRcnn, &scale.train_config());
+            // Only the Light model is read; per-kind seeding keeps its bits.
+            let light_only = scale.train_config().light_only();
+            let trained = train_scheduler(&ds, DetectorFamily::FasterRcnn, &light_only);
             built = (ds, trained);
             (&built.0, &built.1)
         };

@@ -3,12 +3,12 @@
 use std::fmt::Write;
 
 use litereconfig::pipeline::{run_adaptive, RunConfig};
-use litereconfig::protocols::AdaptiveProtocol;
+use litereconfig::AdaptiveProtocol;
 use litereconfig::{FeatureService, Policy};
 use lr_device::{DeviceKind, SwitchingCostModel};
 use lr_eval::TextTable;
 use lr_features::FeatureKind;
-use lr_kernels::{latency, DetectorConfig, DetectorFamily};
+use lr_kernels::{detector_base_ms, DetectorConfig, DetectorFamily};
 
 use crate::repro::{Ctx, ReproError};
 
@@ -186,12 +186,10 @@ pub(crate) fn figure5(ctx: &Ctx) -> Result<String, ReproError> {
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut offline = TextTable::new(&header_refs);
     for &(ss, sn) in &AXES {
-        let src_ms =
-            latency::detector_base_ms(DetectorFamily::FasterRcnn, DetectorConfig::new(ss, sn));
+        let src_ms = detector_base_ms(DetectorFamily::FasterRcnn, DetectorConfig::new(ss, sn));
         let mut row = vec![format!("{ss}x{sn}")];
         for &(ds, dn) in &AXES {
-            let dst_ms =
-                latency::detector_base_ms(DetectorFamily::FasterRcnn, DetectorConfig::new(ds, dn));
+            let dst_ms = detector_base_ms(DetectorFamily::FasterRcnn, DetectorConfig::new(ds, dn));
             row.push(format!("{:.1}", model.offline_cost_ms(src_ms, dst_ms)));
         }
         offline.add_row_owned(row);

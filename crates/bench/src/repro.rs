@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use litereconfig::pipeline::RunResult;
-use litereconfig::protocols::AdaptiveProtocol;
+use litereconfig::AdaptiveProtocol;
 use lr_device::DeviceKind;
 use lr_features::DeepExtractors;
 use lr_pool::Pool;

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use litereconfig::{FeatureService, Policy, TrainedScheduler};
 use lr_device::{DeviceKind, FaultConfig};
 use lr_eval::{LatencyStats, TextTable};
-use lr_obs::analyze::{branch_residency, budget_breakdown, switch_matrix, violation_attribution};
+use lr_obs::{branch_residency, budget_breakdown, switch_matrix, violation_attribution};
 use lr_obs::{DecisionRecord, ObsBundle, TraceEvent};
 use lr_serve::{serve_traced, ObsMode, ServeConfig, ServeReport, SloClass, StreamSpec};
 
@@ -553,7 +553,7 @@ fn analysis_section(label: &str, bundle: &ObsBundle) -> Result<String, ReproErro
 /// Checks that the serve report is byte-identical with observation off
 /// and tracing; that the trace JSONL is byte-identical under 1, 2 and 4
 /// pool workers, clean and faulted; and that it parses back through
-/// `lr_obs::trace::parse_jsonl`. The clean trace is also written to
+/// `lr_obs::parse_jsonl`. The clean trace is also written to
 /// `target/trace.jsonl` for `examples/trace_inspect.rs`.
 pub(crate) fn trace(ctx: &Ctx) -> Result<String, ReproError> {
     let scale = ctx.scale;
@@ -589,7 +589,7 @@ pub(crate) fn trace(ctx: &Ctx) -> Result<String, ReproError> {
                 format!("{mode} trace JSONL differs between 1 and {threads} workers")
             });
         }
-        match lr_obs::trace::parse_jsonl(&jsonl) {
+        match lr_obs::parse_jsonl(&jsonl) {
             Ok(values) => checks.require(values.len() == jsonl.lines().count(), || {
                 format!("{mode} trace parsed to wrong line count")
             }),

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use litereconfig::offline::{profile_videos, OfflineConfig, OfflineDataset};
-use litereconfig::trainer::{train_scheduler, TrainConfig};
+use litereconfig::{train_scheduler, TrainConfig};
 use litereconfig::{FeatureService, TrainedScheduler};
 use lr_kernels::branch::{default_catalog, one_stage_catalog, small_catalog};
 use lr_kernels::DetectorFamily;

@@ -3,14 +3,12 @@
 use std::fmt::Write;
 
 use litereconfig::pipeline::{run_adaptive, RunConfig, RunResult};
-use litereconfig::protocols::{
-    run_adascale_ms, run_heavy_model, run_static_detector, AdaptiveProtocol,
-};
+use litereconfig::{run_adascale_ms, run_heavy_model, run_static_detector, AdaptiveProtocol};
 use litereconfig::{FeatureService, Policy};
 use lr_device::{DeviceKind, DeviceSim, OpUnit};
 use lr_eval::TextTable;
 use lr_features::{FeatureKind, ALL_FEATURE_KINDS, HEAVY_FEATURE_KINDS};
-use lr_kernels::heavy::HeavyModel;
+use lr_kernels::HeavyModel;
 use lr_kernels::{DetectorConfig, DetectorFamily};
 
 use crate::repro::{Ctx, ReproError};

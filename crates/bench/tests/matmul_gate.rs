@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use lr_nn::layers::{Activation, Dense};
+use lr_nn::{Activation, Dense};
 use lr_nn::{Matrix, PackedMlp};
 
 /// Naive-over-kernel speedup of `matmul` last recorded for this exact

@@ -35,7 +35,7 @@ impl BenTable {
     /// # Panics
     ///
     /// Panics if `slos` is empty.
-    pub fn compute(
+    pub(crate) fn compute(
         dataset: &OfflineDataset,
         models: &BTreeMap<FeatureKind, AccuracyModel>,
         slos: &[f64],
@@ -89,7 +89,7 @@ impl BenTable {
 
     /// A table with fixed benefits per feature at every SLO, for tests and
     /// ablations.
-    pub fn uniform(benefits: &[(FeatureKind, f32)], slos: &[f64]) -> Self {
+    pub(crate) fn uniform(benefits: &[(FeatureKind, f32)], slos: &[f64]) -> Self {
         let per_feature = benefits
             .iter()
             .map(|&(k, v)| (k, vec![v; slos.len()]))
@@ -120,7 +120,7 @@ impl BenTable {
     /// benefit plus a small diminishing bonus per additional member
     /// (features are largely redundant views of the same content, so
     /// benefits do not add).
-    pub fn set_benefit(&self, set: &[FeatureKind], slo_ms: f64) -> f32 {
+    pub(crate) fn set_benefit(&self, set: &[FeatureKind], slo_ms: f64) -> f32 {
         if set.is_empty() {
             return 0.0;
         }

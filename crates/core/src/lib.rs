@@ -16,38 +16,41 @@
 //!
 //! Module map:
 //!
-//! - [`featsvc`]: runtime feature extraction (rasterization, HoC/HOG/deep
-//!   embeddings, CPoP assembly) with per-frame caching;
+//! - `featsvc` ([`FeatureService`]): runtime feature extraction
+//!   (rasterization, HoC/HOG/deep embeddings, CPoP assembly) with
+//!   per-frame caching;
 //! - [`offline`]: the offline profiling pass over the scheduler-training
 //!   split — per-snippet content features, per-branch mAP labels, and
 //!   per-branch latency observations;
 //! - [`predictor`]: the content-aware accuracy models (6-layer MLPs, one
 //!   per content feature) and the per-branch latency regressions with
 //!   online contention correction;
-//! - [`bentable`]: the `Ben(f_H)` benefit lookup tables;
-//! - [`scheduler`]: the online scheduler (all four LiteReconfig variants
-//!   plus the forced-feature mode of Table 4);
+//! - `bentable`: the `Ben(f_H)` benefit lookup tables;
+//! - `scheduler` ([`Scheduler`]): the online scheduler (all four
+//!   LiteReconfig variants plus the forced-feature mode of Table 4);
 //! - [`pipeline`]: the streaming execution loop tying scheduler, MBEK,
 //!   device, and evaluation together;
-//! - [`protocols`]: protocol specifications for every system in Tables 2
-//!   and 3 (LiteReconfig variants, ApproxDet, SSD+, YOLO+, EfficientDet,
+//! - `protocols` ([`AdaptiveProtocol`] and the `run_*` baselines):
+//!   protocol specifications for every system in Tables 2 and 3
+//!   (LiteReconfig variants, ApproxDet, SSD+, YOLO+, EfficientDet,
 //!   AdaScale, SELSA/MEGA/REPP);
-//! - [`trainer`]: end-to-end offline training producing a
-//!   [`scheduler::TrainedScheduler`].
+//! - `trainer` ([`train_scheduler`]): end-to-end offline training
+//!   producing a [`TrainedScheduler`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bentable;
-pub mod featsvc;
+mod bentable;
+mod featsvc;
 pub mod offline;
 pub mod pipeline;
 pub mod predictor;
-pub mod protocols;
-pub mod scheduler;
-pub mod trainer;
+mod protocols;
+mod scheduler;
+mod trainer;
 
 pub use featsvc::{CacheStats, FeatureService, KindCacheStats};
 pub use pipeline::{DegradeEvent, DegradeKind, GofStep, RunConfig, RunResult, StreamPipeline};
+pub use protocols::{run_adascale_ms, run_heavy_model, run_static_detector, AdaptiveProtocol};
 pub use scheduler::{Policy, Scheduler, TrainedScheduler};
 pub use trainer::{train_scheduler, TrainConfig};

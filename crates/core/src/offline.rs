@@ -123,7 +123,7 @@ impl OfflineDataset {
 }
 
 /// A frame's ground truth as evaluation boxes.
-pub fn gt_boxes(truth: &FrameTruth) -> impl Iterator<Item = GtBox> + '_ {
+pub(crate) fn gt_boxes(truth: &FrameTruth) -> impl Iterator<Item = GtBox> + '_ {
     truth.objects.iter().map(|o| GtBox {
         class: o.class.index(),
         bbox: o.bbox,
@@ -131,7 +131,7 @@ pub fn gt_boxes(truth: &FrameTruth) -> impl Iterator<Item = GtBox> + '_ {
 }
 
 /// Detections as evaluation boxes.
-pub fn pred_boxes(dets: &[Detection]) -> impl Iterator<Item = PredBox> + '_ {
+pub(crate) fn pred_boxes(dets: &[Detection]) -> impl Iterator<Item = PredBox> + '_ {
     dets.iter().map(|d| PredBox {
         class: d.class.index(),
         bbox: d.bbox,

@@ -11,8 +11,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use lr_device::switching::OnlineSwitchSampler;
-use lr_device::{DeviceKind, DeviceSim, OpError, OpUnit};
+use lr_device::{DeviceKind, DeviceSim, OnlineSwitchSampler, OpError, OpUnit};
 use lr_eval::{LatencyStats, MapAccumulator};
 use lr_obs::{DecisionRecord, NullSink, ObsSink, SpanKind};
 use lr_video::{BBox, Video};
@@ -79,7 +78,7 @@ pub enum DegradeKind {
 
 impl DegradeKind {
     /// Stable snake_case name (metrics counter and trace tag).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DegradeKind::CheaperRetry => "cheaper_retry",
             DegradeKind::TrackerOnlyGof => "tracker_only_gof",
@@ -319,11 +318,6 @@ impl StreamPipeline {
         self.scheduler.slo_ms()
     }
 
-    /// Latency samples recorded so far.
-    pub fn latency(&self) -> &LatencyStats {
-        &self.latency
-    }
-
     /// Frames processed so far.
     pub fn frames_done(&self) -> usize {
         self.breakdown.frames
@@ -538,8 +532,8 @@ impl StreamPipeline {
             result.tracker_ms / n,
         );
         if !fallback_gof {
-            let logits = std::mem::take(&mut result.first_frame_output.proposal_logits);
-            self.scheduler.record_detection(t, logits);
+            self.scheduler
+                .record_detection(t, &mut result.first_frame_output.proposal_logits);
             // The light features of the next decision come from the most
             // recent *detector* output — matching the offline protocol,
             // where they were collected from reference detections (tracked
@@ -652,16 +646,18 @@ mod tests {
     use crate::featsvc::FeatureService;
     use crate::offline::{profile_videos, OfflineConfig};
     use crate::trainer::{train_scheduler, TrainConfig};
+    use lr_features::FeatureKind;
     use lr_kernels::branch::small_catalog;
-    use lr_kernels::DetectorFamily;
+    use lr_kernels::{DetectorFamily, ProposalLogits};
     use lr_video::VideoSpec;
 
     fn setup() -> (Arc<TrainedScheduler>, Vec<Video>, FeatureService) {
-        setup_with(small_catalog())
+        setup_with(small_catalog(), &TrainConfig::tiny())
     }
 
     fn setup_with(
         catalog: Vec<lr_kernels::Branch>,
+        train: &TrainConfig,
     ) -> (Arc<TrainedScheduler>, Vec<Video>, FeatureService) {
         let train_videos: Vec<Video> = (0..2)
             .map(|i| {
@@ -682,11 +678,7 @@ mod tests {
             seed: 11,
         };
         let ds = profile_videos(&train_videos, &cfg, &svc);
-        let trained = Arc::new(train_scheduler(
-            &ds,
-            DetectorFamily::FasterRcnn,
-            &TrainConfig::tiny(),
-        ));
+        let trained = Arc::new(train_scheduler(&ds, DetectorFamily::FasterRcnn, train));
         let val_videos: Vec<Video> = (0..2)
             .map(|i| {
                 Video::generate(VideoSpec {
@@ -793,7 +785,8 @@ mod tests {
         // Every decision is catalog index 0, the kernel's placeholder
         // branch: the first GoF must still switch (the scheduler starts
         // with no current branch), and no later GoF may.
-        let (trained, videos, mut svc) = setup_with(small_catalog()[..1].to_vec());
+        let (trained, videos, mut svc) =
+            setup_with(small_catalog()[..1].to_vec(), &TrainConfig::tiny());
         assert_eq!(trained.catalog.len(), 1);
         let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 12);
         let r = run_adaptive(&videos, trained, Policy::MinCost, &cfg, &mut svc);
@@ -891,6 +884,74 @@ mod tests {
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.degraded_gofs, b.degraded_gofs);
         assert_eq!(a.degrade_events.len(), b.degrade_events.len());
+    }
+
+    /// A tracker-only fallback GoF leaves the last detection's proposal
+    /// logits with the scheduler, bit for bit, so the next
+    /// `MaxContent(CPoP)` decision still builds CPoP from them.
+    #[test]
+    fn a_fallback_gof_keeps_the_last_detections_logits_for_cpop() {
+        let train = TrainConfig {
+            heavy_kinds: vec![FeatureKind::CPoP],
+            ..TrainConfig::tiny()
+        };
+        let (trained, videos, mut svc) = setup_with(small_catalog(), &train);
+        let cfg = RunConfig::clean(DeviceKind::JetsonTx2, 0.0, 100.0, 12);
+        let mut device = DeviceSim::new(cfg.device, cfg.contention_pct, cfg.seed);
+        device.set_fault_plan(lr_device::FaultPlan::generate(lr_device::FaultConfig {
+            transient_rate: 0.5,
+            ..lr_device::FaultConfig::moderate(3)
+        }));
+        let policy = Policy::MaxContent(FeatureKind::CPoP);
+        let mut p = StreamPipeline::new(videos, trained, policy, &cfg);
+        let mut obs = lr_obs::StreamObs::new(lr_obs::ObsMode::Trace);
+        let bits = |l: &[ProposalLogits]| -> Vec<u32> {
+            l.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        let fallbacks = |p: &StreamPipeline| {
+            let tracker_only = |e: &&DegradeEvent| e.kind == DegradeKind::TrackerOnlyGof;
+            p.degrade_events.iter().filter(tracker_only).count()
+        };
+        // The logits of the last detected GoF, as the scheduler held them
+        // right after recording them.
+        let mut detected: Vec<u32> = Vec::new();
+        let mut after_fallback = false;
+        let mut checked = 0;
+        loop {
+            let (before, video) = (fallbacks(&p), p.video_idx);
+            let Some(step) = p.step_gof_obs(&mut svc, &mut device, &mut obs) else {
+                break;
+            };
+            // The CPoP span opens once the vector is built, whether or not
+            // its charges then fault.
+            let recruited = obs.take().iter().any(|e| match e {
+                lr_obs::TraceEvent::Span(s) => {
+                    s.kind == SpanKind::HeavyFeature && s.label == "CPoP"
+                }
+                _ => false,
+            });
+            if after_fallback {
+                assert!(
+                    recruited,
+                    "no CPoP after the fallback before frame {}",
+                    step.start_frame
+                );
+                checked += 1;
+            }
+            if p.video_idx != video {
+                // The end of a video resets the detector byproducts.
+                detected.clear();
+            }
+            let held = bits(p.scheduler.last_logits());
+            after_fallback = fallbacks(&p) > before;
+            if after_fallback {
+                assert_eq!(held, detected, "a fallback GoF changed the logits");
+                after_fallback = !held.is_empty();
+            } else {
+                detected = held;
+            }
+        }
+        assert!(checked > 0, "no fallback GoF was followed by a decision");
     }
 
     #[test]

@@ -15,8 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lr_features::{light, FeatureKind};
-use lr_nn::linreg::{fit_ridge, LinearModel};
-use lr_nn::{Examples, Mlp, MlpConfig, PackedMlp, Sgd};
+use lr_nn::{fit_ridge, Examples, LinearModel, Mlp, MlpConfig, PackedMlp, Sgd};
 
 use crate::offline::{OfflineDataset, SnippetRecord};
 
@@ -35,7 +34,7 @@ impl Scaler {
     /// # Panics
     ///
     /// Panics on an empty or ragged dataset.
-    pub fn fit<'a, P: AsRef<[&'a [f32]]>>(rows: impl Iterator<Item = P> + Clone) -> Self {
+    pub(crate) fn fit<'a, P: AsRef<[&'a [f32]]>>(rows: impl Iterator<Item = P> + Clone) -> Self {
         fn values<'b>(parts: &'b [&[f32]]) -> impl Iterator<Item = f32> + 'b {
             parts.iter().flat_map(|p| p.iter()).copied()
         }
@@ -88,12 +87,12 @@ impl Scaler {
     /// # Panics
     ///
     /// Panics if the parts' total width differs from the fitted one.
-    pub fn transform_into(&self, parts: &[&[f32]], out: &mut Vec<f32>) {
+    pub(crate) fn transform_into(&self, parts: &[&[f32]], out: &mut Vec<f32>) {
         out.extend(self.scaled(parts));
     }
 
     /// Input dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.mean.len()
     }
 }
@@ -117,7 +116,7 @@ pub struct AccuracyModelConfig {
 
 impl AccuracyModelConfig {
     /// The paper's configuration.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             hidden: vec![256, 256, 256, 256],
             epochs: 150,
@@ -173,7 +172,7 @@ impl AccuracyModel {
     /// # Panics
     ///
     /// Panics if the dataset is empty or lacks the feature.
-    pub fn train(
+    pub(crate) fn train(
         kind: FeatureKind,
         dataset: &OfflineDataset,
         cfg: &AccuracyModelConfig,
@@ -219,7 +218,7 @@ impl AccuracyModel {
         // training data, plain ReLU units die wholesale under SGD and the
         // network collapses to a constant predictor.
         let mlp_cfg = MlpConfig {
-            hidden_activation: lr_nn::layers::Activation::LeakyRelu,
+            hidden_activation: lr_nn::Activation::LeakyRelu,
             ..MlpConfig::regression(in_dim, &cfg.hidden, out_dim)
         };
         // Train with gradient clipping; if a learning rate still
@@ -239,11 +238,6 @@ impl AccuracyModel {
             lr *= 0.25;
         };
         (scaler, mlp, final_train_mse)
-    }
-
-    /// The feature kind this model consumes.
-    pub fn kind(&self) -> FeatureKind {
-        self.kind
     }
 
     /// Final training MSE (diagnostics).

@@ -13,8 +13,10 @@ use std::sync::Arc;
 use lr_device::{DeviceKind, DeviceSim, MemoryModel, OpUnit};
 use lr_eval::{LatencyStats, MapAccumulator};
 use lr_features::FeatureKind;
-use lr_kernels::heavy::HeavyModel;
-use lr_kernels::{latency, Detection, DetectorConfig, DetectorFamily, DetectorSim};
+use lr_kernels::{
+    detector_base_ms, AdaScaleMs, Detection, DetectorConfig, DetectorFamily, DetectorSim,
+    HeavyModel,
+};
 use lr_video::{FrameTruth, Video};
 
 use crate::offline::{gt_boxes, pred_boxes};
@@ -83,7 +85,7 @@ impl AdaptiveProtocol {
     }
 
     /// The scheduling policy.
-    pub fn policy(self) -> Policy {
+    pub(crate) fn policy(self) -> Policy {
         match self {
             AdaptiveProtocol::LiteReconfigMaxContentResNet => {
                 Policy::MaxContent(FeatureKind::ResNet50)
@@ -97,7 +99,7 @@ impl AdaptiveProtocol {
     }
 
     /// Whether the protocol adapts its latency model to contention.
-    pub fn contention_adaptive(self) -> bool {
+    pub(crate) fn contention_adaptive(self) -> bool {
         !matches!(self, AdaptiveProtocol::SsdPlus | AdaptiveProtocol::YoloPlus)
     }
 
@@ -105,7 +107,7 @@ impl AdaptiveProtocol {
     /// calibrated so its published SLO failures reproduce: it meets a
     /// 100 ms SLO on the TX2 but fails 33.3/50 ms there and every Xavier
     /// objective).
-    pub fn fixed_overhead_ms(self) -> f64 {
+    pub(crate) fn fixed_overhead_ms(self) -> f64 {
         match self {
             AdaptiveProtocol::ApproxDet => 50.5,
             _ => 0.0,
@@ -113,7 +115,7 @@ impl AdaptiveProtocol {
     }
 
     /// Kernel latency multiplier (implementation inefficiency).
-    pub fn kernel_latency_factor(self) -> f64 {
+    pub(crate) fn kernel_latency_factor(self) -> f64 {
         match self {
             AdaptiveProtocol::ApproxDet => 1.15,
             _ => 1.0,
@@ -176,7 +178,7 @@ pub fn run_static_detector(
     seed: u64,
 ) -> RunResult {
     let sim = DetectorSim::new(family);
-    let base = latency::detector_base_ms(family, cfg);
+    let base = detector_base_ms(family, cfg);
     let device = DeviceSim::new(device_kind, contention_pct, seed);
     let mut r = run_every_frame(videos, device, |_, truth, device| {
         let ms = device.charge(OpUnit::Gpu, base);
@@ -189,19 +191,16 @@ pub fn run_static_detector(
 /// Runs AdaScale in its adaptive multi-scale (MS) mode: the input scale
 /// of each frame is regressed from the previous frame's detections.
 pub fn run_adascale_ms(videos: &[Video], device_kind: DeviceKind, seed: u64) -> RunResult {
-    let mut ms = lr_kernels::adascale::AdaScaleMs::new();
+    let mut ms = AdaScaleMs::new();
     let mut branches = BTreeSet::new();
     let device = DeviceSim::new(device_kind, 0.0, seed);
     let mut r = run_every_frame(videos, device, |t, truth, device| {
         if t == 0 {
-            ms = lr_kernels::adascale::AdaScaleMs::new();
+            ms = AdaScaleMs::new();
         }
         let cfg = ms.config();
         branches.insert(cfg.key());
-        let charged = device.charge(
-            OpUnit::Gpu,
-            latency::detector_base_ms(DetectorFamily::AdaScale, cfg),
-        );
+        let charged = device.charge(OpUnit::Gpu, detector_base_ms(DetectorFamily::AdaScale, cfg));
         (charged, ms.step(truth, device.rng()).detections)
     });
     r.branches_used = branches;

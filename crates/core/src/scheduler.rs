@@ -123,7 +123,8 @@ pub struct Scheduler {
     cpu_ratio_sq: f64,
     current: Option<usize>,
     last_det_frame: Option<usize>,
-    last_logits: Option<Vec<ProposalLogits>>,
+    /// The proposal logits of the detection at `last_det_frame`.
+    last_logits: Vec<ProposalLogits>,
     max_heavy: usize,
     /// Fixed per-frame pipeline overhead the predictor knows about (0 for
     /// LiteReconfig; ApproxDet's legacy pipeline carries a large one).
@@ -150,7 +151,7 @@ impl Scheduler {
             cpu_ratio_sq: 1.0,
             current: None,
             last_det_frame: None,
-            last_logits: None,
+            last_logits: Vec::new(),
             max_heavy: 2,
             known_overhead_ms: 0.0,
         }
@@ -159,7 +160,7 @@ impl Scheduler {
     /// Declares a fixed per-frame pipeline overhead that the latency
     /// prediction accounts for (ApproxDet's profiled latencies include its
     /// own pipeline overhead, so its scheduler "knows" it).
-    pub fn with_known_overhead(mut self, ms: f64) -> Self {
+    pub(crate) fn with_known_overhead(mut self, ms: f64) -> Self {
         assert!(ms >= 0.0 && ms.is_finite(), "bad overhead {ms}");
         self.known_overhead_ms = ms;
         self
@@ -167,7 +168,7 @@ impl Scheduler {
 
     /// Disables online latency adaptation (for the SSD+/YOLO+ baselines,
     /// which adapt to the SLO but not to contention).
-    pub fn with_frozen_latency_model(mut self) -> Self {
+    pub(crate) fn with_frozen_latency_model(mut self) -> Self {
         self.adaptive_latency = false;
         self
     }
@@ -179,28 +180,18 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `headroom` is outside `[0.1, 1]`.
-    pub fn set_headroom(&mut self, headroom: f64) {
+    pub(crate) fn set_headroom(&mut self, headroom: f64) {
         assert!((0.1..=1.0).contains(&headroom), "bad headroom {headroom}");
         self.headroom = headroom;
     }
 
-    /// The current feasibility headroom factor.
-    pub fn headroom(&self) -> f64 {
-        self.headroom
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// The latency objective.
-    pub fn slo_ms(&self) -> f64 {
+    pub(crate) fn slo_ms(&self) -> f64 {
         self.slo_ms
     }
 
     /// The branch currently configured (catalog index).
-    pub fn current_branch(&self) -> Option<usize> {
+    pub(crate) fn current_branch(&self) -> Option<usize> {
         self.current
     }
 
@@ -216,7 +207,7 @@ impl Scheduler {
     }
 
     /// Current CPU latency correction (diagnostics).
-    pub fn cpu_correction(&self) -> f64 {
+    pub(crate) fn cpu_correction(&self) -> f64 {
         let var = (self.cpu_ratio_sq - self.cpu_ratio_mean * self.cpu_ratio_mean).max(0.0);
         self.cpu_ratio_mean + 0.8 * var.sqrt()
     }
@@ -227,14 +218,21 @@ impl Scheduler {
     /// corrections persist (the system keeps running).
     pub fn reset_stream(&mut self) {
         self.last_det_frame = None;
-        self.last_logits = None;
+        self.last_logits.clear();
     }
 
     /// Records the detector byproducts of the GoF that just ran, making
-    /// the ResNet50/CPoP features available to the next decision.
-    pub fn record_detection(&mut self, frame_idx: usize, proposal_logits: Vec<ProposalLogits>) {
+    /// the ResNet50/CPoP features available to the next decision. The
+    /// logits are swapped in: `proposal_logits` gets the previous
+    /// detection's buffer back, so a caller that refills it each GoF
+    /// allocates none.
+    pub fn record_detection(
+        &mut self,
+        frame_idx: usize,
+        proposal_logits: &mut Vec<ProposalLogits>,
+    ) {
         self.last_det_frame = Some(frame_idx);
-        self.last_logits = Some(proposal_logits);
+        std::mem::swap(&mut self.last_logits, proposal_logits);
     }
 
     /// Updates the online latency corrections from an observed GoF.
@@ -270,7 +268,7 @@ impl Scheduler {
     /// scale of the detector-latency ratio the EWMA tracks, since the
     /// latency model was fit on uncontended profiles. No-op when the
     /// latency model is frozen (non-contention-adaptive baselines).
-    pub fn observe_contention(&mut self, slowdown: f64) {
+    pub(crate) fn observe_contention(&mut self, slowdown: f64) {
         if !self.adaptive_latency {
             return;
         }
@@ -404,8 +402,7 @@ impl Scheduler {
                 let Some(frame) = self.last_det_frame else {
                     continue;
                 };
-                let logits = self.last_logits.as_deref();
-                svc.extract_heavy(kind, video, frame, logits)
+                svc.extract_heavy(kind, video, frame, Some(&self.last_logits))
             } else {
                 svc.extract_heavy(kind, video, frame_idx, None)
             };
@@ -554,9 +551,7 @@ impl Scheduler {
             return false;
         }
         if kind.from_detector() {
-            self.trained.family == DetectorFamily::FasterRcnn
-                && self.last_det_frame.is_some()
-                && (kind != FeatureKind::CPoP || self.last_logits.is_some())
+            self.trained.family == DetectorFamily::FasterRcnn && self.last_det_frame.is_some()
         } else {
             true
         }
@@ -669,6 +664,13 @@ pub(crate) fn argmin(values: &[f64]) -> usize {
 mod tests {
     use super::*;
     use crate::featsvc::FeatureService;
+
+    impl Scheduler {
+        /// The proposal logits the next CPoP extraction reads.
+        pub(crate) fn last_logits(&self) -> &[ProposalLogits] {
+            &self.last_logits
+        }
+    }
     use crate::offline::{profile_videos, OfflineConfig};
     use crate::predictor::{AccuracyModel, AccuracyModelConfig, LatencyModel};
     use lr_device::DeviceKind;

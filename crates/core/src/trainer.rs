@@ -27,7 +27,7 @@ pub struct TrainConfig {
 
 impl TrainConfig {
     /// The paper's full configuration over the TX2 SLO set.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             model: AccuracyModelConfig::paper(),
             heavy_kinds: lr_features::HEAVY_FEATURE_KINDS.to_vec(),

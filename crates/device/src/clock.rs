@@ -5,30 +5,19 @@
 /// Nothing in the workspace reads wall-clock time for experiment results;
 /// every latency number in the reproduced tables comes from charges against
 /// a `VirtualClock`.
-///
-/// # Examples
-///
-/// ```
-/// use lr_device::VirtualClock;
-///
-/// let mut clock = VirtualClock::new();
-/// clock.advance(33.3);
-/// clock.advance(16.7);
-/// assert!((clock.now_ms() - 50.0).abs() < 1e-9);
-/// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     now_ms: f64,
 }
 
 impl VirtualClock {
     /// Creates a clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The current virtual time in milliseconds.
-    pub fn now_ms(&self) -> f64 {
+    pub(crate) fn now_ms(&self) -> f64 {
         self.now_ms
     }
 
@@ -38,7 +27,7 @@ impl VirtualClock {
     ///
     /// Panics if `ms` is negative or non-finite — a negative charge would
     /// silently corrupt every downstream latency statistic.
-    pub fn advance(&mut self, ms: f64) {
+    pub(crate) fn advance(&mut self, ms: f64) {
         assert!(ms.is_finite() && ms >= 0.0, "invalid clock advance: {ms}");
         self.now_ms += ms;
     }

@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// A tunable GPU contention source.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContentionGenerator {
+pub(crate) struct ContentionGenerator {
     /// GPU contention level in percent, `0.0..=99.0`.
     gpu_level_pct: f64,
 }
@@ -23,7 +23,7 @@ impl ContentionGenerator {
     ///
     /// Returns the offending level if it is outside `[0, 99]` or not
     /// finite.
-    pub fn try_new(gpu_level_pct: f64) -> Result<Self, f64> {
+    pub(crate) fn try_new(gpu_level_pct: f64) -> Result<Self, f64> {
         if gpu_level_pct.is_finite() && (0.0..=99.0).contains(&gpu_level_pct) {
             Ok(Self { gpu_level_pct })
         } else {
@@ -31,29 +31,8 @@ impl ContentionGenerator {
         }
     }
 
-    /// Creates a generator at the given GPU contention percentage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu_level_pct` is outside `[0, 99]`. Use
-    /// [`ContentionGenerator::try_new`] for a non-panicking constructor.
-    pub fn new(gpu_level_pct: f64) -> Self {
-        Self::try_new(gpu_level_pct)
-            .unwrap_or_else(|pct| panic!("contention level {pct}% outside [0, 99]"))
-    }
-
-    /// No contention.
-    pub fn idle() -> Self {
-        Self::new(0.0)
-    }
-
-    /// The configured level in percent.
-    pub fn gpu_level_pct(&self) -> f64 {
-        self.gpu_level_pct
-    }
-
     /// The mean slowdown factor applied to GPU ops.
-    pub fn mean_gpu_slowdown(&self) -> f64 {
+    pub(crate) fn mean_gpu_slowdown(&self) -> f64 {
         1.0 / (1.0 - self.gpu_level_pct / 100.0)
     }
 
@@ -63,7 +42,7 @@ impl ContentionGenerator {
     /// jitters around the mean: the op may land in a quiet window (close to
     /// 1x) or collide with a burst (worse than the mean). Zero contention
     /// always returns exactly 1.
-    pub fn sample_gpu_slowdown(&self, rng: &mut impl Rng) -> f64 {
+    pub(crate) fn sample_gpu_slowdown(&self, rng: &mut impl Rng) -> f64 {
         if self.gpu_level_pct == 0.0 {
             return 1.0;
         }
@@ -84,9 +63,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    impl ContentionGenerator {
+        /// Creates a generator at the given GPU contention percentage.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `gpu_level_pct` is outside `[0, 99]`.
+        pub(crate) fn new(gpu_level_pct: f64) -> Self {
+            Self::try_new(gpu_level_pct)
+                .unwrap_or_else(|pct| panic!("contention level {pct}% outside [0, 99]"))
+        }
+    }
+
     #[test]
     fn idle_contention_is_identity() {
-        let cg = ContentionGenerator::idle();
+        let cg = ContentionGenerator::new(0.0);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(cg.sample_gpu_slowdown(&mut rng), 1.0);
@@ -124,12 +115,6 @@ mod tests {
             ContentionGenerator::new(80.0).mean_gpu_slowdown()
                 > ContentionGenerator::new(50.0).mean_gpu_slowdown()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 99]")]
-    fn one_hundred_percent_is_rejected() {
-        let _ = ContentionGenerator::new(100.0);
     }
 
     #[test]

@@ -25,25 +25,6 @@ pub enum OpUnit {
     Cpu,
 }
 
-/// Construction errors for [`DeviceSim`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeviceError {
-    /// The requested static contention level is outside `[0, 99]` percent.
-    ContentionOutOfRange(f64),
-}
-
-impl std::fmt::Display for DeviceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeviceError::ContentionOutOfRange(pct) => {
-                write!(f, "contention level {pct}% outside [0, 99]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DeviceError {}
-
 /// A simulated device: profile + contention + noise + clock.
 ///
 /// Contention comes from one of two sources:
@@ -82,28 +63,25 @@ pub struct DeviceSim {
     clock: VirtualClock,
     rng: StdRng,
     gpu_demand_ms: f64,
-    cpu_busy_ms: f64,
     /// Deterministic fault schedule consulted by [`DeviceSim::run_op`].
     /// `None` (the default) means no faults: `run_op` degenerates to
     /// [`DeviceSim::charge`] with byte-identical results — the plan
     /// draws from its own counter hash, never from `rng`, so attaching
     /// or removing it cannot perturb the latency-noise stream.
     fault_plan: Option<FaultPlan>,
-    faults_injected: usize,
-    stalls_injected: usize,
 }
 
 impl DeviceSim {
-    /// Creates a device simulator, validating the contention level.
+    /// Creates a device simulator.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`DeviceError::ContentionOutOfRange`] if `contention_pct`
-    /// is outside `[0, 99]` (or not finite).
-    pub fn try_new(kind: DeviceKind, contention_pct: f64, seed: u64) -> Result<Self, DeviceError> {
-        let contention = ContentionGenerator::try_new(contention_pct)
-            .map_err(|_| DeviceError::ContentionOutOfRange(contention_pct))?;
-        Ok(Self {
+    /// Panics if `contention_pct` is outside `[0, 99]` or not finite.
+    pub fn new(kind: DeviceKind, contention_pct: f64, seed: u64) -> Self {
+        let contention = ContentionGenerator::try_new(contention_pct).unwrap_or_else(|pct| {
+            panic!("DeviceSim::new: contention level {pct}% outside [0, 99]")
+        });
+        Self {
             profile: kind.profile(),
             contention,
             external_gpu_slowdown: None,
@@ -111,22 +89,8 @@ impl DeviceSim {
             clock: VirtualClock::new(),
             rng: StdRng::seed_from_u64(seed ^ 0x0D3B_1CE5),
             gpu_demand_ms: 0.0,
-            cpu_busy_ms: 0.0,
             fault_plan: None,
-            faults_injected: 0,
-            stalls_injected: 0,
-        })
-    }
-
-    /// Creates a device simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contention_pct` is outside `[0, 99]`. Use
-    /// [`DeviceSim::try_new`] for a non-panicking constructor.
-    pub fn new(kind: DeviceKind, contention_pct: f64, seed: u64) -> Self {
-        Self::try_new(kind, contention_pct, seed)
-            .unwrap_or_else(|e| panic!("DeviceSim::new: {e} (use try_new to handle this)"))
+        }
     }
 
     /// Installs a deterministic fault schedule, replacing any earlier
@@ -135,27 +99,9 @@ impl DeviceSim {
         self.fault_plan = Some(plan);
     }
 
-    /// Transient op failures injected so far.
-    pub fn faults_injected(&self) -> usize {
-        self.faults_injected
-    }
-
-    /// Stall spikes injected so far (absorbed: callers only saw a slow
-    /// op).
-    pub fn stalls_injected(&self) -> usize {
-        self.stalls_injected
-    }
-
     /// The device profile.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
-    }
-
-    /// Current GPU contention level in percent (the static generator's;
-    /// an external slowdown is reported by
-    /// [`DeviceSim::external_gpu_slowdown`]).
-    pub fn contention_pct(&self) -> f64 {
-        self.contention.gpu_level_pct()
     }
 
     /// Supplies an endogenous GPU slowdown factor (≥ 1) measured by a
@@ -206,11 +152,6 @@ impl DeviceSim {
         self.gpu_demand_ms
     }
 
-    /// Cumulative CPU busy milliseconds (never contention-stretched).
-    pub fn cpu_busy_ms(&self) -> f64 {
-        self.cpu_busy_ms
-    }
-
     /// The instantaneous GPU contention factor for one op.
     fn sample_contention(&mut self) -> f64 {
         match self.external_gpu_slowdown {
@@ -259,9 +200,8 @@ impl DeviceSim {
         let noise = self.noise.sample(&mut self.rng);
         let demand = base_tx2_ms * device_factor * noise * demand_factor * completed;
         let ms = demand * contention_factor;
-        match unit {
-            OpUnit::Gpu => self.gpu_demand_ms += demand,
-            OpUnit::Cpu => self.cpu_busy_ms += demand,
+        if unit == OpUnit::Gpu {
+            self.gpu_demand_ms += demand;
         }
         self.clock.advance(ms);
         ms
@@ -290,11 +230,9 @@ impl DeviceSim {
         match event {
             FaultEvent::None => Ok(self.charge_inner(unit, base_tx2_ms, throttle, 1.0)),
             FaultEvent::Stall => {
-                self.stalls_injected += 1;
                 Ok(self.charge_inner(unit, base_tx2_ms, throttle * cfg.stall_factor, 1.0))
             }
             FaultEvent::Transient => {
-                self.faults_injected += 1;
                 let wasted_ms =
                     self.charge_inner(unit, base_tx2_ms, throttle, FAILURE_WASTE_FRACTION);
                 Err(OpError::Transient { wasted_ms })
@@ -324,9 +262,8 @@ impl DeviceSim {
     ///
     /// Panics if `ms` is negative or non-finite.
     pub fn charge_fixed_on(&mut self, unit: OpUnit, ms: f64) -> f64 {
-        match unit {
-            OpUnit::Gpu => self.gpu_demand_ms += ms,
-            OpUnit::Cpu => self.cpu_busy_ms += ms,
+        if unit == OpUnit::Gpu {
+            self.gpu_demand_ms += ms;
         }
         self.clock.advance(ms);
         ms
@@ -378,7 +315,6 @@ mod tests {
         dev.idle_until(125.0);
         assert!((dev.now_ms() - 125.0).abs() < 1e-9);
         assert_eq!(dev.gpu_demand_ms(), 0.0);
-        assert_eq!(dev.cpu_busy_ms(), 0.0);
         // Idling to the past never rewinds the clock.
         dev.idle_until(50.0);
         assert!((dev.now_ms() - 125.0).abs() < 1e-9);
@@ -427,20 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_out_of_range_contention() {
-        assert_eq!(
-            DeviceSim::try_new(DeviceKind::JetsonTx2, 120.0, 1).unwrap_err(),
-            DeviceError::ContentionOutOfRange(120.0)
-        );
-        assert_eq!(
-            DeviceSim::try_new(DeviceKind::JetsonTx2, -1.0, 1).unwrap_err(),
-            DeviceError::ContentionOutOfRange(-1.0)
-        );
-        assert!(DeviceSim::try_new(DeviceKind::JetsonTx2, 99.0, 1).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "use try_new")]
+    #[should_panic(expected = "outside [0, 99]")]
     fn new_panics_with_clear_message() {
         let _ = DeviceSim::new(DeviceKind::JetsonTx2, 250.0, 1);
     }
@@ -472,7 +395,6 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits(), "op {i}");
         }
         assert_eq!(a.now_ms().to_bits(), b.now_ms().to_bits());
-        assert_eq!(b.faults_injected(), 0);
     }
 
     #[test]
@@ -508,10 +430,8 @@ mod tests {
             // possibly throttled.
             assert!(wasted_ms >= 5.0 - 1e-9, "wasted {wasted_ms}");
         }
-        assert_eq!(dev.faults_injected(), 10);
         // CPU ops never fault.
         assert!(dev.run_op(OpUnit::Cpu, 10.0).is_ok());
-        assert_eq!(dev.faults_injected(), 10);
     }
 
     #[test]
@@ -545,7 +465,7 @@ mod tests {
             for _ in 0..300 {
                 out.push(dev.run_op(OpUnit::Gpu, 8.0).map_err(|e| format!("{e}")));
             }
-            (out, dev.now_ms().to_bits(), dev.faults_injected())
+            (out, dev.now_ms().to_bits())
         };
         assert_eq!(run(), run());
     }
@@ -559,7 +479,6 @@ mod tests {
         // ...but the demand is the un-stretched 10 ms of GPU cycles.
         assert!((dev.gpu_demand_ms() - 10.0).abs() < 1e-9);
         dev.charge(OpUnit::Cpu, 7.0);
-        assert!((dev.cpu_busy_ms() - 7.0).abs() < 1e-9);
         dev.charge_fixed_on(OpUnit::Gpu, 2.5);
         assert!((dev.gpu_demand_ms() - 12.5).abs() < 1e-9);
         // Unattributed fixed charges advance the clock only.

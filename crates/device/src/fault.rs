@@ -116,7 +116,7 @@ impl FaultConfig {
     /// Returns a message naming the first out-of-range field: rates must
     /// be probabilities summing to at most 1, factors at least 1, and the
     /// throttle period and horizon positive.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let prob = |v: f64, name: &str| {
             if !(0.0..=1.0).contains(&v) || !v.is_finite() {
                 Err(format!("{name} {v} outside [0, 1]"))
@@ -176,13 +176,16 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Builds the schedule from a validated configuration.
+    /// Builds the schedule from a configuration.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns the validation message for an out-of-range config.
-    pub fn try_generate(cfg: FaultConfig) -> Result<Self, String> {
-        cfg.validate()?;
+    /// Panics on an out-of-range configuration, naming the first
+    /// out-of-range field.
+    pub fn generate(cfg: FaultConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("FaultPlan::generate: {e}");
+        }
         let mut throttle_windows = Vec::new();
         let mut t = 0.0;
         let mut k = 0u64;
@@ -198,27 +201,21 @@ impl FaultPlan {
             throttle_windows.push((t, t + THROTTLE_DURATION_MS));
             t += THROTTLE_DURATION_MS;
         }
-        Ok(Self {
+        Self {
             cfg,
             throttle_windows,
             op_index: 0,
-        })
-    }
-
-    /// Builds the schedule, panicking on an invalid configuration (use
-    /// [`FaultPlan::try_generate`] to handle it).
-    pub fn generate(cfg: FaultConfig) -> Self {
-        Self::try_generate(cfg).unwrap_or_else(|e| panic!("FaultPlan::generate: {e}"))
+        }
     }
 
     /// The plan's configuration.
-    pub fn config(&self) -> &FaultConfig {
+    pub(crate) fn config(&self) -> &FaultConfig {
         &self.cfg
     }
 
     /// The demand multiplier in effect at `now_ms`: the throttle factor
     /// inside an episode, 1 otherwise.
-    pub fn throttle_factor_at(&self, now_ms: f64) -> f64 {
+    pub(crate) fn throttle_factor_at(&self, now_ms: f64) -> f64 {
         // Windows are sorted and disjoint; a binary search on starts
         // finds the only candidate.
         let i = self
@@ -234,7 +231,7 @@ impl FaultPlan {
     }
 
     /// Decides the fault event for the next GPU op, consuming one draw.
-    pub fn next_gpu_event(&mut self) -> FaultEvent {
+    pub(crate) fn next_gpu_event(&mut self) -> FaultEvent {
         let u = unit_draw(self.cfg.seed, self.op_index);
         self.op_index += 1;
         if u < self.cfg.transient_rate {
@@ -326,17 +323,17 @@ mod tests {
     fn invalid_configs_are_rejected() {
         let mut c = FaultConfig::moderate(1);
         c.transient_rate = 1.5;
-        assert!(FaultPlan::try_generate(c).is_err());
+        assert!(c.validate().is_err());
         let mut c = FaultConfig::moderate(1);
         c.stall_factor = 0.5;
-        assert!(FaultPlan::try_generate(c).is_err());
+        assert!(c.validate().is_err());
         let mut c = FaultConfig::moderate(1);
         c.transient_rate = 0.7;
         c.stall_rate = 0.6;
-        assert!(FaultPlan::try_generate(c).is_err());
+        assert!(c.validate().is_err());
         let mut c = FaultConfig::moderate(1);
         c.throttle_period_ms = 0.0;
-        assert!(FaultPlan::try_generate(c).is_err());
+        assert!(c.validate().is_err());
     }
 
     #[test]

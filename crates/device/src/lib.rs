@@ -4,7 +4,7 @@
 //! crate stands in for that hardware with a discrete virtual-time model:
 //! every operation (a detector inference, a tracker update, a feature
 //! extraction, a scheduler model query) *charges* a latency to a
-//! [`clock::VirtualClock`], where the charge is
+//! virtual clock, where the charge is
 //!
 //! ```text
 //! charged_ms = base_tx2_ms * device_factor(unit) * contention_factor(unit) * noise
@@ -13,7 +13,7 @@
 //! - `base_tx2_ms` values are calibrated to the paper's published TX2
 //!   numbers (Table 1 for features, Tables 2–3 for kernels).
 //! - The device factor scales GPU/CPU ops for the faster Xavier board.
-//! - The [`contention::ContentionGenerator`] reproduces the paper's CG: a
+//! - A contention generator reproduces the paper's CG: a
 //!   tunable 0–99% GPU contention level that inflates GPU-op latencies
 //!   while leaving CPU ops (the trackers) untouched — which is exactly why
 //!   contention-aware adaptation pays off.
@@ -26,19 +26,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod contention;
-pub mod executor;
-pub mod fault;
-pub mod memory;
-pub mod noise;
-pub mod profile;
-pub mod switching;
+mod clock;
+mod contention;
+mod executor;
+mod fault;
+mod memory;
+mod noise;
+mod profile;
+mod switching;
 
-pub use clock::VirtualClock;
-pub use contention::ContentionGenerator;
-pub use executor::{DeviceError, DeviceSim, OpUnit};
+pub use executor::{DeviceSim, OpUnit};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, OpError};
 pub use memory::MemoryModel;
 pub use profile::{DeviceKind, DeviceProfile};
-pub use switching::SwitchingCostModel;
+pub use switching::{OnlineSwitchSampler, SwitchingCostModel};

@@ -28,12 +28,12 @@ impl MemoryModel {
     }
 
     /// Usable capacity in GiB.
-    pub fn usable_gb(&self) -> f64 {
+    pub(crate) fn usable_gb(&self) -> f64 {
         self.capacity_gb - self.system_reserved_gb
     }
 
     /// Currently resident application memory in GiB.
-    pub fn resident_gb(&self) -> f64 {
+    pub(crate) fn resident_gb(&self) -> f64 {
         self.resident.iter().map(|(_, gb)| gb).sum()
     }
 

@@ -12,7 +12,7 @@ use rand::Rng;
 /// dominating it — matching the paper's observation that LiteReconfig must
 /// stay conservatively below the SLO to bound P95.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyNoise {
+pub(crate) struct LatencyNoise {
     /// Log-scale jitter standard deviation.
     pub sigma: f64,
     /// Probability of a spike per op.
@@ -33,7 +33,7 @@ impl Default for LatencyNoise {
 
 impl LatencyNoise {
     /// Samples one noise factor (always >= a small positive bound).
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> f64 {
         let z = approx_standard_normal(rng);
         let mut factor = (self.sigma * z).exp();
         if self.spike_prob > 0.0 && rng.gen::<f64>() < self.spike_prob {

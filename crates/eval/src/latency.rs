@@ -29,11 +29,6 @@ impl LatencyStats {
         self.samples.len()
     }
 
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Mean latency (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {

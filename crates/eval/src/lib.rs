@@ -12,9 +12,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod latency;
-pub mod map;
-pub mod table;
+mod latency;
+mod map;
+mod table;
 
 pub use latency::LatencyStats;
 pub use map::{GtBox, MapAccumulator, MapResult, PredBox};

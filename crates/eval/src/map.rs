@@ -388,7 +388,7 @@ mod tests {
         }
 
         #[derive(Debug, Clone, Default)]
-        pub struct MapAccumulator {
+        pub(crate) struct MapAccumulator {
             next_frame: u64,
             gt: BTreeMap<usize, BTreeMap<u64, Vec<BBox>>>,
             preds: BTreeMap<usize, Vec<PredRecord>>,
@@ -397,7 +397,7 @@ mod tests {
         }
 
         impl MapAccumulator {
-            pub fn add_frame(&mut self, gt: &[GtBox], preds: &[PredBox]) {
+            pub(crate) fn add_frame(&mut self, gt: &[GtBox], preds: &[PredBox]) {
                 let frame = self.next_frame;
                 self.next_frame += 1;
                 for g in gt {
@@ -419,7 +419,7 @@ mod tests {
                 }
             }
 
-            pub fn finalize(&self, iou_threshold: f32) -> MapResult {
+            pub(crate) fn finalize(&self, iou_threshold: f32) -> MapResult {
                 let mut per_class_ap = BTreeMap::new();
                 for (&class, gt_frames) in &self.gt {
                     let npos: usize = gt_frames.values().map(Vec::len).sum();

@@ -8,7 +8,7 @@
 /// use lr_eval::TextTable;
 ///
 /// let mut t = TextTable::new(&["Model", "mAP (%)", "P95 (ms)"]);
-/// t.add_row(&["LiteReconfig", "45.4", "32.2"]);
+/// t.add_row_owned(vec!["LiteReconfig".into(), "45.4".into(), "32.2".into()]);
 /// let rendered = t.render();
 /// assert!(rendered.contains("LiteReconfig"));
 /// ```
@@ -30,22 +30,6 @@ impl TextTable {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the header width.
-    pub fn add_row(&mut self, row: &[&str]) {
-        assert_eq!(
-            row.len(),
-            self.header.len(),
-            "row width {} != header width {}",
-            row.len(),
-            self.header.len()
-        );
-        self.rows.push(row.iter().map(|s| s.to_string()).collect());
     }
 
     /// Appends a row of owned strings.
@@ -120,7 +104,7 @@ mod tests {
     #[test]
     fn render_aligns_columns() {
         let mut t = TextTable::new(&["a", "bbbb"]);
-        t.add_row(&["xxxx", "y"]);
+        t.add_row_owned(vec!["xxxx".into(), "y".into()]);
         let rendered = t.render();
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -133,7 +117,7 @@ mod tests {
     #[test]
     fn csv_escapes_commas() {
         let mut t = TextTable::new(&["name", "value"]);
-        t.add_row(&["a,b", "1"]);
+        t.add_row_owned(vec!["a,b".into(), "1".into()]);
         assert!(t.render_csv().contains("\"a,b\""));
     }
 
@@ -141,6 +125,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         let mut t = TextTable::new(&["a", "b"]);
-        t.add_row(&["only-one"]);
+        t.add_row_owned(vec!["only-one".into()]);
     }
 }

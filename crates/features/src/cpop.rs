@@ -6,7 +6,7 @@
 //! `lr-kernels` produces per-proposal class logits; this module pools them
 //! into the 31-dimensional CPoP vector (30 VID classes + background).
 
-use lr_video::classes::NUM_CLASSES;
+use lr_video::NUM_CLASSES;
 
 /// CPoP dimensionality: 30 classes plus background.
 pub const DIM: usize = NUM_CLASSES + 1;

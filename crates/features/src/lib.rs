@@ -30,7 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
+mod cost;
 pub mod cpop;
 pub mod deep;
 pub mod hoc;

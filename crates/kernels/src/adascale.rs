@@ -17,7 +17,7 @@ use crate::detector::{DetectorFamily, DetectorOutput, DetectorSim};
 
 /// The discrete scales AdaScale switches among (shortest-side pixels),
 /// matching the paper's SS variants.
-pub const SCALES: [u32; 4] = [240, 360, 480, 600];
+pub(crate) const SCALES: [u32; 4] = [240, 360, 480, 600];
 
 /// The adaptive-scale detector.
 #[derive(Debug, Clone)]

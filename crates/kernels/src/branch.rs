@@ -43,7 +43,7 @@ pub enum TrackerKind {
 
 impl TrackerKind {
     /// All tracker kinds.
-    pub fn all() -> [TrackerKind; 4] {
+    pub(crate) fn all() -> [TrackerKind; 4] {
         [
             TrackerKind::MedianFlow,
             TrackerKind::Kcf,
@@ -53,7 +53,7 @@ impl TrackerKind {
     }
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TrackerKind::MedianFlow => "MedianFlow",
             TrackerKind::Kcf => "KCF",
@@ -63,7 +63,7 @@ impl TrackerKind {
     }
 
     /// A small integer id for keys.
-    pub fn id(self) -> u64 {
+    pub(crate) fn id(self) -> u64 {
         match self {
             TrackerKind::MedianFlow => 1,
             TrackerKind::Kcf => 2,
@@ -88,7 +88,7 @@ pub struct Branch {
 
 impl Branch {
     /// Creates a detector-only branch (detector on every frame).
-    pub fn detector_only(shape: u32, nprop: u32) -> Self {
+    pub(crate) fn detector_only(shape: u32, nprop: u32) -> Self {
         Self {
             detector: DetectorConfig::new(shape, nprop),
             tracker: None,

@@ -20,7 +20,7 @@
 
 use rand::Rng;
 
-use lr_video::classes::NUM_CLASSES;
+use lr_video::NUM_CLASSES;
 use lr_video::{BBox, FrameTruth, GtObject, ObjectClass};
 
 use crate::branch::DetectorConfig;
@@ -150,7 +150,7 @@ impl DetectorSim {
     }
 
     /// The simulated family.
-    pub fn family(&self) -> DetectorFamily {
+    pub(crate) fn family(&self) -> DetectorFamily {
         self.family
     }
 
@@ -169,7 +169,7 @@ impl DetectorSim {
     /// [`DetectorSim::detect`] into `out`, whose vectors are cleared and
     /// refilled; `order` is scratch. Buffers reused across frames keep
     /// a detection from allocating once they have grown.
-    pub fn detect_into(
+    pub(crate) fn detect_into(
         &self,
         truth: &FrameTruth,
         cfg: DetectorConfig,

@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use lr_video::classes::NUM_CLASSES;
+use lr_video::NUM_CLASSES;
 use lr_video::{BBox, FrameTruth, ObjectClass};
 
 use crate::detector::{randn, Detection};
@@ -199,12 +199,6 @@ impl HeavyModel {
         out.sort_by(|a, b| b.score.total_cmp(&a.score));
         out
     }
-
-    /// Whether the model fits on the given board.
-    pub fn fits(self, profile: &lr_device::DeviceProfile) -> bool {
-        let mut mem = lr_device::MemoryModel::new(profile);
-        mem.try_load(self.name(), self.peak_memory_gb()).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -214,6 +208,14 @@ mod tests {
     use lr_video::{Video, VideoSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl HeavyModel {
+        /// Whether the model fits on the given board.
+        pub(crate) fn fits(self, profile: &lr_device::DeviceProfile) -> bool {
+            let mut mem = lr_device::MemoryModel::new(profile);
+            mem.try_load(self.name(), self.peak_memory_gb()).is_ok()
+        }
+    }
 
     #[test]
     fn oom_pattern_matches_table3() {

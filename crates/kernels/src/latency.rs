@@ -38,7 +38,7 @@ pub fn detector_base_ms(family: DetectorFamily, cfg: DetectorConfig) -> f64 {
 /// Trackers run per tracked object on the CPU; downsampling the tracker
 /// input by `ds` cuts per-object cost roughly as `ds^0.8` (sub-linear:
 /// fixed overheads survive downsampling).
-pub fn tracker_base_ms(kind: TrackerKind, downsample: u32, num_objects: usize) -> f64 {
+pub(crate) fn tracker_base_ms(kind: TrackerKind, downsample: u32, num_objects: usize) -> f64 {
     let ds = (downsample.max(1) as f64).powf(0.8);
     let n = num_objects as f64;
     let (fixed, per_obj) = match kind {

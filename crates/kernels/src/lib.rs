@@ -30,15 +30,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adascale;
+mod adascale;
 pub mod branch;
-pub mod detector;
-pub mod heavy;
-pub mod latency;
-pub mod mbek;
-pub mod tracker;
+mod detector;
+mod heavy;
+mod latency;
+mod mbek;
+mod tracker;
 
+pub use adascale::AdaScaleMs;
 pub use branch::{Branch, DetectorConfig, TrackerKind};
 pub use detector::{Detection, DetectorFamily, DetectorSim, ProposalLogits};
+pub use heavy::HeavyModel;
+pub use latency::detector_base_ms;
 pub use mbek::{GofResult, Mbek};
 pub use tracker::TrackerSim;

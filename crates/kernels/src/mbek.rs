@@ -40,7 +40,7 @@ impl GofResult {
     }
 
     /// Number of frames the GoF ran.
-    pub fn frames(&self) -> usize {
+    pub(crate) fn frames(&self) -> usize {
         self.frame_ends.len()
     }
 
@@ -123,11 +123,6 @@ impl Mbek {
         assert!(factor > 0.0, "latency factor must be positive");
         self.latency_factor = factor;
         self
-    }
-
-    /// The detector family.
-    pub fn family(&self) -> DetectorFamily {
-        self.detector.family()
     }
 
     /// Configures the execution branch, resetting tracker state.

@@ -111,7 +111,7 @@ impl TrackerSim {
     /// # Panics
     ///
     /// Panics if `downsample` is zero.
-    pub fn new(kind: TrackerKind, downsample: u32) -> Self {
+    pub(crate) fn new(kind: TrackerKind, downsample: u32) -> Self {
         assert!(downsample >= 1, "downsample must be >= 1");
         Self {
             kind,
@@ -121,19 +121,19 @@ impl TrackerSim {
     }
 
     /// The tracker type.
-    pub fn kind(&self) -> TrackerKind {
+    pub(crate) fn kind(&self) -> TrackerKind {
         self.kind
     }
 
     /// Number of live tracks.
-    pub fn num_tracks(&self) -> usize {
+    pub(crate) fn num_tracks(&self) -> usize {
         self.tracks.len()
     }
 
     /// Re-initializes the track set from fresh detections (called on every
     /// detection frame of a GoF). `truth` is the frame the detections came
     /// from; it seeds each track's deterministic survival threshold.
-    pub fn reinit(&mut self, detections: &[Detection], truth: &FrameTruth) {
+    pub(crate) fn reinit(&mut self, detections: &[Detection], truth: &FrameTruth) {
         self.tracks.clear();
         self.tracks
             .extend(detections.iter().enumerate().map(|(i, d)| {
@@ -160,7 +160,12 @@ impl TrackerSim {
 
     /// Propagates all tracks across one frame and appends the tracked
     /// boxes to `out` as detections.
-    pub fn step(&mut self, truth: &FrameTruth, rng: &mut impl Rng, out: &mut Vec<Detection>) {
+    pub(crate) fn step(
+        &mut self,
+        truth: &FrameTruth,
+        rng: &mut impl Rng,
+        out: &mut Vec<Detection>,
+    ) {
         let p = self.kind.params();
         let ds_drift = (self.downsample as f32).sqrt();
         let ds_loss = 1.0 + p.ds_loss_coeff * (self.downsample as f32 - 1.0);

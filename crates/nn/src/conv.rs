@@ -26,24 +26,6 @@ pub struct FeatureMap {
 }
 
 impl FeatureMap {
-    /// Creates a zeroed feature map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn zeros(channels: usize, height: usize, width: usize) -> Self {
-        assert!(
-            channels > 0 && height > 0 && width > 0,
-            "feature map dimensions must be non-zero"
-        );
-        Self {
-            channels,
-            height,
-            width,
-            data: vec![0.0; channels * height * width],
-        }
-    }
-
     /// Creates a feature map from a CHW buffer.
     ///
     /// # Panics
@@ -60,37 +42,22 @@ impl FeatureMap {
     }
 
     /// Number of channels.
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.channels
     }
 
     /// Spatial height.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
     /// Spatial width.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
-    /// Value at `(c, y, x)`.
-    pub fn get(&self, c: usize, y: usize, x: usize) -> f32 {
-        self.data[(c * self.height + y) * self.width + x]
-    }
-
-    /// Sets the value at `(c, y, x)`.
-    pub fn set(&mut self, c: usize, y: usize, x: usize, v: f32) {
-        self.data[(c * self.height + y) * self.width + x] = v;
-    }
-
-    /// Raw CHW buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
     /// Global average pool: one value per channel.
-    pub fn global_average_pool(&self) -> Vec<f32> {
+    pub(crate) fn global_average_pool(&self) -> Vec<f32> {
         let hw = (self.height * self.width) as f32;
         (0..self.channels)
             .map(|c| {
@@ -130,7 +97,7 @@ impl Conv2d {
     /// # Panics
     ///
     /// Panics if `kernel` or `stride` is zero.
-    pub fn random(
+    pub(crate) fn random(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
@@ -181,7 +148,7 @@ impl Conv2d {
     /// # Panics
     ///
     /// Panics if the input channel count does not match.
-    pub fn forward(&self, input: &FeatureMap) -> FeatureMap {
+    pub(crate) fn forward(&self, input: &FeatureMap) -> FeatureMap {
         assert_eq!(
             input.channels(),
             self.in_channels,
@@ -279,7 +246,7 @@ pub(crate) fn add_im2col_product(cols: &Matrix, weights: &Matrix, acc: &mut [f32
 /// use lr_nn::conv::{ConvStack, FeatureMap};
 ///
 /// let stack = ConvStack::random(&[(3, 8, 3, 2), (8, 16, 3, 2)], 42);
-/// let input = FeatureMap::zeros(3, 32, 32);
+/// let input = FeatureMap::from_chw(3, 32, 32, vec![0.0; 3 * 32 * 32]);
 /// let embedding = stack.embed(&input);
 /// assert_eq!(embedding.len(), 16);
 /// ```
@@ -322,6 +289,43 @@ impl ConvStack {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// Test-only constructor and element access for the fixtures and the
+    /// direct-loop reference.
+    impl FeatureMap {
+        /// Creates a zeroed feature map.
+        ///
+        /// # Panics
+        ///
+        /// Panics if any dimension is zero.
+        pub(crate) fn zeros(channels: usize, height: usize, width: usize) -> Self {
+            assert!(
+                channels > 0 && height > 0 && width > 0,
+                "feature map dimensions must be non-zero"
+            );
+            Self {
+                channels,
+                height,
+                width,
+                data: vec![0.0; channels * height * width],
+            }
+        }
+
+        /// Value at `(c, y, x)`.
+        pub(crate) fn get(&self, c: usize, y: usize, x: usize) -> f32 {
+            self.data[(c * self.height + y) * self.width + x]
+        }
+
+        /// Sets the value at `(c, y, x)`.
+        pub(crate) fn set(&mut self, c: usize, y: usize, x: usize, v: f32) {
+            self.data[(c * self.height + y) * self.width + x] = v;
+        }
+
+        /// Raw CHW buffer.
+        pub(crate) fn as_slice(&self) -> &[f32] {
+            &self.data
+        }
+    }
 
     /// Reference convolution: the direct six-deep loop, summing from the
     /// bias over every in-bounds tap in `(ic, ky, kx)` order, zero inputs

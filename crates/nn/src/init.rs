@@ -16,14 +16,14 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 
 /// Xavier/Glorot uniform initialization for a `fan_in x fan_out` weight
 /// matrix: `U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out)))`.
-pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
+pub(crate) fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
     uniform(fan_in, fan_out, bound, rng)
 }
 
 /// He/Kaiming uniform initialization, appropriate before ReLU activations:
 /// `U(-sqrt(6/fan_in), +sqrt(6/fan_in))`.
-pub fn he_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
+pub(crate) fn he_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
     let bound = (6.0 / fan_in as f32).sqrt();
     uniform(fan_in, fan_out, bound, rng)
 }

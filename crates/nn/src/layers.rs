@@ -30,7 +30,7 @@ impl Activation {
 
     /// Applies the activation to each value of `xs`, in place: the one
     /// definition every forward pass uses, batch or packed.
-    pub fn apply_in_place(self, xs: &mut [f32]) {
+    pub(crate) fn apply_in_place(self, xs: &mut [f32]) {
         match self {
             Activation::Linear => {}
             Activation::Relu => {
@@ -61,7 +61,7 @@ impl Activation {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn backprop_in_place(self, y: &Matrix, grad: &mut Matrix) {
+    pub(crate) fn backprop_in_place(self, y: &Matrix, grad: &mut Matrix) {
         assert_eq!(
             (y.rows(), y.cols()),
             (grad.rows(), grad.cols()),
@@ -94,7 +94,12 @@ pub struct Dense {
 impl Dense {
     /// Creates a dense layer with He initialization (ReLU/linear) or Xavier
     /// (tanh) and zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(
+        in_dim: usize,
+        out_dim: usize,
+        activation: Activation,
+        rng: &mut impl Rng,
+    ) -> Self {
         let weights = match activation {
             Activation::Tanh => init::xavier_uniform(in_dim, out_dim, rng),
             _ => init::he_uniform(in_dim, out_dim, rng),
@@ -123,23 +128,18 @@ impl Dense {
     }
 
     /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.weights.rows()
     }
 
     /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.weights.cols()
     }
 
     /// The weight matrix.
-    pub fn weights(&self) -> &Matrix {
+    pub(crate) fn weights(&self) -> &Matrix {
         &self.weights
-    }
-
-    /// The bias row vector.
-    pub fn bias(&self) -> &Matrix {
-        &self.bias
     }
 
     /// The activation applied after the affine map.
@@ -152,23 +152,11 @@ impl Dense {
         (self.weights, self.bias, self.activation)
     }
 
-    /// Number of trainable parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.bias.cols()
-    }
-
-    /// Forward pass.
-    pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(input.rows(), self.out_dim());
-        self.infer_into(input, &mut out);
-        out
-    }
-
     /// Forward pass writing into a caller-owned scratch matrix (resized
-    /// and fully overwritten). Bit-identical to [`Dense::infer`]; reusing
+    /// and fully overwritten). Bit-identical to an allocating forward pass; reusing
     /// the scratch across calls keeps batch inference and training steps
     /// from allocating.
-    pub fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+    pub(crate) fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
         input.matmul_into(&self.weights, out);
         out.add_row_broadcast_in_place(&self.bias);
         self.activation.apply_in_place(out.as_mut_slice());
@@ -253,6 +241,21 @@ impl DenseVelocity {
 mod tests {
     use super::*;
     use crate::init::seeded_rng;
+
+    /// Test-only accessors: the layer's bias and an allocating forward pass.
+    impl Dense {
+        /// The bias row vector.
+        pub(crate) fn bias(&self) -> &Matrix {
+            &self.bias
+        }
+
+        /// Forward pass.
+        pub(crate) fn infer(&self, input: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(input.rows(), self.out_dim());
+            self.infer_into(input, &mut out);
+            out
+        }
+    }
 
     #[test]
     fn relu_zeroes_negatives() {

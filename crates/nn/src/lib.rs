@@ -7,14 +7,14 @@
 //! stacks used to synthesize "deep" content features (the stand-ins for the
 //! paper's ResNet50 and MobileNetV2 extractors):
 //!
-//! - [`tensor::Matrix`]: a dense row-major `f32` matrix with the handful of
+//! - [`Matrix`]: a dense row-major `f32` matrix with the handful of
 //!   BLAS-like kernels the rest of the crate needs.
-//! - [`layers`]: dense (fully-connected) layers and activations with
-//!   backpropagation.
-//! - [`mlp::Mlp`]: a sequential multi-layer perceptron.
-//! - [`packed::PackedMlp`]: a trained [`Mlp`] converted for one-row
+//! - [`Dense`] and [`Activation`]: dense (fully-connected) layers and
+//!   activations with backpropagation.
+//! - [`Mlp`]: a sequential multi-layer perceptron.
+//! - [`PackedMlp`]: a trained [`Mlp`] converted for one-row
 //!   inference, its weights packed into column panels.
-//! - [`optim::Sgd`]: stochastic gradient descent with momentum and weight
+//! - [`Sgd`]: stochastic gradient descent with momentum and weight
 //!   decay.
 //! - [`conv`]: forward-only 2-D convolution / pooling used by the feature
 //!   extractors.
@@ -30,17 +30,21 @@
 
 pub mod conv;
 pub mod init;
-pub mod layers;
-pub mod linreg;
-pub mod loss;
-pub mod mlp;
-pub mod optim;
-pub mod packed;
-pub mod sanitize;
+mod layers;
+mod linreg;
+mod loss;
+mod mlp;
+mod optim;
+mod packed;
+mod sanitize;
 mod simd;
-pub mod tensor;
+mod tensor;
 
+pub use layers::{Activation, Dense};
+pub use linreg::{fit_ridge, LinearModel};
 pub use mlp::{Examples, Mlp, MlpConfig};
 pub use optim::Sgd;
 pub use packed::PackedMlp;
 pub use tensor::Matrix;
+
+use sanitize::debug_assert_finite;

@@ -83,7 +83,7 @@ pub fn fit_ridge(xs: &[Vec<f32>], ys: &[f32], lambda: f32) -> Option<LinearModel
 
 /// Solves `A x = b` by Gaussian elimination with partial pivoting.
 /// Returns `None` for singular systems.
-pub fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+pub(crate) fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     assert!(a.len() == n && a.iter().all(|r| r.len() == n), "shape");
     for col in 0..n {

@@ -2,37 +2,24 @@
 
 use crate::tensor::Matrix;
 
-/// Mean squared error over all elements: `mean((pred - target)^2)`.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn mse(pred: &Matrix, target: &Matrix) -> f32 {
-    let d = pred.sub(target);
-    let loss = d.as_slice().iter().map(|v| v * v).sum::<f32>() / d.as_slice().len() as f32;
-    crate::debug_assert_finite!(loss, "mse loss");
-    loss
-}
-
-/// Gradient of [`mse`] with respect to `pred`: `2 (pred - target) / n`.
-pub fn mse_gradient(pred: &Matrix, target: &Matrix) -> Matrix {
-    let n = (pred.rows() * pred.cols()) as f32;
-    pred.sub(target).scaled(2.0 / n)
-}
-
-/// [`mse`] of `pred`, and into `grad` (resized to fit) its gradient
-/// with respect to `pred` for the *per-example* MSE (mean over the
-/// batch, sum over output dimensions): `2 (pred - target) / batch`.
+/// The mean squared error of `pred` over all elements, and into `grad`
+/// (resized to fit) its gradient with respect to `pred` for the
+/// *per-example* MSE (mean over the batch, sum over output dimensions):
+/// `2 (pred - target) / batch`.
 ///
 /// Use this for training multi-output regressors: normalizing by the
-/// output count as well (as [`mse_gradient`] does) shrinks per-output
-/// gradients with the output width, which stalls learning for wide heads
-/// (e.g. one output per execution branch).
+/// output count as well shrinks per-output gradients with the output
+/// width, which stalls learning for wide heads (e.g. one output per
+/// execution branch).
 ///
 /// # Panics
 ///
 /// Panics if the shapes of `pred` and `target` differ.
-pub fn mse_with_batch_mean_gradient(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
+pub(crate) fn mse_with_batch_mean_gradient(
+    pred: &Matrix,
+    target: &Matrix,
+    grad: &mut Matrix,
+) -> f32 {
     assert_eq!(
         (pred.rows(), pred.cols()),
         (target.rows(), target.cols()),
@@ -51,8 +38,21 @@ pub fn mse_with_batch_mean_gradient(pred: &Matrix, target: &Matrix, grad: &mut M
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Reference mean squared error over all elements:
+    /// `mean((pred - target)^2)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub(crate) fn mse(pred: &Matrix, target: &Matrix) -> f32 {
+        let d = pred.sub(target);
+        let loss = d.as_slice().iter().map(|v| v * v).sum::<f32>() / d.as_slice().len() as f32;
+        crate::debug_assert_finite!(loss, "mse loss");
+        loss
+    }
 
     #[test]
     fn mse_of_equal_is_zero() {
@@ -68,14 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn mse_gradient_direction() {
-        let p = Matrix::row_vector(&[2.0]);
-        let t = Matrix::row_vector(&[1.0]);
-        let g = mse_gradient(&p, &t);
-        assert_eq!(g, Matrix::row_vector(&[2.0]));
-    }
-
-    #[test]
     fn fused_loss_and_gradient_match_the_separate_ones() {
         let p = Matrix::from_rows(&[&[0.3, -0.4, 0.9], &[0.1, 0.7, -0.2]]);
         let t = Matrix::from_rows(&[&[0.1, 0.2, 0.5], &[0.0, 0.3, 0.3]]);
@@ -84,12 +76,15 @@ mod tests {
         assert_eq!(g, p.sub(&t).scaled(2.0 / 2.0));
     }
 
-    /// The MSE gradient should match a finite-difference estimate.
+    /// On one example the per-example gradient is the output count times
+    /// the gradient of the all-element MSE, which a finite difference
+    /// estimates.
     #[test]
-    fn mse_gradient_matches_finite_difference() {
+    fn gradient_matches_finite_difference() {
         let mut p = Matrix::row_vector(&[0.3, -0.4, 0.9]);
         let t = Matrix::row_vector(&[0.1, 0.2, 0.5]);
-        let g = mse_gradient(&p, &t);
+        let mut g = Matrix::zeros(1, 1);
+        mse_with_batch_mean_gradient(&p, &t, &mut g);
         let eps = 1e-3;
         for i in 0..3 {
             let orig = p.as_slice()[i];
@@ -98,8 +93,8 @@ mod tests {
             p.as_mut_slice()[i] = orig - eps;
             let lm = mse(&p, &t);
             p.as_mut_slice()[i] = orig;
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!((numeric - g.as_slice()[i]).abs() < 1e-3);
+            let numeric = 3.0 * (lp - lm) / (2.0 * eps);
+            assert!((numeric - g.as_slice()[i]).abs() < 3e-3);
         }
     }
 }

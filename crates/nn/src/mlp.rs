@@ -29,11 +29,11 @@ const DW_CHUNK_ROWS: usize = 32;
 /// ```
 /// use lr_nn::{init::seeded_rng, Matrix, Mlp, MlpConfig, Sgd};
 ///
-/// let inputs = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-/// let targets = Matrix::from_rows(&[&[1.0], &[0.0]]);
+/// let inputs = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+/// let targets = Matrix::from_vec(2, 1, vec![1.0, 0.0]);
 /// let mut rng = seeded_rng(1);
 /// let mut mlp = Mlp::new(&MlpConfig::regression(2, &[4], 1), &mut rng);
-/// let history = mlp.fit(&(&inputs, &targets), Sgd::plain(0.1), 3, 2, &mut rng);
+/// let history = mlp.fit(&(&inputs, &targets), Sgd::paper(0.1, 0.0), 3, 2, &mut rng);
 /// assert_eq!(history.len(), 3);
 /// ```
 pub trait Examples {
@@ -77,7 +77,7 @@ impl Examples for (&Matrix, &Matrix) {
 /// use lr_nn::MlpConfig;
 ///
 /// let cfg = MlpConfig::regression(512, &[256, 256, 256, 256], 45);
-/// assert_eq!(cfg.layer_dims(), vec![512, 256, 256, 256, 256, 45]);
+/// assert_eq!(cfg.hidden_dims.len() + 2, 6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MlpConfig {
@@ -106,7 +106,7 @@ impl MlpConfig {
     }
 
     /// Full list of layer dims, input first and output last.
-    pub fn layer_dims(&self) -> Vec<usize> {
+    pub(crate) fn layer_dims(&self) -> Vec<usize> {
         let mut dims = Vec::with_capacity(self.hidden_dims.len() + 2);
         dims.push(self.input_dim);
         dims.extend_from_slice(&self.hidden_dims);
@@ -146,32 +146,12 @@ impl Mlp {
         Self { layers, velocities }
     }
 
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
-    /// Output dimensionality.
-    pub fn output_dim(&self) -> usize {
-        self.layers[self.layers.len() - 1].out_dim()
-    }
-
-    /// Number of layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Total number of trainable parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(Dense::parameter_count).sum()
-    }
-
     /// Inference on a `batch x input_dim` matrix, returning
     /// `batch x output_dim`.
     ///
     /// Uses two ping-pong scratch matrices instead of allocating fresh
     /// activations per layer; the result is bit-identical to chaining
-    /// [`Dense::infer`].
+    /// each layer's allocating forward pass.
     pub fn infer(&self, input: &Matrix) -> Matrix {
         let mut cur = Matrix::zeros(input.rows(), self.layers[0].out_dim());
         self.layers[0].infer_into(input, &mut cur);
@@ -385,15 +365,6 @@ mod tests {
         let mlp = Mlp::new(&MlpConfig::regression(4, &[8], 3), &mut rng);
         let out = mlp.infer(&Matrix::zeros(5, 4));
         assert_eq!((out.rows(), out.cols()), (5, 3));
-        assert_eq!(mlp.depth(), 2);
-    }
-
-    #[test]
-    fn parameter_count_matches_architecture() {
-        let mut rng = seeded_rng(1);
-        let mlp = Mlp::new(&MlpConfig::regression(4, &[8], 3), &mut rng);
-        // (4*8 + 8) + (8*3 + 3) = 40 + 27.
-        assert_eq!(mlp.parameter_count(), 67);
     }
 
     #[test]
@@ -447,7 +418,7 @@ mod tests {
             32,
             &mut rng,
         );
-        let mse = loss::mse(&mlp.infer(&inputs), &targets);
+        let mse = loss::tests::mse(&mlp.infer(&inputs), &targets);
         assert!(mse < 5e-3, "failed to fit x^2: mse {mse}");
     }
 

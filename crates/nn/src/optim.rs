@@ -31,16 +31,6 @@ impl Sgd {
         }
     }
 
-    /// Plain SGD (no momentum, no decay) for tests and ablations.
-    pub fn plain(learning_rate: f32) -> Self {
-        Self {
-            learning_rate,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            grad_clip: f32::INFINITY,
-        }
-    }
-
     /// Returns a copy with gradient clipping enabled.
     pub fn with_grad_clip(self, clip: f32) -> Self {
         Self {
@@ -59,6 +49,19 @@ impl Default for Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plain SGD (no momentum, no decay) for the unit tests.
+    impl Sgd {
+        /// Plain SGD (no momentum, no decay) for tests and ablations.
+        pub(crate) fn plain(learning_rate: f32) -> Self {
+            Self {
+                learning_rate,
+                momentum: 0.0,
+                weight_decay: 0.0,
+                grad_clip: f32::INFINITY,
+            }
+        }
+    }
 
     #[test]
     fn paper_config_uses_momentum_09() {

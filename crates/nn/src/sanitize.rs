@@ -15,13 +15,6 @@
 /// Accepts anything implementing [`AllFinite`]: an `f32`/`f64` scalar, a
 /// slice of either, or a [`crate::Matrix`]. The `$what` argument names
 /// the producing operation in the panic message.
-///
-/// ```
-/// use lr_nn::debug_assert_finite;
-/// let v = [0.0f32, 1.5, -2.0];
-/// debug_assert_finite!(&v[..], "example vector");
-/// ```
-#[macro_export]
 macro_rules! debug_assert_finite {
     ($value:expr, $what:expr) => {
         if cfg!(debug_assertions) {
@@ -29,9 +22,10 @@ macro_rules! debug_assert_finite {
         }
     };
 }
+pub(crate) use debug_assert_finite;
 
 /// Values the sanitizer knows how to scan for non-finite entries.
-pub trait AllFinite {
+pub(crate) trait AllFinite {
     /// Returns the first non-finite value found, if any.
     fn first_non_finite(&self) -> Option<f64>;
 }
@@ -74,8 +68,7 @@ impl<T: AllFinite + ?Sized> AllFinite for &T {
 
 /// Panics if `value` contains a non-finite entry. Called by
 /// [`debug_assert_finite!`]; not meant for direct use.
-#[doc(hidden)]
-pub fn assert_finite_impl<T: AllFinite + ?Sized>(value: &T, what: &str) {
+pub(crate) fn assert_finite_impl<T: AllFinite + ?Sized>(value: &T, what: &str) {
     if let Some(bad) = value.first_non_finite() {
         panic!("non-finite value {bad} produced by {what}");
     }

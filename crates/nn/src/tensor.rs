@@ -13,9 +13,9 @@ use std::ops::{Index, IndexMut};
 /// ```
 /// use lr_nn::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
+/// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+/// let b = Matrix::from_vec(2, 1, vec![1.0, 1.0]);
+/// assert_eq!(a.matmul(&b).as_slice(), &[3.0, 7.0]);
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -40,29 +40,13 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         Self {
             rows,
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates a matrix filled with a constant value.
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        m.data.fill(value);
-        m
-    }
-
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from a flat row-major buffer.
@@ -83,34 +67,18 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a matrix from a slice of equally-sized rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows are empty or have differing lengths.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "at least one row required");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows are not allowed");
-            data.extend_from_slice(r);
-        }
-        Self::from_vec(rows.len(), cols, data)
-    }
-
     /// Creates a `1 x n` row vector from a slice.
     pub fn row_vector(values: &[f32]) -> Self {
         Self::from_vec(1, values.len(), values.to_vec())
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -125,7 +93,7 @@ impl Matrix {
     }
 
     /// Mutable access to the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -141,7 +109,7 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Runs the register-tiled kernel through [`Matrix::matmul_into`];
+    /// Runs the register-tiled kernel through `Matrix::matmul_into`;
     /// the result is bit-identical to [`Matrix::matmul_naive`].
     ///
     /// # Panics
@@ -165,7 +133,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -210,7 +178,7 @@ impl Matrix {
     /// Transposes `rhs` and runs the tiled kernel, so each output is a
     /// dot product summed from `+0.0` in ascending inner index.
     /// Training keeps the transpose in its workspace and calls
-    /// [`Matrix::transpose_into`] and [`Matrix::matmul_into`] instead.
+    /// `Matrix::transpose_into` and `Matrix::matmul_into` instead.
     ///
     /// # Panics
     ///
@@ -253,32 +221,13 @@ impl Matrix {
 
     /// Writes the transpose into `out`, which is resized to
     /// `self.cols x self.rows` and fully overwritten.
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         out.resize(self.cols, self.rows);
         for (i, row) in self.data.chunks_exact(self.cols).enumerate() {
             for (j, &v) in row.iter().enumerate() {
                 out.data[j * self.rows + i] = v;
             }
         }
-    }
-
-    /// Element-wise sum with another matrix of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a + b)
-    }
-
-    /// Element-wise difference.
-    pub fn sub(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a * b)
     }
 
     /// Adds a `1 x cols` row vector to every row (bias broadcast).
@@ -297,7 +246,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `bias` is not `1 x self.cols()`.
-    pub fn add_row_broadcast_in_place(&mut self, bias: &Matrix) {
+    pub(crate) fn add_row_broadcast_in_place(&mut self, bias: &Matrix) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
         for r in 0..self.rows {
@@ -319,7 +268,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn resize(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         self.rows = rows;
         self.cols = cols;
@@ -328,7 +277,7 @@ impl Matrix {
 
     /// Sums each column, from `0.0` and in row order, into `out`, which
     /// is resized to `1 x cols` and fully overwritten.
-    pub fn sum_rows_into(&self, out: &mut Matrix) {
+    pub(crate) fn sum_rows_into(&self, out: &mut Matrix) {
         out.resize(1, self.cols);
         out.data.fill(0.0);
         for row in self.data.chunks_exact(self.cols) {
@@ -339,17 +288,10 @@ impl Matrix {
     }
 
     /// Scales every element in place.
-    pub fn scale_in_place(&mut self, s: f32) {
+    pub(crate) fn scale_in_place(&mut self, s: f32) {
         for v in &mut self.data {
             *v *= s;
         }
-    }
-
-    /// Returns a scaled copy.
-    pub fn scaled(&self, s: f32) -> Matrix {
-        let mut out = self.clone();
-        out.scale_in_place(s);
-        out
     }
 
     /// Applies a function element-wise, returning a new matrix.
@@ -358,41 +300,9 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// `self += rhs * s` (axpy), in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn axpy_in_place(&mut self, rhs: &Matrix, s: f32) {
-        assert_eq!(self.rows, rhs.rows, "axpy row mismatch");
-        assert_eq!(self.cols, rhs.cols, "axpy col mismatch");
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a += b * s;
-        }
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
-        self.data.iter().sum::<f32>() / self.data.len() as f32
-    }
-
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
+    pub(crate) fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
-    }
-
-    fn zip_with(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "row mismatch");
-        assert_eq!(self.cols, rhs.cols, "col mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        let out = Matrix::from_vec(self.rows, self.cols, data);
-        crate::debug_assert_finite!(out, "elementwise zip");
-        out
     }
 }
 
@@ -581,18 +491,83 @@ impl IndexMut<(usize, usize)> for Matrix {
 pub(crate) mod tests {
     use super::*;
 
+    /// Test-only constructors and element-wise operations, for the
+    /// unit tests' fixtures and `mlp`'s allocating reference step.
+    impl Matrix {
+        /// Creates a matrix filled with a constant value.
+        pub(crate) fn full(rows: usize, cols: usize, value: f32) -> Self {
+            let mut m = Self::zeros(rows, cols);
+            m.data.fill(value);
+            m
+        }
+
+        /// Creates a matrix from a slice of equally-sized rows.
+        ///
+        /// # Panics
+        ///
+        /// Panics if rows are empty or have differing lengths.
+        pub(crate) fn from_rows(rows: &[&[f32]]) -> Self {
+            assert!(!rows.is_empty(), "at least one row required");
+            let cols = rows[0].len();
+            let mut data = Vec::with_capacity(rows.len() * cols);
+            for r in rows {
+                assert_eq!(r.len(), cols, "ragged rows are not allowed");
+                data.extend_from_slice(r);
+            }
+            Self::from_vec(rows.len(), cols, data)
+        }
+
+        /// Element-wise difference.
+        pub(crate) fn sub(&self, rhs: &Matrix) -> Matrix {
+            self.zip_with(rhs, |a, b| a - b)
+        }
+
+        /// Element-wise (Hadamard) product.
+        pub(crate) fn hadamard(&self, rhs: &Matrix) -> Matrix {
+            self.zip_with(rhs, |a, b| a * b)
+        }
+
+        /// Returns a scaled copy.
+        pub(crate) fn scaled(&self, s: f32) -> Matrix {
+            let mut out = self.clone();
+            out.scale_in_place(s);
+            out
+        }
+
+        /// `self += rhs * s` (axpy), in place.
+        ///
+        /// # Panics
+        ///
+        /// Panics on shape mismatch.
+        pub(crate) fn axpy_in_place(&mut self, rhs: &Matrix, s: f32) {
+            assert_eq!(self.rows, rhs.rows, "axpy row mismatch");
+            assert_eq!(self.cols, rhs.cols, "axpy col mismatch");
+            for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+                *a += b * s;
+            }
+        }
+
+        fn zip_with(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+            assert_eq!(self.rows, rhs.rows, "row mismatch");
+            assert_eq!(self.cols, rhs.cols, "col mismatch");
+            let data = self
+                .data
+                .iter()
+                .zip(rhs.data.iter())
+                .map(|(&a, &b)| f(a, b))
+                .collect();
+            let out = Matrix::from_vec(self.rows, self.cols, data);
+            crate::debug_assert_finite!(out, "elementwise zip");
+            out
+        }
+    }
+
     #[test]
     fn matmul_small() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.0, 3.0, 4.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
     }
 
     /// Reference `self * rhs^T`: one dot product per element, summed
@@ -681,9 +656,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn mean_and_norm() {
+    fn frobenius_norm_of_a_3_4_row() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.mean(), 3.5);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 

@@ -145,7 +145,7 @@ impl ViolationCause {
 }
 
 /// Attribute one violating GoF to its dominant cause.
-pub fn attribute_violation(r: &DecisionRecord) -> ViolationCause {
+pub(crate) fn attribute_violation(r: &DecisionRecord) -> ViolationCause {
     if r.faults > 0 || !r.degrades.is_empty() {
         ViolationCause::Fault
     } else if !r.explain.feasible {

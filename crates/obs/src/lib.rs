@@ -20,9 +20,10 @@
 //!   the only record lr-obs keeps: every aggregate (switches, faults,
 //!   degraded GoFs, dispatch rounds) is counted from it;
 //! - a **JSONL trace sink** ([`ObsBundle::to_jsonl`]) plus a minimal
-//!   parser ([`trace::parse_jsonl`]) and an analysis layer ([`analyze`]):
-//!   per-branch residency, switch matrices, budget breakdowns, and
-//!   SLO-violation attribution.
+//!   parser ([`parse_jsonl`]) and an analysis layer:
+//!   per-branch residency ([`branch_residency`]), switch matrices
+//!   ([`switch_matrix`]), budget breakdowns ([`budget_breakdown`]), and
+//!   SLO-violation attribution ([`violation_attribution`]).
 //!
 //! # Determinism rules for observers
 //!
@@ -43,15 +44,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze;
-pub mod record;
-pub mod sink;
-pub mod stream;
-pub mod trace;
+mod analyze;
+mod record;
+mod sink;
+mod stream;
+mod trace;
 
+pub use analyze::{branch_residency, budget_breakdown, switch_matrix, violation_attribution};
 pub use record::{
     DecisionExplain, DecisionRecord, FeatureBen, RoundRecord, SpanRecord, TraceEvent,
 };
 pub use sink::{NullSink, ObsSink, SpanKind};
 pub use stream::{ObsMode, StreamObs};
-pub use trace::{ObsBundle, Value};
+pub use trace::{parse_jsonl, ObsBundle, Value};

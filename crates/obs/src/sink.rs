@@ -40,7 +40,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable lowercase name used in trace JSONL.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::Decision => "decision",
             SpanKind::LightFeature => "light_feature",

@@ -44,7 +44,7 @@ struct DemandFractions {
 
 /// SLO-aware admission controller for one shared device.
 #[derive(Debug, Clone)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     capacity_fraction: f64,
     committed: f64,
 }
@@ -56,7 +56,7 @@ impl AdmissionController {
     /// # Panics
     ///
     /// Panics unless `capacity_fraction` is in `(0, 1]`.
-    pub fn new(capacity_fraction: f64) -> Self {
+    pub(crate) fn new(capacity_fraction: f64) -> Self {
         assert!(
             capacity_fraction > 0.0 && capacity_fraction <= 1.0,
             "capacity fraction {capacity_fraction} outside (0, 1]"
@@ -65,11 +65,6 @@ impl AdmissionController {
             capacity_fraction,
             committed: 0.0,
         }
-    }
-
-    /// GPU demand fraction currently booked.
-    pub fn committed(&self) -> f64 {
-        self.committed
     }
 
     /// Floor and typical demand of the SLO-feasible branch set, computed
@@ -103,7 +98,7 @@ impl AdmissionController {
     /// `class` under the given decision (0 for rejections). Lets the
     /// dispatcher release exactly what was booked when it later evicts
     /// the stream for exceeding its fault budget.
-    pub fn booked_fraction(
+    pub(crate) fn booked_fraction(
         trained: &TrainedScheduler,
         profile: &DeviceProfile,
         class: SloClass,
@@ -125,7 +120,7 @@ impl AdmissionController {
     /// # Panics
     ///
     /// Panics if `fraction` is negative or non-finite.
-    pub fn release(&mut self, fraction: f64) {
+    pub(crate) fn release(&mut self, fraction: f64) {
         assert!(
             fraction >= 0.0 && fraction.is_finite(),
             "bad fraction {fraction}"
@@ -135,7 +130,7 @@ impl AdmissionController {
 
     /// Offers a stream of the given class. Books capacity and returns
     /// the decision; rejected streams book nothing.
-    pub fn offer(
+    pub(crate) fn offer(
         &mut self,
         trained: &TrainedScheduler,
         profile: &DeviceProfile,
@@ -162,12 +157,19 @@ impl AdmissionController {
 mod tests {
     use super::*;
     use litereconfig::offline::{profile_videos, OfflineConfig};
-    use litereconfig::trainer::{train_scheduler, TrainConfig};
     use litereconfig::FeatureService;
+    use litereconfig::{train_scheduler, TrainConfig};
     use lr_device::DeviceKind;
     use lr_kernels::branch::small_catalog;
     use lr_kernels::DetectorFamily;
     use lr_video::{Video, VideoSpec};
+
+    impl AdmissionController {
+        /// GPU demand fraction currently booked.
+        pub(crate) fn committed(&self) -> f64 {
+            self.committed
+        }
+    }
 
     fn trained() -> TrainedScheduler {
         let videos: Vec<Video> = (0..2)

@@ -539,7 +539,7 @@ mod tests {
     use super::*;
     use crate::slo::SloClass;
     use litereconfig::offline::{profile_videos, OfflineConfig};
-    use litereconfig::trainer::{train_scheduler, TrainConfig};
+    use litereconfig::{train_scheduler, TrainConfig};
     use lr_kernels::branch::small_catalog;
     use lr_kernels::DetectorFamily;
     use lr_video::VideoSpec;

@@ -7,13 +7,13 @@
 //! contention: every stream's GPU ops slow every other stream down.
 //! This crate closes that loop:
 //!
-//! - [`SharedDevice`] serializes the GPU ops of N per-stream pipelines
+//! - `SharedDevice` serializes the GPU ops of N per-stream pipelines
 //!   onto one virtual-clock timeline and measures each stream's GPU
 //!   *occupancy* over a sliding window. The occupancy of the other
 //!   streams determines the processor-sharing slowdown a stream
 //!   observes — contention is **endogenous**, derived from measured
 //!   load, not from a static `contention_pct`.
-//! - [`AdmissionController`] holds per-stream SLO classes
+//! - `AdmissionController` holds per-stream SLO classes
 //!   ([`SloClass`]) and rejects — or degrades, for classes that allow
 //!   it — streams whose predicted GPU demand would push aggregate
 //!   occupancy past capacity.
@@ -33,15 +33,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
-pub mod dispatch;
-pub mod report;
-pub mod shared;
-pub mod slo;
+mod admission;
+mod dispatch;
+mod report;
+mod shared;
+mod slo;
 
-pub use admission::{AdmissionController, AdmissionDecision};
+pub use admission::AdmissionDecision;
 pub use dispatch::{serve_traced, ServeConfig};
 pub use lr_obs::{ObsBundle, ObsMode};
 pub use report::{ServeReport, StreamReport};
-pub use shared::SharedDevice;
 pub use slo::{SloClass, StreamSpec};

@@ -44,12 +44,12 @@ pub struct StreamReport {
 
 impl StreamReport {
     /// True unless the stream was rejected at admission.
-    pub fn admitted(&self) -> bool {
+    pub(crate) fn admitted(&self) -> bool {
         self.decision != AdmissionDecision::Rejected
     }
 
     /// Fraction of executed GoFs that ran degraded.
-    pub fn degraded_gof_fraction(&self) -> f64 {
+    pub(crate) fn degraded_gof_fraction(&self) -> f64 {
         if self.gofs == 0 {
             0.0
         } else {
@@ -79,7 +79,7 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// Streams offered.
-    pub fn offered(&self) -> usize {
+    pub(crate) fn offered(&self) -> usize {
         self.streams.len()
     }
 

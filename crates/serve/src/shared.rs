@@ -30,7 +30,7 @@ struct UsageRecord {
 /// by one stream's local time are directly comparable with the others'
 /// records.
 #[derive(Debug)]
-pub struct SharedDevice {
+pub(crate) struct SharedDevice {
     window_ms: f64,
     max_occupancy: f64,
     streams: Vec<VecDeque<UsageRecord>>,
@@ -54,7 +54,7 @@ impl SharedDevice {
     ///
     /// Panics if `window_ms` is not positive or `max_occupancy` is
     /// outside `(0, 1)`.
-    pub fn new(window_ms: f64, max_occupancy: f64) -> Self {
+    pub(crate) fn new(window_ms: f64, max_occupancy: f64) -> Self {
         assert!(
             window_ms.is_finite() && window_ms > 0.0,
             "bad window {window_ms}"
@@ -72,7 +72,7 @@ impl SharedDevice {
     }
 
     /// Registers a stream; returns its slot index.
-    pub fn register(&mut self) -> usize {
+    pub(crate) fn register(&mut self) -> usize {
         self.streams.push(VecDeque::new());
         self.reservations.push(None);
         self.streams.len() - 1
@@ -84,7 +84,7 @@ impl SharedDevice {
     ///
     /// Panics on an unknown slot, a negative-length interval, or
     /// negative demand.
-    pub fn record(&mut self, slot: usize, start_ms: f64, end_ms: f64, gpu_demand_ms: f64) {
+    pub(crate) fn record(&mut self, slot: usize, start_ms: f64, end_ms: f64, gpu_demand_ms: f64) {
         assert!(end_ms >= start_ms, "interval {start_ms}..{end_ms} reversed");
         assert!(gpu_demand_ms >= 0.0, "negative demand {gpu_demand_ms}");
         let q = &mut self.streams[slot];
@@ -112,7 +112,7 @@ impl SharedDevice {
     ///
     /// Panics on an unknown slot, a negative-length interval, or
     /// negative demand.
-    pub fn reserve(&mut self, slot: usize, start_ms: f64, end_ms: f64, gpu_demand_ms: f64) {
+    pub(crate) fn reserve(&mut self, slot: usize, start_ms: f64, end_ms: f64, gpu_demand_ms: f64) {
         assert!(end_ms >= start_ms, "interval {start_ms}..{end_ms} reversed");
         assert!(gpu_demand_ms >= 0.0, "negative demand {gpu_demand_ms}");
         self.reservations[slot] = Some(UsageRecord {
@@ -123,7 +123,7 @@ impl SharedDevice {
     }
 
     /// Retires `slot`'s in-flight reservation, if any.
-    pub fn clear_reservation(&mut self, slot: usize) {
+    pub(crate) fn clear_reservation(&mut self, slot: usize) {
         self.reservations[slot] = None;
     }
 
@@ -131,7 +131,7 @@ impl SharedDevice {
     /// streams *other than* `slot` put on the device over the window
     /// ending at `now_ms`. Demand is spread uniformly over each
     /// record's interval; partial overlaps count proportionally.
-    pub fn occupancy_excluding(&self, slot: usize, now_ms: f64) -> f64 {
+    pub(crate) fn occupancy_excluding(&self, slot: usize, now_ms: f64) -> f64 {
         let lo = now_ms - self.window_ms;
         let in_window = |r: &UsageRecord| {
             let overlap = (r.end_ms.min(now_ms) - r.start_ms.max(lo)).max(0.0);
@@ -160,7 +160,7 @@ impl SharedDevice {
     /// `now_ms`: `1 / (1 - rho_others)`, the same stretch the paper's
     /// CG applies for a g% contender — but with `rho` *measured* from
     /// the co-scheduled streams instead of configured.
-    pub fn slowdown_for(&self, slot: usize, now_ms: f64) -> f64 {
+    pub(crate) fn slowdown_for(&self, slot: usize, now_ms: f64) -> f64 {
         1.0 / (1.0 - self.occupancy_excluding(slot, now_ms))
     }
 }

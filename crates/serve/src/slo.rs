@@ -37,7 +37,7 @@ impl SloClass {
     }
 
     /// Dispatch priority (higher runs sooner when streams are tied).
-    pub fn priority(self) -> u8 {
+    pub(crate) fn priority(self) -> u8 {
         match self {
             SloClass::Gold => 2,
             SloClass::Silver => 1,
@@ -48,7 +48,7 @@ impl SloClass {
     /// Whether the admission controller may admit this stream in a
     /// degraded mode (tightened scheduler headroom: cheaper tracker
     /// branches, longer GoFs) instead of rejecting it.
-    pub fn degradable(self) -> bool {
+    pub(crate) fn degradable(self) -> bool {
         !matches!(self, SloClass::Gold)
     }
 

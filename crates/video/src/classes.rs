@@ -3,40 +3,6 @@
 /// Number of foreground object classes (matches ILSVRC VID).
 pub const NUM_CLASSES: usize = 30;
 
-/// The class names of ILSVRC 2015 VID, in canonical order.
-pub const CLASS_NAMES: [&str; NUM_CLASSES] = [
-    "airplane",
-    "antelope",
-    "bear",
-    "bicycle",
-    "bird",
-    "bus",
-    "car",
-    "cattle",
-    "dog",
-    "domestic_cat",
-    "elephant",
-    "fox",
-    "giant_panda",
-    "hamster",
-    "horse",
-    "lion",
-    "lizard",
-    "monkey",
-    "motorcycle",
-    "rabbit",
-    "red_panda",
-    "sheep",
-    "snake",
-    "squirrel",
-    "tiger",
-    "train",
-    "turtle",
-    "watercraft",
-    "whale",
-    "zebra",
-];
-
 /// An object category.
 ///
 /// # Examples
@@ -45,7 +11,7 @@ pub const CLASS_NAMES: [&str; NUM_CLASSES] = [
 /// use lr_video::ObjectClass;
 ///
 /// let c = ObjectClass::new(6);
-/// assert_eq!(c.name(), "car");
+/// assert_eq!(c.index(), 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectClass(u8);
@@ -69,19 +35,9 @@ impl ObjectClass {
         self.0 as usize
     }
 
-    /// The canonical class name.
-    pub fn name(self) -> &'static str {
-        CLASS_NAMES[self.index()]
-    }
-
-    /// Iterates over all classes in order.
-    pub fn all() -> impl Iterator<Item = ObjectClass> {
-        (0..NUM_CLASSES).map(ObjectClass::new)
-    }
-
     /// A deterministic per-class base color in RGB (0..1), used by the
     /// rasterizer so that pixel features carry class information.
-    pub fn base_color(self) -> [f32; 3] {
+    pub(crate) fn base_color(self) -> [f32; 3] {
         // Spread hues around the color wheel; vary saturation/value in two
         // rings so 30 classes stay distinguishable.
         let i = self.index();
@@ -96,7 +52,7 @@ impl ObjectClass {
 }
 
 /// Converts HSV (h in degrees, s/v in 0..1) to RGB in 0..1.
-pub fn hsv_to_rgb(h: f32, s: f32, v: f32) -> [f32; 3] {
+pub(crate) fn hsv_to_rgb(h: f32, s: f32, v: f32) -> [f32; 3] {
     let c = v * s;
     let hp = (h / 60.0) % 6.0;
     let x = c * (1.0 - ((hp % 2.0) - 1.0).abs());
@@ -119,15 +75,7 @@ mod tests {
     #[test]
     fn thirty_classes_like_vid() {
         assert_eq!(NUM_CLASSES, 30);
-        assert_eq!(ObjectClass::all().count(), 30);
-    }
-
-    #[test]
-    fn names_are_unique() {
-        let mut names: Vec<_> = CLASS_NAMES.to_vec();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), NUM_CLASSES);
+        assert_eq!((0..NUM_CLASSES).map(ObjectClass::new).count(), 30);
     }
 
     #[test]
@@ -138,7 +86,7 @@ mod tests {
 
     #[test]
     fn base_colors_are_in_unit_range() {
-        for c in ObjectClass::all() {
+        for c in (0..NUM_CLASSES).map(ObjectClass::new) {
             for ch in c.base_color() {
                 assert!((0.0..=1.0).contains(&ch), "{} out of range", ch);
             }

@@ -48,17 +48,7 @@ impl Default for DatasetConfig {
     }
 }
 
-impl DatasetConfig {
-    /// A tiny configuration for unit tests.
-    pub fn tiny() -> Self {
-        Self {
-            train_vision: 2,
-            train_scheduler: 2,
-            validation: 2,
-            id_offset: 10_000,
-        }
-    }
-}
+impl DatasetConfig {}
 
 /// A dataset: lazy access to the videos of each split.
 ///
@@ -75,11 +65,6 @@ impl Dataset {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DatasetConfig {
-        &self.config
-    }
-
     /// Number of videos in a split.
     pub fn len(&self, split: Split) -> usize {
         match split {
@@ -89,13 +74,8 @@ impl Dataset {
         }
     }
 
-    /// True if the split is empty.
-    pub fn is_empty(&self, split: Split) -> bool {
-        self.len(split) == 0
-    }
-
     /// The video ids of a split. Id ranges are disjoint by construction.
-    pub fn ids(&self, split: Split) -> Vec<u32> {
+    pub(crate) fn ids(&self, split: Split) -> Vec<u32> {
         let base = self.config.id_offset;
         let tv = self.config.train_vision as u32;
         let ts = self.config.train_scheduler as u32;
@@ -106,14 +86,6 @@ impl Dataset {
             Split::Validation => base + tv + ts..base + tv + ts + val,
         };
         range.collect()
-    }
-
-    /// The specs of a split.
-    pub fn specs(&self, split: Split) -> Vec<VideoSpec> {
-        self.ids(split)
-            .into_iter()
-            .map(VideoSpec::from_id)
-            .collect()
     }
 
     /// Generates the `index`-th video of a split.
@@ -143,6 +115,18 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DatasetConfig {
+        /// A tiny configuration for unit tests.
+        pub(crate) fn tiny() -> Self {
+            Self {
+                train_vision: 2,
+                train_scheduler: 2,
+                validation: 2,
+                id_offset: 10_000,
+            }
+        }
+    }
 
     #[test]
     fn splits_are_disjoint() {

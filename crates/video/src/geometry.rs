@@ -66,7 +66,7 @@ impl BBox {
     }
 
     /// Intersection area with another box.
-    pub fn intersection_area(&self, other: &BBox) -> f32 {
+    pub(crate) fn intersection_area(&self, other: &BBox) -> f32 {
         let ix = (self.right().min(other.right()) - self.x.max(other.x)).max(0.0);
         let iy = (self.bottom().min(other.bottom()) - self.y.max(other.y)).max(0.0);
         ix * iy

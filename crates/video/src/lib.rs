@@ -24,16 +24,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod classes;
-pub mod dataset;
-pub mod geometry;
-pub mod object;
+mod classes;
+mod dataset;
+mod geometry;
+mod object;
 pub mod raster;
-pub mod regime;
-pub mod scene;
-pub mod video;
+mod regime;
+mod scene;
+mod video;
 
-pub use classes::ObjectClass;
+pub use classes::{ObjectClass, NUM_CLASSES};
 pub use dataset::{Dataset, DatasetConfig, Split};
 pub use geometry::BBox;
 pub use object::GtObject;

@@ -42,7 +42,7 @@ impl GtObject {
 
     /// The rendered color: class base color modulated by instance jitter,
     /// clamped to `[0, 1]`.
-    pub fn render_color(&self) -> [f32; 3] {
+    pub(crate) fn render_color(&self) -> [f32; 3] {
         let base = self.class.base_color();
         let mut out = [0.0; 3];
         for i in 0..3 {

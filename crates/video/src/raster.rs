@@ -60,22 +60,9 @@ impl RgbFrame {
         &self.data
     }
 
-    /// Pixel value for channel `c` at `(x, y)`.
-    pub fn get(&self, c: usize, x: usize, y: usize) -> f32 {
-        self.data[c * self.width * self.height + y * self.width + x]
-    }
-
     /// Sets channel `c` at `(x, y)`.
     pub fn set(&mut self, c: usize, x: usize, y: usize, v: f32) {
         self.data[c * self.width * self.height + y * self.width + x] = v.clamp(0.0, 1.0);
-    }
-
-    /// Alpha-blends `color` over the pixel at `(x, y)`.
-    pub fn blend(&mut self, x: usize, y: usize, color: [f32; 3], alpha: f32) {
-        for (c, &col) in color.iter().enumerate() {
-            let cur = self.get(c, x, y);
-            self.set(c, x, y, cur * (1.0 - alpha) + col * alpha);
-        }
     }
 
     /// Per-pixel luminance (Rec. 601 weights), row-major.
@@ -207,6 +194,22 @@ fn fill_ellipse(
 mod tests {
     use super::*;
     use crate::video::{Video, VideoSpec};
+
+    /// Test-only pixel access, for the per-pixel reference loops.
+    impl RgbFrame {
+        /// Pixel value for channel `c` at `(x, y)`.
+        pub(crate) fn get(&self, c: usize, x: usize, y: usize) -> f32 {
+            self.data[c * self.width * self.height + y * self.width + x]
+        }
+
+        /// Alpha-blends `color` over the pixel at `(x, y)`.
+        pub(crate) fn blend(&mut self, x: usize, y: usize, color: [f32; 3], alpha: f32) {
+            for (c, &col) in color.iter().enumerate() {
+                let cur = self.get(c, x, y);
+                self.set(c, x, y, cur * (1.0 - alpha) + col * alpha);
+            }
+        }
+    }
 
     fn sample_video() -> Video {
         Video::generate(VideoSpec {

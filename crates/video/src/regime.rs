@@ -24,7 +24,7 @@ pub enum MotionLevel {
 
 impl MotionLevel {
     /// Typical object speed in fractions of the frame diagonal per frame.
-    pub fn speed_scale(self) -> f32 {
+    pub(crate) fn speed_scale(self) -> f32 {
         match self {
             MotionLevel::Slow => 0.0012,
             MotionLevel::Medium => 0.008,
@@ -33,12 +33,12 @@ impl MotionLevel {
     }
 
     /// All levels, in increasing order of speed.
-    pub fn all() -> [MotionLevel; 3] {
+    pub(crate) fn all() -> [MotionLevel; 3] {
         [MotionLevel::Slow, MotionLevel::Medium, MotionLevel::Fast]
     }
 
     /// An index in `[0, 3)` for table lookups.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             MotionLevel::Slow => 0,
             MotionLevel::Medium => 1,
@@ -58,7 +58,7 @@ pub enum ClutterLevel {
 
 impl ClutterLevel {
     /// Target number of concurrent objects.
-    pub fn target_object_count(self) -> usize {
+    pub(crate) fn target_object_count(self) -> usize {
         match self {
             ClutterLevel::Sparse => 2,
             ClutterLevel::Cluttered => 8,
@@ -76,7 +76,7 @@ impl ClutterLevel {
     /// Typical object scale (fraction of the frame's short side). Cluttered
     /// scenes carry smaller objects, which stresses the detector's input
     /// `shape` knob.
-    pub fn object_scale(self) -> f32 {
+    pub(crate) fn object_scale(self) -> f32 {
         match self {
             ClutterLevel::Sparse => 0.32,
             ClutterLevel::Cluttered => 0.13,
@@ -84,7 +84,7 @@ impl ClutterLevel {
     }
 
     /// An index in `[0, 2)` for table lookups.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             ClutterLevel::Sparse => 0,
             ClutterLevel::Cluttered => 1,
@@ -103,7 +103,7 @@ pub struct Regime {
 
 impl Regime {
     /// All six regimes.
-    pub fn all() -> Vec<Regime> {
+    pub(crate) fn all() -> Vec<Regime> {
         let mut v = Vec::with_capacity(6);
         for motion in MotionLevel::all() {
             for clutter in [ClutterLevel::Sparse, ClutterLevel::Cluttered] {
@@ -127,14 +127,14 @@ impl Regime {
 /// (the paper's rationale for N = 100) while still forcing the scheduler to
 /// reconfigure several times per video.
 #[derive(Debug, Clone)]
-pub struct RegimeChain {
+pub(crate) struct RegimeChain {
     current: Regime,
     mean_dwell_frames: f32,
 }
 
 impl RegimeChain {
     /// Starts the chain in a random regime.
-    pub fn new(mean_dwell_frames: f32, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(mean_dwell_frames: f32, rng: &mut impl Rng) -> Self {
         let all = Regime::all();
         let current = all[rng.gen_range(0..all.len())];
         Self {
@@ -144,12 +144,12 @@ impl RegimeChain {
     }
 
     /// The current regime.
-    pub fn current(&self) -> Regime {
+    pub(crate) fn current(&self) -> Regime {
         self.current
     }
 
     /// Advances one frame; returns the (possibly new) regime.
-    pub fn step(&mut self, rng: &mut impl Rng) -> Regime {
+    pub(crate) fn step(&mut self, rng: &mut impl Rng) -> Regime {
         let switch_prob = 1.0 / self.mean_dwell_frames;
         if rng.gen::<f32>() < switch_prob {
             let all = Regime::all();

@@ -18,7 +18,7 @@ const MAX_OBJECTS: usize = 12;
 
 /// Static configuration of a scene.
 #[derive(Debug, Clone)]
-pub struct SceneConfig {
+pub(crate) struct SceneConfig {
     /// Source frame width in pixels.
     pub width: f32,
     /// Source frame height in pixels.
@@ -58,7 +58,7 @@ struct ActiveObject {
 /// `Scene` is a deterministic function of its seed: stepping two scenes
 /// with identical configs and seeds yields identical frame truths.
 #[derive(Debug, Clone)]
-pub struct Scene {
+pub(crate) struct Scene {
     cfg: SceneConfig,
     rng: StdRng,
     chain: RegimeChain,
@@ -71,7 +71,7 @@ pub struct Scene {
 impl Scene {
     /// Creates a scene and pre-populates it with the regime's target
     /// object count so videos do not start empty.
-    pub fn new(cfg: SceneConfig, seed: u64) -> Self {
+    pub(crate) fn new(cfg: SceneConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let chain = RegimeChain::new(MEAN_REGIME_DWELL, &mut rng);
         let mut scene = Self {
@@ -90,13 +90,8 @@ impl Scene {
         scene
     }
 
-    /// The current regime.
-    pub fn regime(&self) -> Regime {
-        self.chain.current()
-    }
-
     /// Advances the simulation by one frame and returns its ground truth.
-    pub fn step(&mut self) -> FrameTruth {
+    pub(crate) fn step(&mut self) -> FrameTruth {
         let regime = self.chain.step(&mut self.rng);
         self.adjust_population(regime);
         self.advance_objects(regime);

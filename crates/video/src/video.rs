@@ -9,7 +9,7 @@ use crate::scene::{Scene, SceneConfig};
 
 /// Source resolutions sampled for videos, mirroring the mixed resolutions
 /// of ILSVRC VID footage.
-pub const RESOLUTIONS: [(f32, f32); 4] = [
+pub(crate) const RESOLUTIONS: [(f32, f32); 4] = [
     (1280.0, 720.0),
     (856.0, 480.0),
     (640.0, 480.0),
@@ -84,7 +84,7 @@ pub struct VideoStyle {
 
 impl VideoStyle {
     /// Derives a style from a seed.
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBADC_0FFE);
         let hue = rng.gen_range(0.0..360.0);
         let bg_top = crate::classes::hsv_to_rgb(hue, rng.gen_range(0.1..0.4), 0.8);

@@ -11,7 +11,7 @@
 //! cargo run --release --example trace_inspect -- target/trace.jsonl 2 5
 //! ```
 
-use lr_obs::trace::{parse_jsonl, Value};
+use lr_obs::{parse_jsonl, Value};
 
 fn num(v: &Value, key: &str) -> f64 {
     v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN)

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use litereconfig::offline::{profile_videos, OfflineConfig};
 use litereconfig::pipeline::{run_adaptive, RunConfig};
-use litereconfig::trainer::{train_scheduler, TrainConfig};
+use litereconfig::{train_scheduler, TrainConfig};
 use litereconfig::{FeatureService, Policy, TrainedScheduler};
 use lr_device::DeviceKind;
 use lr_kernels::branch::small_catalog;

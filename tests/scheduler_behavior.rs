@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use litereconfig::offline::{profile_videos, OfflineConfig};
-use litereconfig::trainer::{train_scheduler, TrainConfig};
+use litereconfig::{train_scheduler, TrainConfig};
 use litereconfig::{FeatureService, Policy, Scheduler, TrainedScheduler};
 use lr_device::{DeviceKind, DeviceSim};
 use lr_features::FeatureKind;
@@ -93,7 +93,7 @@ fn byproduct_features_unlock_after_detection() {
     );
     let d0 = s.decide(&video, 0, &[], &mut svc, &mut dev, &mut NullSink);
     assert!(d0.features.is_empty(), "CPoP cannot be available yet");
-    s.record_detection(0, vec![[0.0; 31]; 4]);
+    s.record_detection(0, &mut vec![[0.0; 31]; 4]);
     let d1 = s.decide(&video, 8, &[], &mut svc, &mut dev, &mut NullSink);
     assert_eq!(d1.features, vec![FeatureKind::CPoP]);
 }
@@ -108,7 +108,7 @@ fn stream_reset_clears_byproducts() {
         Policy::MaxContent(FeatureKind::ResNet50),
         100.0,
     );
-    s.record_detection(0, vec![[0.0; 31]; 4]);
+    s.record_detection(0, &mut vec![[0.0; 31]; 4]);
     let before = s.decide(&video, 8, &[], &mut svc, &mut dev, &mut NullSink);
     assert!(!before.features.is_empty());
     s.reset_stream();

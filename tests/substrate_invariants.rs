@@ -3,13 +3,13 @@
 
 use lr_device::{DeviceKind, DeviceSim, OpUnit};
 use lr_features::{FeatureKind, HEAVY_FEATURE_KINDS};
-use lr_kernels::adascale::AdaScaleMs;
 use lr_kernels::branch::{default_catalog, one_stage_catalog};
-use lr_kernels::{Branch, DetectorFamily, Mbek, TrackerKind};
+use lr_kernels::{AdaScaleMs, Branch, DetectorFamily, Mbek, TrackerKind};
 use lr_obs::NullSink;
 use lr_video::{Video, VideoSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn video(seed: u64, frames: usize) -> Video {
@@ -369,5 +369,103 @@ fn lint_expectations_match_the_committed_count() {
     assert_eq!(
         expectations, LINT_EXPECTATIONS,
         "#[expect(clippy::…)] attributes in library code"
+    );
+}
+
+/// `pub fn`s that no file outside their crate's sources names yet, as
+/// `(crate directory, function, reason)`. An entry that no longer
+/// applies fails the scan as well.
+const PUB_FN_EXCEPTIONS: [(&str, &str, &str); 1] = [(
+    "core",
+    "cache_stats",
+    "the host-time view (ROADMAP item 5) is its first caller",
+)];
+
+/// The words of a source file's code: outside comment lines and string
+/// literals.
+fn words(text: &str) -> BTreeSet<&str> {
+    text.lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .flat_map(|l| l.split('"').step_by(2))
+        .flat_map(|code| code.split(|c: char| !(c.is_alphanumeric() || c == '_')))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// The public surface is what callers use: every `pub fn` in a crate's
+/// library code is named, as a word outside comments and string
+/// literals, in a file outside that crate's `src` (another crate's
+/// sources, any crate's tests, the root package's `src`, `tests` and
+/// `examples`, or hostbench's sources). Anything else is `pub(crate)`
+/// or private, or waits on [`PUB_FN_EXCEPTIONS`] with its reason.
+#[test]
+fn every_pub_fn_is_named_outside_its_crate() {
+    let crates = crate_dirs();
+    let mut dirs: Vec<PathBuf> = crates.iter().map(|k| k.join("src")).collect();
+    dirs.extend(
+        crates
+            .iter()
+            .map(|k| k.join("tests"))
+            .filter(|d| d.is_dir()),
+    );
+    dirs.extend(["src", "tests", "examples", "hostbench/benches"].map(|d| root().join(d)));
+    let texts: Vec<(PathBuf, String)> = dirs
+        .iter()
+        .flat_map(|d| rust_files(d))
+        .map(|f| {
+            let text = std::fs::read_to_string(&f).expect("source file");
+            (f, text)
+        })
+        .collect();
+    let mut uncalled = Vec::new();
+    let mut excepted = BTreeSet::new();
+    for krate in &crates {
+        let src = krate.join("src");
+        let outside: BTreeSet<&str> = texts
+            .iter()
+            .filter(|(f, _)| !f.starts_with(&src))
+            .flat_map(|(_, text)| words(text))
+            .collect();
+        let name = krate
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("crate name");
+        for (file, text) in texts.iter().filter(|(f, _)| f.starts_with(&src)) {
+            for (n, line) in library_lines(text) {
+                let line = line.trim_start();
+                let Some(rest) = line
+                    .strip_prefix("pub fn ")
+                    .or_else(|| line.strip_prefix("pub const fn "))
+                else {
+                    continue;
+                };
+                let f = rest.split(['(', '<']).next().unwrap_or(rest);
+                if outside.contains(f) {
+                    continue;
+                }
+                if PUB_FN_EXCEPTIONS
+                    .iter()
+                    .any(|&(k, e, _)| (k, e) == (name, f))
+                {
+                    excepted.insert((name, f));
+                } else {
+                    uncalled.push(format!("{}:{n}: `{f}`", file.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "`pub fn`s named nowhere outside their crate (make them pub(crate), \
+         or delete them):\n{}",
+        uncalled.join("\n")
+    );
+    let stale: Vec<_> = PUB_FN_EXCEPTIONS
+        .iter()
+        .filter(|&&(k, f, _)| !excepted.contains(&(k, f)))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "stale PUB_FN_EXCEPTIONS entries: {stale:?}"
     );
 }
