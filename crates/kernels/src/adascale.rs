@@ -139,7 +139,7 @@ mod tests {
     fn empty_frame_scales_up() {
         let v = video();
         let mut empty = v.frames[0].clone();
-        empty.objects.clear();
+        empty.objects = Box::default();
         let mut ms = AdaScaleMs::new();
         let before = ms.current_scale();
         let mut rng = StdRng::seed_from_u64(3);

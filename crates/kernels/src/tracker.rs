@@ -374,7 +374,9 @@ mod tests {
                             let mut copy = first;
                             copy.bbox.x += 40.0;
                             copy.velocity.0 += 9.0;
-                            truth.objects.push(copy);
+                            let mut objects = truth.objects.into_vec();
+                            objects.push(copy);
+                            truth.objects = objects.into();
                             duplicated += 1;
                         }
                     }
@@ -407,7 +409,7 @@ mod tests {
         far.velocity = (6.0, -3.0);
         let mut truth = start.clone();
         truth.frame_index += 1;
-        truth.objects = vec![obj.clone(), far.clone()];
+        truth.objects = vec![obj.clone(), far.clone()].into();
         let mut fast = TrackerSim::new(TrackerKind::Csrt, 1);
         fast.reinit(&[seed], start);
         let mut reference = fast.clone();
@@ -494,7 +496,7 @@ mod tests {
         tracker.reinit(&out.detections, &v.frames[0]);
         // Feed a frame with no objects: every track goes stale.
         let mut empty = v.frames[1].clone();
-        empty.objects.clear();
+        empty.objects = Box::default();
         let mut last_len = usize::MAX;
         for _ in 0..120 {
             let boxes = stepped(&mut tracker, &empty, &mut rng);

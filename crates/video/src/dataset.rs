@@ -173,6 +173,30 @@ mod tests {
     }
 
     #[test]
+    fn offline_build_ground_truth_fits_its_footprint() {
+        use crate::{FrameTruth, GtObject};
+        use std::mem::size_of;
+        // The 40 videos an offline build generates: the scheduler-training
+        // and validation splits of hostbench's dataset.
+        let ds = Dataset::new(DatasetConfig {
+            train_vision: 45,
+            train_scheduler: 24,
+            validation: 16,
+            id_offset: 0,
+        });
+        let mut bytes = 0;
+        for split in [Split::TrainScheduler, Split::Validation] {
+            for v in ds.videos(split) {
+                bytes += v.frames.capacity() * size_of::<FrameTruth>();
+                let objects: usize = v.frames.iter().map(|f| f.objects.len()).sum();
+                bytes += objects * size_of::<GtObject>();
+            }
+        }
+        // 3,682,592 bytes at 40-byte frames and 36-byte objects.
+        assert!(bytes <= 3_700_000, "{bytes} bytes");
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_video_panics() {
         let ds = Dataset::new(DatasetConfig::tiny());

@@ -21,8 +21,6 @@ pub struct GtObject {
     pub velocity: (f32, f32),
     /// Intrinsic visual difficulty in `[0, 1]` (occlusion, camouflage...).
     pub difficulty: f32,
-    /// Per-instance color jitter applied on top of the class base color.
-    pub color_jitter: [f32; 3],
 }
 
 impl GtObject {
@@ -39,17 +37,6 @@ impl GtObject {
         let short_frame = frame_w.min(frame_h).max(1.0);
         short_obj / short_frame
     }
-
-    /// The rendered color: class base color modulated by instance jitter,
-    /// clamped to `[0, 1]`.
-    pub(crate) fn render_color(&self) -> [f32; 3] {
-        let base = self.class.base_color();
-        let mut out = [0.0; 3];
-        for i in 0..3 {
-            out[i] = (base[i] + self.color_jitter[i]).clamp(0.0, 1.0);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +50,6 @@ mod tests {
             bbox: BBox::new(10.0, 10.0, 30.0, 40.0),
             velocity: (3.0, 4.0),
             difficulty: 0.2,
-            color_jitter: [0.0, 0.0, 0.0],
         }
     }
 
@@ -77,14 +63,5 @@ mod tests {
         let o = sample();
         // Short object side 30, short frame side 120.
         assert!((o.relative_scale(200.0, 120.0) - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn render_color_clamps_jitter() {
-        let mut o = sample();
-        o.color_jitter = [10.0, -10.0, 0.0];
-        let c = o.render_color();
-        assert_eq!(c[0], 1.0);
-        assert_eq!(c[1], 0.0);
     }
 }

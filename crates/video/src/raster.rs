@@ -74,13 +74,15 @@ impl RgbFrame {
     }
 }
 
-/// Renders a frame's ground truth into an RGB raster of the given size.
+/// Renders a frame's ground truth into an RGB raster of the given size,
+/// in the video's `style`: its background, and each object instance's
+/// colour.
 pub fn rasterize(truth: &FrameTruth, style: &VideoStyle, size: usize) -> RgbFrame {
     let mut img = RgbFrame::new(size, size);
     let tex_amp = truth.regime.clutter.texture_amplitude();
     let phase = truth.frame_index as f32 * 0.05;
     paint_background(&mut img, style, tex_amp, phase);
-    draw_objects(&mut img, truth);
+    draw_objects(&mut img, truth, style);
     img
 }
 
@@ -119,11 +121,11 @@ fn paint_background(img: &mut RgbFrame, style: &VideoStyle, tex_amp: f32, phase:
 }
 
 /// Draws the objects back-to-front in id order, with motion blur.
-fn draw_objects(img: &mut RgbFrame, truth: &FrameTruth) {
+fn draw_objects(img: &mut RgbFrame, truth: &FrameTruth, style: &VideoStyle) {
     let sx = img.width as f32 / truth.width;
     let sy = img.height as f32 / truth.height;
     for obj in &truth.objects {
-        let color = obj.render_color();
+        let color = style.object_color(obj);
         // Camouflage: difficult objects blend towards the background.
         let opacity = 1.0 - 0.65 * obj.difficulty;
         // Motion blur: number of smear copies grows with speed (in raster
@@ -275,11 +277,11 @@ mod tests {
     }
 
     /// [`draw_objects`] on top of [`fill_ellipse_per_pixel`].
-    fn draw_objects_per_pixel(img: &mut RgbFrame, truth: &FrameTruth) {
+    fn draw_objects_per_pixel(img: &mut RgbFrame, truth: &FrameTruth, style: &VideoStyle) {
         let sx = img.width() as f32 / truth.width;
         let sy = img.height() as f32 / truth.height;
         for obj in &truth.objects {
-            let color = obj.render_color();
+            let color = style.object_color(obj);
             let opacity = 1.0 - 0.65 * obj.difficulty;
             let speed_px = (obj.velocity.0 * sx).hypot(obj.velocity.1 * sy);
             let copies = 1 + (speed_px.min(6.0) as usize);
@@ -331,7 +333,7 @@ mod tests {
                     let tex_amp = truth.regime.clutter.texture_amplitude();
                     let phase = truth.frame_index as f32 * 0.05;
                     paint_background_per_pixel(&mut reference, &v.style, tex_amp, phase);
-                    draw_objects_per_pixel(&mut reference, truth);
+                    draw_objects_per_pixel(&mut reference, truth, &v.style);
                     let what = format!("video {seed}, frame {}, size {size}", truth.frame_index);
                     assert_same_bits(&rasterize(truth, &v.style, size), &reference, &what);
                 }
@@ -410,6 +412,28 @@ mod tests {
     }
 
     #[test]
+    fn a_hand_built_object_without_recorded_jitter_gets_its_class_colour() {
+        use crate::{BBox, GtObject, ObjectClass};
+        let v = sample_video();
+        let mut truth = v.frames[0].clone();
+        let class = ObjectClass::new(4);
+        // Still, fully opaque, and centred: the centre pixel is painted
+        // once with alpha 1, in exactly the object's colour.
+        let unrecorded = GtObject {
+            id: u32::MAX,
+            class,
+            bbox: BBox::from_center(320.0, 240.0, 200.0, 150.0),
+            velocity: (0.0, 0.0),
+            difficulty: 0.0,
+        };
+        truth.objects = vec![unrecorded].into();
+        let img = rasterize(&truth, &v.style, 64);
+        for (c, want) in class.base_color().iter().enumerate() {
+            assert_eq!(img.get(c, 32, 32).to_bits(), want.to_bits(), "channel {c}");
+        }
+    }
+
+    #[test]
     fn raster_is_deterministic() {
         let v = sample_video();
         let a = rasterize(&v.frames[5], &v.style, 64);
@@ -428,7 +452,7 @@ mod tests {
     fn frames_with_objects_differ_from_empty_background() {
         let v = sample_video();
         let mut empty = v.frames[0].clone();
-        empty.objects.clear();
+        empty.objects = Box::default();
         let with_objects = rasterize(&v.frames[0], &v.style, 64);
         let background = rasterize(&empty, &v.style, 64);
         if !v.frames[0].objects.is_empty() {

@@ -46,7 +46,6 @@ struct ActiveObject {
     vx: f32,
     vy: f32,
     difficulty: f32,
-    color_jitter: [f32; 3],
     /// Phase for the slow size oscillation.
     size_phase: f32,
     base_w: f32,
@@ -63,6 +62,10 @@ pub(crate) struct Scene {
     rng: StdRng,
     chain: RegimeChain,
     objects: Vec<ActiveObject>,
+    /// Each spawned instance's colour jitter, indexed by its id.
+    jitter: Vec<[f32; 3]>,
+    /// The visible objects of the frame being snapshotted, reused.
+    visible: Vec<GtObject>,
     next_id: u32,
     frame_index: u32,
     stream_id: u64,
@@ -79,6 +82,8 @@ impl Scene {
             rng,
             chain,
             objects: Vec::new(),
+            jitter: Vec::new(),
+            visible: Vec::new(),
             next_id: 0,
             frame_index: 0,
             stream_id: seed,
@@ -88,6 +93,11 @@ impl Scene {
             scene.spawn_object();
         }
         scene
+    }
+
+    /// The colour jitter of every instance spawned so far, indexed by id.
+    pub(crate) fn into_jitter(self) -> Box<[[f32; 3]]> {
+        self.jitter.into_boxed_slice()
     }
 
     /// Advances the simulation by one frame and returns its ground truth.
@@ -135,22 +145,26 @@ impl Scene {
         let dir = self.rng.gen_range(0.0..std::f32::consts::TAU);
         let id = self.next_id;
         self.next_id += 1;
+        // Every seeded video depends on this draw order: class, centre,
+        // difficulty, colour jitter, size phase.
+        let class = ObjectClass::new(self.rng.gen_range(0..NUM_CLASSES));
+        let cx = self.rng.gen_range(w / 2.0..self.cfg.width - w / 2.0);
+        let cy = self.rng.gen_range(h / 2.0..self.cfg.height - h / 2.0);
+        let difficulty = self.rng.gen_range(0.0..0.7);
+        let jitter = [(); 3].map(|()| self.rng.gen_range(-0.12..0.12));
+        let size_phase = self.rng.gen_range(0.0..std::f32::consts::TAU);
+        self.jitter.push(jitter);
         self.objects.push(ActiveObject {
             id,
-            class: ObjectClass::new(self.rng.gen_range(0..NUM_CLASSES)),
-            cx: self.rng.gen_range(w / 2.0..self.cfg.width - w / 2.0),
-            cy: self.rng.gen_range(h / 2.0..self.cfg.height - h / 2.0),
+            class,
+            cx,
+            cy,
             w,
             h,
             vx: speed * dir.cos(),
             vy: speed * dir.sin(),
-            difficulty: self.rng.gen_range(0.0..0.7),
-            color_jitter: [
-                self.rng.gen_range(-0.12..0.12),
-                self.rng.gen_range(-0.12..0.12),
-                self.rng.gen_range(-0.12..0.12),
-            ],
-            size_phase: self.rng.gen_range(0.0..std::f32::consts::TAU),
+            difficulty,
+            size_phase,
             base_w: w,
             base_h: h,
         });
@@ -199,28 +213,30 @@ impl Scene {
         }
     }
 
-    fn snapshot(&self, regime: Regime) -> FrameTruth {
-        let objects = self
-            .objects
-            .iter()
-            .map(|o| GtObject {
-                id: o.id,
-                class: o.class,
-                bbox: BBox::from_center(o.cx, o.cy, o.w, o.h)
-                    .clamped(self.cfg.width, self.cfg.height),
-                velocity: (o.vx, o.vy),
-                difficulty: o.difficulty,
-                color_jitter: o.color_jitter,
-            })
-            .filter(|o| o.bbox.is_valid())
-            .collect();
+    /// The frame's ground truth, its visible objects in a slice allocated
+    /// at its exact length.
+    fn snapshot(&mut self, regime: Regime) -> FrameTruth {
+        let (width, height) = (self.cfg.width, self.cfg.height);
+        self.visible.clear();
+        self.visible.extend(
+            self.objects
+                .iter()
+                .map(|o| GtObject {
+                    id: o.id,
+                    class: o.class,
+                    bbox: BBox::from_center(o.cx, o.cy, o.w, o.h).clamped(width, height),
+                    velocity: (o.vx, o.vy),
+                    difficulty: o.difficulty,
+                })
+                .filter(|o| o.bbox.is_valid()),
+        );
         FrameTruth {
             stream_id: self.stream_id,
             frame_index: self.frame_index,
-            width: self.cfg.width,
-            height: self.cfg.height,
+            width,
+            height,
             regime,
-            objects,
+            objects: self.visible.as_slice().into(),
         }
     }
 }

@@ -34,7 +34,7 @@ pub struct FrameTruth {
     /// characteristics through features.
     pub regime: Regime,
     /// Visible ground-truth objects.
-    pub objects: Vec<GtObject>,
+    pub objects: Box<[GtObject]>,
 }
 
 /// Immutable description of a video before generation.
@@ -70,8 +70,9 @@ impl VideoSpec {
     }
 }
 
-/// Per-video rendering style (background palette and texture), derived
-/// from the seed so that pixel features vary across videos.
+/// Per-video rendering style: the background palette and texture, derived
+/// from the seed so that pixel features vary across videos, and each
+/// object instance's colour jitter, drawn once when it spawns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VideoStyle {
     /// Background gradient color at the top of the frame.
@@ -80,11 +81,14 @@ pub struct VideoStyle {
     pub bg_bottom: [f32; 3],
     /// Spatial frequency of the background texture.
     pub texture_freq: f32,
+    /// Per-instance colour jitter on top of the class base colour,
+    /// indexed by instance id.
+    jitter: Box<[[f32; 3]]>,
 }
 
 impl VideoStyle {
-    /// Derives a style from a seed.
-    pub(crate) fn from_seed(seed: u64) -> Self {
+    /// Derives a style from a seed, holding the instances' colour `jitter`.
+    pub(crate) fn from_seed(seed: u64, jitter: Box<[[f32; 3]]>) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBADC_0FFE);
         let hue = rng.gen_range(0.0..360.0);
         let bg_top = crate::classes::hsv_to_rgb(hue, rng.gen_range(0.1..0.4), 0.8);
@@ -94,7 +98,23 @@ impl VideoStyle {
             bg_top,
             bg_bottom,
             texture_freq: rng.gen_range(0.5..3.0),
+            jitter,
         }
+    }
+
+    /// The colour an object is drawn in: its class base colour plus its
+    /// instance's jitter, clamped to `[0, 1]`.
+    ///
+    /// An id with no recorded jitter, as a hand-built frame may carry,
+    /// is drawn in its class base colour.
+    pub(crate) fn object_color(&self, obj: &GtObject) -> [f32; 3] {
+        let base = obj.class.base_color();
+        let jitter = self
+            .jitter
+            .get(obj.id as usize)
+            .copied()
+            .unwrap_or_default();
+        std::array::from_fn(|i| (base[i] + jitter[i]).clamp(0.0, 1.0))
     }
 }
 
@@ -118,7 +138,7 @@ impl Video {
         };
         let mut scene = Scene::new(cfg, spec.seed);
         let frames = (0..spec.num_frames).map(|_| scene.step()).collect();
-        let style = VideoStyle::from_seed(spec.seed);
+        let style = VideoStyle::from_seed(spec.seed, scene.into_jitter());
         Self {
             spec,
             style,
@@ -170,10 +190,52 @@ mod tests {
         };
         let a = Video::generate(spec.clone());
         let b = Video::generate(spec);
+        assert_eq!(a.style, b.style);
         assert_eq!(a.frames.len(), b.frames.len());
         for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
             assert_eq!(fa, fb);
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn ground_truth_layout_is_compact() {
+        // Colour jitter lives in the style, not in every frame's copy of
+        // an object; a frame's objects are a boxed slice, not a `Vec`.
+        assert_eq!(std::mem::size_of::<GtObject>(), 36);
+        assert_eq!(std::mem::size_of::<FrameTruth>(), 40);
+    }
+
+    #[test]
+    fn every_generated_id_has_recorded_jitter() {
+        let v = Video::generate(VideoSpec {
+            id: 0,
+            seed: 13,
+            width: 640.0,
+            height: 480.0,
+            num_frames: 300,
+        });
+        let max_id = v.frames.iter().flat_map(|f| &f.objects).map(|o| o.id);
+        let max_id = max_id.max().expect("the video has objects") as usize;
+        assert!(max_id < v.style.jitter.len());
+        assert!(v.style.jitter.iter().flatten().all(|j| j.abs() <= 0.12));
+    }
+
+    #[test]
+    fn object_color_clamps_jitter_and_falls_back_to_the_base_colour() {
+        let style = VideoStyle::from_seed(1, vec![[10.0, -10.0, 0.0]].into());
+        let mut obj = GtObject {
+            id: 0,
+            class: crate::ObjectClass::new(6),
+            bbox: crate::BBox::new(10.0, 10.0, 30.0, 40.0),
+            velocity: (0.0, 0.0),
+            difficulty: 0.0,
+        };
+        let base = obj.class.base_color();
+        assert_eq!(style.object_color(&obj), [1.0, 0.0, base[2]]);
+        // A hand-built object whose id has no recorded jitter.
+        obj.id = 1;
+        assert_eq!(style.object_color(&obj), base);
     }
 
     #[test]
@@ -210,8 +272,9 @@ mod tests {
 
     #[test]
     fn style_is_deterministic_and_seed_dependent() {
-        assert_eq!(VideoStyle::from_seed(1), VideoStyle::from_seed(1));
-        assert_ne!(VideoStyle::from_seed(1), VideoStyle::from_seed(2));
+        let style = |seed| VideoStyle::from_seed(seed, Box::default());
+        assert_eq!(style(1), style(1));
+        assert_ne!(style(1), style(2));
     }
 
     #[test]

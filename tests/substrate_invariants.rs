@@ -9,7 +9,7 @@ use lr_obs::NullSink;
 use lr_video::{Video, VideoSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn video(seed: u64, frames: usize) -> Video {
@@ -372,32 +372,81 @@ fn lint_expectations_match_the_committed_count() {
     );
 }
 
-/// `pub fn`s that no file outside their crate's sources names yet, as
+/// `pub fn`s that no file outside their crate's sources calls yet, as
 /// `(crate directory, function, reason)`. An entry that no longer
 /// applies fails the scan as well.
-const PUB_FN_EXCEPTIONS: [(&str, &str, &str); 1] = [(
-    "core",
-    "cache_stats",
-    "the host-time view (ROADMAP item 5) is its first caller",
-)];
+const PUB_FN_EXCEPTIONS: [(&str, &str, &str); 2] = [
+    (
+        "core",
+        "cache_stats",
+        "the host-time view (ROADMAP item 5) is its first caller",
+    ),
+    (
+        "core",
+        "kind",
+        "`CacheStats::kind` reads what `cache_stats` returns, and waits with it",
+    ),
+];
 
-/// The words of a source file's code: outside comment lines and string
-/// literals.
-fn words(text: &str) -> BTreeSet<&str> {
-    text.lines()
+/// How code outside comments and string literals uses a name.
+#[derive(Clone, Copy, PartialEq)]
+enum Use {
+    /// `fn name`: a definition.
+    Def,
+    /// `name(`, `::name` or `name::<`: a call or a path.
+    Path,
+    /// `.name(`: a method call, on a receiver of unknown type.
+    Method,
+}
+
+/// The names a source file's code defines, calls or reaches by path,
+/// outside comment lines and string literals, and how. A name that is
+/// only a word (a local variable, a field, a type's parameter) is none
+/// of these.
+fn name_uses(text: &str) -> Vec<(&str, Use)> {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut uses = Vec::new();
+    for code in text
+        .lines()
         .filter(|l| !l.trim_start().starts_with("//"))
         .flat_map(|l| l.split('"').step_by(2))
-        .flat_map(|code| code.split(|c: char| !(c.is_alphanumeric() || c == '_')))
-        .filter(|w| !w.is_empty())
-        .collect()
+    {
+        let mut start = None;
+        for (i, c) in code.char_indices().chain([(code.len(), ' ')]) {
+            match (start, is_word(c)) {
+                (None, true) => start = Some(i),
+                (Some(s), false) => {
+                    let (before, after) = (&code[..s], &code[i..]);
+                    let how = if before.ends_with("fn ") {
+                        Some(Use::Def)
+                    } else if after.starts_with('(') && before.ends_with('.') {
+                        Some(Use::Method)
+                    } else if before.ends_with("::")
+                        || after.starts_with('(')
+                        || after.starts_with("::<")
+                    {
+                        Some(Use::Path)
+                    } else {
+                        None
+                    };
+                    uses.extend(how.map(|how| (&code[s..i], how)));
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+    }
+    uses
 }
 
 /// The public surface is what callers use: every `pub fn` in a crate's
-/// library code is named, as a word outside comments and string
+/// library code is called or named by path, outside comments and string
 /// literals, in a file outside that crate's `src` (another crate's
 /// sources, any crate's tests, the root package's `src`, `tests` and
-/// `examples`, or hostbench's sources). Anything else is `pub(crate)`
-/// or private, or waits on [`PUB_FN_EXCEPTIONS`] with its reason.
+/// `examples`, or hostbench's sources). A method call `.name(` counts
+/// only from code that defines no `fn name` of its own. Anything else
+/// is `pub(crate)` or private, or waits on [`PUB_FN_EXCEPTIONS`] with
+/// its reason.
 #[test]
 fn every_pub_fn_is_named_outside_its_crate() {
     let crates = crate_dirs();
@@ -417,6 +466,25 @@ fn every_pub_fn_is_named_outside_its_crate() {
             (f, text)
         })
         .collect();
+    // A method call counts unless the calling code defines a function of
+    // that name itself, which the call may well reach instead. The
+    // calling code is a crate's `src` or `tests`, or one of the root's
+    // directories.
+    let package = |f: &Path| -> PathBuf {
+        let rel = f.strip_prefix(root()).expect("file under the root");
+        let depth = if rel.starts_with("crates") { 3 } else { 1 };
+        rel.components().take(depth).collect()
+    };
+    let mut own_fns: BTreeMap<PathBuf, BTreeSet<&str>> = BTreeMap::new();
+    for (f, text) in &texts {
+        let defs = name_uses(text)
+            .into_iter()
+            .filter(|&(_, how)| how == Use::Def);
+        own_fns
+            .entry(package(f))
+            .or_default()
+            .extend(defs.map(|(name, _)| name));
+    }
     let mut uncalled = Vec::new();
     let mut excepted = BTreeSet::new();
     for krate in &crates {
@@ -424,7 +492,17 @@ fn every_pub_fn_is_named_outside_its_crate() {
         let outside: BTreeSet<&str> = texts
             .iter()
             .filter(|(f, _)| !f.starts_with(&src))
-            .flat_map(|(_, text)| words(text))
+            .flat_map(|(f, text)| {
+                let own = &own_fns[&package(f)];
+                name_uses(text)
+                    .into_iter()
+                    .filter(move |&(name, how)| match how {
+                        Use::Def => false,
+                        Use::Path => true,
+                        Use::Method => !own.contains(name),
+                    })
+                    .map(|(name, _)| name)
+            })
             .collect();
         let name = krate
             .file_name()
