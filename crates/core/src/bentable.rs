@@ -116,19 +116,21 @@ impl BenTable {
         self.per_feature.get(&kind).map_or(0.0, |v| v[b])
     }
 
-    /// Expected benefit of a feature *set* at an SLO: the best member's
-    /// benefit plus a small diminishing bonus per additional member
-    /// (features are largely redundant views of the same content, so
-    /// benefits do not add).
-    pub(crate) fn set_benefit(&self, set: &[FeatureKind], slo_ms: f64) -> f32 {
-        if set.is_empty() {
+    /// Expected benefit of a feature *set*, given each member's
+    /// [`Self::single`] benefit in set order: the best member's benefit
+    /// plus a small diminishing bonus per additional member (features are
+    /// largely redundant views of the same content, so benefits do not
+    /// add). The empty set's benefit is 0.
+    pub(crate) fn set_benefit(singles: impl IntoIterator<Item = f32>) -> f32 {
+        let (best, len) = singles
+            .into_iter()
+            .fold((f32::NEG_INFINITY, 0usize), |(best, len), ben| {
+                (best.max(ben), len + 1)
+            });
+        if len == 0 {
             return 0.0;
         }
-        let best = set
-            .iter()
-            .map(|&k| self.single(k, slo_ms))
-            .fold(f32::NEG_INFINITY, f32::max);
-        best + 0.002 * (set.len() as f32 - 1.0)
+        best + 0.002 * (len as f32 - 1.0)
     }
 }
 
@@ -173,8 +175,7 @@ mod tests {
 
     #[test]
     fn empty_set_has_zero_benefit() {
-        let t = BenTable::uniform(&[(FeatureKind::HoC, 0.05)], &[50.0]);
-        assert_eq!(t.set_benefit(&[], 50.0), 0.0);
+        assert_eq!(BenTable::set_benefit([]), 0.0);
     }
 
     #[test]
@@ -183,7 +184,8 @@ mod tests {
             &[(FeatureKind::HoC, 0.05), (FeatureKind::Hog, 0.01)],
             &[50.0],
         );
-        let both = t.set_benefit(&[FeatureKind::HoC, FeatureKind::Hog], 50.0);
+        let both =
+            BenTable::set_benefit([FeatureKind::HoC, FeatureKind::Hog].map(|k| t.single(k, 50.0)));
         assert!(both >= 0.05);
         assert!(both < 0.06, "benefits must not add linearly");
     }

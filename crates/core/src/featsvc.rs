@@ -15,7 +15,9 @@ use std::collections::BTreeMap;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use lr_features::{cpop, hoc, hog, DeepExtractors, FeatureKind, LightFeatures, ALL_FEATURE_KINDS};
+use lr_features::{
+    cpop, hoc, hog, light, DeepExtractors, FeatureKind, LightFeatures, ALL_FEATURE_KINDS,
+};
 use lr_kernels::ProposalLogits;
 use lr_video::raster::{rasterize, DEFAULT_RASTER_SIZE};
 use lr_video::{BBox, Video};
@@ -69,30 +71,42 @@ fn widest_entry_bytes(raster_size: usize) -> usize {
 }
 
 /// A HoC vector kept as its bin counts; every value of the vector is
-/// `count * (1 / pixels)`, so [`Self::decode`] rebuilds it bit for bit.
+/// `count * (1 / pixels)`, so [`Self::decode_into`] rebuilds it bit for
+/// bit.
 ///
-/// Every count is held in one saturating byte, and the few bins that hold
-/// 255 pixels or more are listed again with their full count. A 64x64
-/// raster has at most 16 such bins per channel, so an entry is about
-/// 0.8 KB instead of the 3 KB of the vector.
+/// Only the occupied bins are stored: a bitmap of the bins that hold a
+/// pixel, then each of their counts in one saturating byte, in bin
+/// order. The few bins that hold 255 pixels or more are listed again with
+/// their full count. A 64x64 frame occupies about 470 of the 768 bins,
+/// and has at most 16 full bins per channel, so an entry is about 0.6 KB
+/// instead of the 3 KB of the vector.
 #[derive(Debug)]
 pub(crate) struct HocCounts {
-    /// Every bin's count, saturated at 255, channel-major.
-    low: Box<[u8; hoc::DIM]>,
+    /// The occupancy bitmap (bin `i` is bit `i % 8` of byte `i / 8`),
+    /// then the occupied bins' counts saturated at 255, channel-major.
+    packed: Box<[u8]>,
     /// `(bin, count)` for every bin whose count is 255 or more.
     high: Box<[(u16, u32)]>,
 }
 
+/// Bytes of [`HocCounts`]' occupancy bitmap.
+const HOC_BITMAP_BYTES: usize = hoc::DIM.div_ceil(8);
+
 impl HocCounts {
     fn encode(counts: &hoc::Counts) -> Self {
         const SATURATED: u32 = u8::MAX as u32;
-        let mut low = Box::new([0u8; hoc::DIM]);
-        // One branch-free narrowing pass.
-        for (byte, &count) in low.iter_mut().zip(counts.iter().flatten()) {
-            *byte = count.min(SATURATED) as u8;
+        let occupied = counts.iter().flatten().filter(|&&count| count > 0).count();
+        // Sized exactly, so each buffer is allocated once and never shrunk.
+        let mut packed = vec![0u8; HOC_BITMAP_BYTES];
+        packed.reserve_exact(occupied);
+        for (bin, &count) in counts.iter().flatten().enumerate() {
+            if count > 0 {
+                packed[bin / 8] |= 1 << (bin % 8);
+                packed.push(count.min(SATURATED) as u8);
+            }
         }
-        // Sized exactly, so the list is allocated once and never shrunk.
-        let mut high = Vec::with_capacity(low.iter().filter(|&&b| b == u8::MAX).count());
+        let full = counts.iter().flatten().filter(|&&count| count >= SATURATED);
+        let mut high = Vec::with_capacity(full.count());
         high.extend(
             counts
                 .iter()
@@ -102,25 +116,37 @@ impl HocCounts {
                 .map(|(bin, &count)| (bin as u16, count)),
         );
         Self {
-            low,
+            packed: packed.into_boxed_slice(),
             high: high.into_boxed_slice(),
         }
     }
 
-    /// The HoC vector of a frame of `pixels` pixels, exactly as
-    /// [`hoc::from_counts`] builds it from the full counts.
-    fn decode(&self, pixels: usize) -> Vec<f32> {
+    /// Writes the HoC vector of a frame of `pixels` pixels into `out`,
+    /// exactly as [`hoc::from_counts`] builds it from the full counts: an
+    /// empty bin's `0 * weight` is `+0.0`, which the fill writes.
+    fn decode_into(&self, pixels: usize, out: &mut Vec<f32>) {
         let weight = hoc::pixel_weight(pixels);
-        let mut vector: Vec<f32> = self.low.iter().map(|&c| f32::from(c) * weight).collect();
-        for &(bin, count) in self.high.iter() {
-            vector[usize::from(bin)] = count as f32 * weight;
+        out.clear();
+        out.resize(hoc::DIM, 0.0);
+        let (bitmap, counts) = self.packed.split_at(HOC_BITMAP_BYTES);
+        let mut next = 0;
+        for (byte_idx, &byte) in bitmap.iter().enumerate() {
+            let mut bits = byte;
+            while bits != 0 {
+                out[byte_idx * 8 + bits.trailing_zeros() as usize] =
+                    f32::from(counts[next]) * weight;
+                next += 1;
+                bits &= bits - 1;
+            }
         }
-        vector
+        for &(bin, count) in self.high.iter() {
+            out[usize::from(bin)] = count as f32 * weight;
+        }
     }
 
-    /// Payload bytes: the counts and the list.
+    /// Payload bytes: the bitmap, the counts and the list.
     fn payload_bytes(&self) -> usize {
-        size_of::<[u8; hoc::DIM]>() + size_of_val(&*self.high)
+        size_of_val(&*self.packed) + size_of_val(&*self.high)
     }
 }
 
@@ -136,9 +162,19 @@ pub(crate) enum Entry {
 impl Entry {
     /// The feature vector, for a raster of `pixels` pixels.
     pub(crate) fn decode(&self, pixels: usize) -> Vec<f32> {
+        let mut vector = Vec::new();
+        self.decode_into(pixels, &mut vector);
+        vector
+    }
+
+    /// Writes [`Entry::decode`] into `out`, reusing its buffer.
+    fn decode_into(&self, pixels: usize, out: &mut Vec<f32>) {
         match self {
-            Entry::HoC(counts) => counts.decode(pixels),
-            Entry::Dense(vector) => vector.clone(),
+            Entry::HoC(counts) => counts.decode_into(pixels, out),
+            Entry::Dense(vector) => {
+                out.clear();
+                out.extend_from_slice(vector);
+            }
         }
     }
 
@@ -354,8 +390,18 @@ impl FeatureService {
     /// The light feature vector for a frame, given the boxes the kernel
     /// currently believes in.
     pub fn light(&self, video: &Video, frame_idx: usize, boxes: &[BBox]) -> Vec<f32> {
+        self.light_array(video, frame_idx, boxes).to_vec()
+    }
+
+    /// [`Self::light`] as a fixed-width array.
+    pub(crate) fn light_array(
+        &self,
+        video: &Video,
+        frame_idx: usize,
+        boxes: &[BBox],
+    ) -> [f32; light::DIM] {
         let truth = &video.frames[frame_idx];
-        LightFeatures::from_boxes(truth.width, truth.height, boxes).to_vec()
+        LightFeatures::from_boxes(truth.width, truth.height, boxes).to_array()
     }
 
     /// Extracts a heavy content feature from a frame.
@@ -381,9 +427,29 @@ impl FeatureService {
         frame_idx: usize,
         proposal_logits: Option<&[ProposalLogits]>,
     ) -> Option<Vec<f32>> {
-        match kind {
-            FeatureKind::Light => return None,
-            FeatureKind::CPoP => return proposal_logits.map(cpop::cpop_vector),
+        let mut value = Vec::new();
+        self.extract_heavy_into(kind, video, frame_idx, proposal_logits, &mut value)
+            .then_some(value)
+    }
+
+    /// [`Self::extract_heavy`] into `out`, reusing its buffer: true when
+    /// `out` holds the feature, false where `extract_heavy` returns
+    /// `None` (light, and CPoP without logits), which leaves `out` as it
+    /// was.
+    pub(crate) fn extract_heavy_into(
+        &mut self,
+        kind: FeatureKind,
+        video: &Video,
+        frame_idx: usize,
+        proposal_logits: Option<&[ProposalLogits]>,
+        out: &mut Vec<f32>,
+    ) -> bool {
+        match (kind, proposal_logits) {
+            (FeatureKind::Light, _) | (FeatureKind::CPoP, None) => return false,
+            (FeatureKind::CPoP, Some(logits)) => {
+                *out = cpop::cpop_vector(logits);
+                return true;
+            }
             _ => {}
         }
         let pixels = self.raster_size * self.raster_size;
@@ -392,13 +458,17 @@ impl FeatureService {
         if let Some((entry, stamp)) = self.cache.get_mut(&key) {
             *stamp = self.tick;
             self.stats.kind_mut(kind).hits += 1;
-            return Some(entry.decode(pixels));
+            entry.decode_into(pixels, out);
+            return true;
         }
         self.stats.kind_mut(kind).misses += 1;
-        let entry = raster_entry(kind, video, frame_idx, self.raster_size, &mut self.deep)?;
-        let value = entry.decode(pixels);
+        let Some(entry) = raster_entry(kind, video, frame_idx, self.raster_size, &mut self.deep)
+        else {
+            return false;
+        };
+        entry.decode_into(pixels, out);
         self.cache_insert(key, entry);
-        Some(value)
+        true
     }
 }
 
@@ -415,6 +485,16 @@ mod tests {
             height: 480.0,
             num_frames: 12,
         })
+    }
+
+    impl HocCounts {
+        /// The decoded vector, written over a buffer that holds stale
+        /// values of another length, as a reused buffer would.
+        fn decode(&self, pixels: usize) -> Vec<f32> {
+            let mut vector = vec![f32::NAN; 7];
+            self.decode_into(pixels, &mut vector);
+            vector
+        }
     }
 
     fn cached(svc: &FeatureService, v: &Video, frame: usize, kind: FeatureKind) -> bool {
@@ -615,7 +695,11 @@ mod tests {
         let entry = HocCounts::encode(&counts);
         let saturated = counts.iter().flatten().filter(|&&c| c >= 255).count();
         assert_eq!(entry.high.len(), saturated);
-        assert_eq!(entry.payload_bytes(), hoc::DIM + 8 * saturated);
+        let occupied = counts.iter().flatten().filter(|&&c| c > 0).count();
+        assert_eq!(
+            entry.payload_bytes(),
+            HOC_BITMAP_BYTES + occupied + 8 * saturated
+        );
         for pixels in [4096, 70_000, 1 << 24] {
             let what = format!("edge counts over {pixels} pixels");
             assert_same_bits(

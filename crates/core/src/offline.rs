@@ -334,7 +334,9 @@ fn profile_chain(
                     video_id: video.spec.id,
                     start_frame: start,
                     len: snippet.len(),
-                    light: LightFeatures::from_boxes(head.width, head.height, &boxes).to_vec(),
+                    light: LightFeatures::from_boxes(head.width, head.height, &boxes)
+                        .to_array()
+                        .to_vec(),
                     cpop: cpop::cpop_vector(&ref_out.proposal_logits),
                     branch_det_ms: Vec::with_capacity(cfg.catalog.len()),
                     branch_trk_ms: Vec::with_capacity(cfg.catalog.len()),

@@ -396,7 +396,7 @@ impl StreamPipeline {
 
         // Light features used for the latency observation must match
         // what the scheduler saw.
-        let light = svc.light(video, t, &self.boxes);
+        let light = self.scheduler.light();
 
         // Execute the GoF, descending the fallback ladder on faults.
         let branch = self.trained.catalog[decision.branch_idx];
@@ -922,8 +922,8 @@ mod tests {
             let Some(step) = p.step_gof_obs(&mut svc, &mut device, &mut obs) else {
                 break;
             };
-            // The CPoP span opens once the vector is built, whether or not
-            // its charges then fault.
+            // The CPoP span opens around the vector's extraction, whether
+            // or not its charges then fault.
             let recruited = obs.take().iter().any(|e| match e {
                 lr_obs::TraceEvent::Span(s) => {
                     s.kind == SpanKind::HeavyFeature && s.label == "CPoP"

@@ -247,23 +247,51 @@ impl AccuracyModel {
 
     /// Predicts per-branch snippet mAP, clamped to `[0, 1]`.
     ///
-    /// The standardized input is written straight into one buffer, and
-    /// the forward pass alternates between it and one spare: two
-    /// allocations per call.
+    /// This allocates the two buffers of the crate's buffer path,
+    /// `predict_into`, at the network's width for the call; the scheduler
+    /// keeps its own pair and calls `predict_into`, which allocates
+    /// nothing.
     ///
     /// # Panics
     ///
     /// Panics if the input widths do not match training.
     pub fn predict(&self, light: &[f32], heavy: Option<&[f32]>) -> Vec<f32> {
-        let mut x = Vec::with_capacity(self.net.width());
-        let mut spare = Vec::with_capacity(self.net.width());
+        let mut x = Vec::with_capacity(self.width());
+        let mut spare = Vec::with_capacity(self.width());
+        self.predict_into(light, heavy, &mut x, &mut spare);
+        x
+    }
+
+    /// [`Self::predict`] in caller-owned buffers: the standardized input
+    /// is written straight into `x`, the forward pass alternates between
+    /// `x` and `spare`, and `x` holds the prediction on return. Neither
+    /// buffer reallocates if both have capacity [`Self::width`]; the
+    /// forward pass may swap them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input widths do not match training.
+    pub(crate) fn predict_into(
+        &self,
+        light: &[f32],
+        heavy: Option<&[f32]>,
+        x: &mut Vec<f32>,
+        spare: &mut Vec<f32>,
+    ) {
+        x.clear();
         self.scaler
-            .transform_into(&input_parts(self.kind, light, heavy), &mut x);
-        self.net.infer_row(&mut x, &mut spare);
-        for v in &mut x {
+            .transform_into(&input_parts(self.kind, light, heavy), x);
+        self.net.infer_row(x, spare);
+        for v in x.iter_mut() {
             *v = v.clamp(0.0, 1.0);
         }
-        x
+    }
+
+    /// The widest vector a prediction holds (the input or any layer's
+    /// output): the capacity that keeps [`Self::predict_into`]'s buffers
+    /// from reallocating.
+    pub(crate) fn width(&self) -> usize {
+        self.net.width()
     }
 }
 
@@ -357,6 +385,13 @@ impl BranchLatency {
             affine(&self.det, self.bias[0]),
             affine(&self.trk, self.bias[1]),
         )
+    }
+
+    /// The corrected kernel milliseconds: the detector part scaled by
+    /// `gpu_corr` plus the tracker part scaled by `cpu_corr`.
+    fn corrected_ms(&self, light: &[f32; light::DIM], gpu_corr: f64, cpu_corr: f64) -> f64 {
+        let (d, t) = self.parts(light);
+        d * gpu_corr + t * cpu_corr
     }
 }
 
@@ -458,8 +493,7 @@ impl LatencyModel {
         gpu_corr: f64,
         cpu_corr: f64,
     ) -> f64 {
-        let (d, t) = self.predict_parts(branch_idx, light);
-        d * gpu_corr + t * cpu_corr
+        self.branches[branch_idx].corrected_ms(light_array(light), gpu_corr, cpu_corr)
     }
 
     /// [`LatencyModel::predict_kernel_ms`] of every branch, in branch
@@ -469,12 +503,28 @@ impl LatencyModel {
     ///
     /// Panics if `light` has the wrong width.
     pub fn predict_all_kernel_ms(&self, light: &[f32], gpu_corr: f64, cpu_corr: f64) -> Vec<f64> {
-        let light = light_array(light);
-        let kernel_ms = |b: &BranchLatency| {
-            let (d, t) = b.parts(light);
-            d * gpu_corr + t * cpu_corr
-        };
-        self.branches.iter().map(kernel_ms).collect()
+        let mut out = vec![0.0; self.num_branches()];
+        self.kernel_ms_into(light_array(light), gpu_corr, cpu_corr, &mut out);
+        out
+    }
+
+    /// [`LatencyModel::predict_kernel_ms`] of every branch into `out`, in
+    /// one pass over the branches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold one value per branch.
+    pub(crate) fn kernel_ms_into(
+        &self,
+        light: &[f32; light::DIM],
+        gpu_corr: f64,
+        cpu_corr: f64,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), self.branches.len(), "one value per branch");
+        for (o, b) in out.iter_mut().zip(&self.branches) {
+            *o = b.corrected_ms(light, gpu_corr, cpu_corr);
+        }
     }
 }
 
@@ -608,6 +658,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn predict_into_gives_predict_bit_for_bit() {
+        let ds = dataset();
+        let cfg = AccuracyModelConfig::tiny();
+        let light = AccuracyModel::train(FeatureKind::Light, &ds, &cfg, 5);
+        let hoc = AccuracyModel::train(FeatureKind::HoC, &ds, &cfg, 6);
+        // One pair of buffers for both models and every record, starting
+        // with stale values of another length.
+        let (mut x, mut spare) = (vec![f32::NAN; 3], vec![f32::NAN; 900]);
+        for r in &ds.records {
+            for (model, heavy) in [
+                (&light, None),
+                (&hoc, Some(r.heavy[&FeatureKind::HoC].as_slice())),
+            ] {
+                let want = model.predict(&r.light, heavy);
+                model.predict_into(&r.light, heavy, &mut x, &mut spare);
+                assert_eq!(bits(&x), bits(&want));
+            }
+        }
+    }
+
     /// Checks every branch of `lm` against its two `LinearModel`s on
     /// every light vector, bit for bit.
     fn assert_matches_regressions(
@@ -617,9 +688,12 @@ mod tests {
         lights: &[Vec<f32>],
     ) {
         let (gpu_corr, cpu_corr) = (1.3, 0.7);
+        // One buffer for every light vector, as the scheduler keeps it.
+        let mut pass = vec![f64::NAN; det.len()];
         for light in lights {
             let all = lm.predict_all_kernel_ms(light, gpu_corr, cpu_corr);
             assert_eq!(all.len(), det.len());
+            lm.kernel_ms_into(light_array(light), gpu_corr, cpu_corr, &mut pass);
             for (b, (d, t)) in det.iter().zip(trk).enumerate() {
                 let want_d = d.predict(light).max(0.0) as f64;
                 let want_t = t.predict(light).max(0.0) as f64;
@@ -632,6 +706,7 @@ mod tests {
                 let got = lm.predict_kernel_ms(b, light, gpu_corr, cpu_corr);
                 assert_eq!(got.to_bits(), want.to_bits());
                 assert_eq!(all[b].to_bits(), want.to_bits());
+                assert_eq!(pass[b].to_bits(), want.to_bits());
             }
         }
     }

@@ -146,7 +146,7 @@ fn offline_build_matches_the_pinned_digests() {
                         num_objects,
                         avg_size,
                     }
-                    .to_vec();
+                    .to_array();
                     for (gpu_corr, cpu_corr) in [(1.0, 1.0), (1.7, 1.15)] {
                         for model in [&trained.latency, &sized_latency] {
                             latency

@@ -56,8 +56,12 @@ impl SwitchingCostModel {
     /// costs nothing, which callers should handle by passing equal ids —
     /// this function only sees latencies and always returns a positive
     /// cost.
+    ///
+    /// The cost is [`Self::dst_term_ms`] plus [`Self::src_term_ms`], so a
+    /// caller that switches from one source to many destinations can keep
+    /// each destination's term and pay the source's one `exp` once.
     pub fn offline_cost_ms(&self, src_ms: f64, dst_ms: f64) -> f64 {
-        self.cost_with_src_term_ms(self.src_term_ms(src_ms), dst_ms)
+        self.dst_term_ms(dst_ms) + self.src_term_ms(src_ms)
     }
 
     /// The light-source bonus of a switch away from a branch with
@@ -67,11 +71,11 @@ impl SwitchingCostModel {
         self.src_light_bonus_ms * (-src_ms.max(0.0) / self.src_scale_ms).exp()
     }
 
-    /// [`Self::offline_cost_ms`] given its [`Self::src_term_ms`], so the
-    /// costs of switching from one source to many destinations share one
-    /// `exp`. The result is bit-identical to `offline_cost_ms`.
-    pub fn cost_with_src_term_ms(&self, src_term_ms: f64, dst_ms: f64) -> f64 {
-        self.base_ms + self.dst_coeff * dst_ms.max(0.0) + src_term_ms
+    /// The terms of [`Self::offline_cost_ms`] that depend on the
+    /// destination only: the constant part and the destination's
+    /// heaviness, `base_ms + dst_coeff * dst_ms`.
+    pub fn dst_term_ms(&self, dst_ms: f64) -> f64 {
+        self.base_ms + self.dst_coeff * dst_ms.max(0.0)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use lr_video::BBox;
 
-/// Width of the light feature vector ([`LightFeatures::to_vec`]).
+/// Width of the light feature vector ([`LightFeatures::to_array`]).
 pub const DIM: usize = 4;
 
 /// The four light-weight features.
@@ -46,8 +46,8 @@ impl LightFeatures {
     ///
     /// Dimensions are scaled to comparable ranges: height/width by 1080/1920,
     /// count by a nominal maximum of 16, size is already a fraction.
-    pub fn to_vec(self) -> Vec<f32> {
-        vec![
+    pub fn to_array(self) -> [f32; DIM] {
+        [
             self.height / 1080.0,
             self.width / 1920.0,
             self.num_objects / 16.0,
@@ -82,7 +82,7 @@ mod tests {
             BBox::new(0.0, 0.0, 100.0, 100.0),
             BBox::new(10.0, 10.0, 50.0, 50.0),
         ];
-        let v = LightFeatures::from_boxes(1920.0, 1080.0, &boxes).to_vec();
+        let v = LightFeatures::from_boxes(1920.0, 1080.0, &boxes).to_array();
         assert_eq!(v.len(), 4);
         assert!(v.iter().all(|x| (0.0..=1.5).contains(x)));
     }
