@@ -197,34 +197,18 @@ struct ChainSide {
     branch_trk_ms: Vec<f64>,
 }
 
-/// A consumer's scorer: one snippet's ground truth, rebuilt when an item
-/// of another snippet arrives.
-#[derive(Default)]
-struct Scorer {
-    /// The snippet `acc` holds.
-    snippet: Option<usize>,
-    acc: MapAccumulator,
-}
-
-impl Scorer {
-    /// The snippet mAP of the predictions in `item`.
-    fn score(&mut self, videos: &[Video], item: &Handoff) -> f32 {
-        if self.snippet != Some(item.snippet) {
-            self.acc = MapAccumulator::new();
-            for truth in &videos[item.video].frames[item.start..item.start + item.len] {
-                self.acc.add_frame(gt_boxes(truth), []);
-            }
-            self.snippet = Some(item.snippet);
-        }
-        self.acc.clear_predictions();
-        let mut begin = 0;
-        for (frame, &end) in item.frame_ends.iter().enumerate() {
-            self.acc
-                .add_predictions(frame, item.preds[begin..end].iter().copied());
-            begin = end;
-        }
-        self.acc.finalize(0.5).map as f32
+/// The snippet mAP of the predictions in `item`, matched frame by frame
+/// against the snippet's ground truth in a consumer's accumulator.
+fn score(acc: &mut MapAccumulator, videos: &[Video], item: &Handoff) -> f32 {
+    acc.clear();
+    let truths = &videos[item.video].frames[item.start..item.start + item.len];
+    debug_assert_eq!(truths.len(), item.frame_ends.len());
+    let mut begin = 0;
+    for (truth, &end) in truths.iter().zip(&item.frame_ends) {
+        acc.add_frame(gt_boxes(truth), item.preds[begin..end].iter().copied());
+        begin = end;
     }
+    acc.finalize().map as f32
 }
 
 /// Profiles a set of videos into an offline dataset.
@@ -361,10 +345,10 @@ fn profile_chain(
                 chain.push(side);
             }
         },
-        Scorer::default,
-        |scorer, item: &Handoff| {
+        || MapAccumulator::new(0.5),
+        |acc, item: &Handoff| {
             let scored = match item.feature {
-                None => Scored::Branch(scorer.score(videos, item)),
+                None => Scored::Branch(score(acc, videos, item)),
                 Some(kind) => {
                     let video = &videos[item.video];
                     // HoC and HOG take no handle on the deep weights.
@@ -516,15 +500,12 @@ mod tests {
                         heavy.insert(kind, f);
                     }
                 }
-                let mut acc = MapAccumulator::new();
-                for truth in snippet {
-                    acc.add_frame(gt_boxes(truth), []);
-                }
+                let mut acc = MapAccumulator::new(0.5);
                 let (mut branch_map, mut branch_det_ms, mut branch_trk_ms) =
                     (Vec::new(), Vec::new(), Vec::new());
                 for &branch in &cfg.catalog {
                     let mut mbek = Mbek::new(cfg.family, branch);
-                    acc.clear_predictions();
+                    acc.clear();
                     let (mut det_ms, mut trk_ms) = (0.0, 0.0);
                     let gof = branch.gof_size.max(1) as usize;
                     let mut t = 0;
@@ -535,13 +516,13 @@ mod tests {
                             .unwrap();
                         det_ms += result.detector_ms;
                         trk_ms += result.tracker_ms;
-                        for (frame, dets) in (t..end).zip(result.per_frame()) {
-                            acc.add_predictions(frame, pred_boxes(dets));
+                        for (truth, dets) in snippet[t..end].iter().zip(result.per_frame()) {
+                            acc.add_frame(gt_boxes(truth), pred_boxes(dets));
                         }
                         t = end;
                     }
                     let frames = snippet.len() as f64;
-                    branch_map.push(acc.finalize(0.5).map as f32);
+                    branch_map.push(acc.finalize().map as f32);
                     branch_det_ms.push(det_ms / frames);
                     branch_trk_ms.push(trk_ms / frames);
                 }

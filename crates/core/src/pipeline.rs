@@ -241,8 +241,11 @@ pub struct StreamPipeline {
     acc: MapAccumulator,
     latency: LatencyStats,
     breakdown: Breakdown,
-    branches_used: BTreeSet<u64>,
-    branch_decisions: std::collections::BTreeMap<u64, usize>,
+    /// Per catalog index: whether the branch ran (a decision or a
+    /// fallback switch chose it).
+    branch_used: Vec<bool>,
+    /// Per catalog index: how many decisions chose the branch.
+    branch_decisions: Vec<usize>,
     switches: Vec<SwitchEvent>,
     decisions: usize,
     infeasible: usize,
@@ -282,6 +285,7 @@ impl StreamPipeline {
                 sampler.preheat(b.key());
             }
         }
+        let branches = trained.catalog.len();
         Self {
             videos,
             trained,
@@ -294,11 +298,11 @@ impl StreamPipeline {
             t: 0,
             boxes: Vec::new(),
             last_detections: Vec::new(),
-            acc: MapAccumulator::new(),
+            acc: MapAccumulator::new(0.5),
             latency: LatencyStats::new(),
             breakdown: Breakdown::default(),
-            branches_used: BTreeSet::new(),
-            branch_decisions: std::collections::BTreeMap::new(),
+            branch_used: vec![false; branches],
+            branch_decisions: vec![0; branches],
             switches: Vec::new(),
             decisions: 0,
             infeasible: 0,
@@ -386,13 +390,12 @@ impl StreamPipeline {
 
         // Branch switch if needed.
         let mut switch_ms = 0.0;
-        let dst_key = self.trained.catalog[decision.branch_idx].key();
         let need_switch = self.scheduler.current_branch() != Some(decision.branch_idx);
         if need_switch {
             switch_ms = self.switch_to(decision.branch_idx, device, obs);
         }
-        self.branches_used.insert(dst_key);
-        *self.branch_decisions.entry(dst_key).or_insert(0) += 1;
+        self.branch_used[decision.branch_idx] = true;
+        self.branch_decisions[decision.branch_idx] += 1;
 
         // Light features used for the latency observation must match
         // what the scheduler saw.
@@ -543,7 +546,9 @@ impl StreamPipeline {
             // boxes, and fallback seed all stay.
             self.last_detections
                 .clone_from(&result.first_frame_output.detections);
-            self.boxes = self.last_detections.iter().map(|det| det.bbox).collect();
+            self.boxes.clear();
+            self.boxes
+                .extend(self.last_detections.iter().map(|det| det.bbox));
         }
 
         self.gof = result;
@@ -598,18 +603,27 @@ impl StreamPipeline {
         });
         self.mbek.set_branch(self.trained.catalog[dst]);
         self.scheduler.commit_branch(dst);
-        self.branches_used.insert(dst_key);
+        self.branch_used[dst] = true;
         ms
     }
 
     /// Consumes the pipeline and produces the run result.
     pub fn into_result(mut self) -> RunResult {
+        let catalog = &self.trained.catalog;
+        let branches_used = (self.branch_used.iter().zip(catalog))
+            .filter(|&(&used, _)| used)
+            .map(|(_, b)| b.key())
+            .collect();
+        let branch_decisions = (self.branch_decisions.iter().zip(catalog))
+            .filter(|&(&n, _)| n > 0)
+            .map(|(&n, b)| (b.key(), n))
+            .collect();
         RunResult {
-            map: self.acc.finalize(0.5).map,
+            map: self.acc.finalize().map,
             latency: self.latency,
             breakdown: self.breakdown,
-            branches_used: self.branches_used,
-            branch_decisions: self.branch_decisions,
+            branches_used,
+            branch_decisions,
             switches: self.switches,
             decisions: self.decisions,
             infeasible_decisions: self.infeasible,

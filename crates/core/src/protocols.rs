@@ -238,7 +238,7 @@ fn run_every_frame(
     mut device: DeviceSim,
     mut frame: impl FnMut(usize, &FrameTruth, &mut DeviceSim) -> (f64, Vec<Detection>),
 ) -> RunResult {
-    let mut acc = MapAccumulator::new();
+    let mut acc = MapAccumulator::new(0.5);
     let mut latency = LatencyStats::new();
     let mut breakdown = Breakdown::default();
     for video in videos {
@@ -251,7 +251,7 @@ fn run_every_frame(
         }
     }
     RunResult {
-        map: acc.finalize(0.5).map,
+        map: acc.finalize().map,
         latency,
         breakdown,
         branches_used: BTreeSet::new(),

@@ -1,11 +1,24 @@
 //! Latency statistics: mean and percentiles.
 
+/// A run of consecutive samples with the same bits.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    ms: f64,
+    count: usize,
+}
+
 /// Accumulates per-frame latency samples and reports the statistics the
 /// paper uses: mean latency and P95 (the SLO is a 95th-percentile bound,
 /// i.e. a < 5% violation rate).
+///
+/// Samples are kept as runs of equal consecutive values: a GoF records
+/// its amortized latency once per frame, so a run costs one entry per
+/// GoF rather than one per frame. Every statistic equals, bit for bit,
+/// the one computed over the plain list of samples.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
-    samples: Vec<f64>,
+    runs: Vec<Run>,
+    count: usize,
 }
 
 impl LatencyStats {
@@ -21,20 +34,34 @@ impl LatencyStats {
     /// Panics on negative or non-finite samples.
     pub fn record(&mut self, ms: f64) {
         assert!(ms.is_finite() && ms >= 0.0, "invalid latency sample {ms}");
-        self.samples.push(ms);
+        self.push(Run { ms, count: 1 });
+    }
+
+    /// Appends a run, extending the last one when the bits are equal.
+    fn push(&mut self, run: Run) {
+        self.count += run.count;
+        match self.runs.last_mut() {
+            Some(last) if last.ms.to_bits() == run.ms.to_bits() => last.count += run.count,
+            _ => self.runs.push(run),
+        }
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
-    /// Mean latency (0 when empty).
+    /// Mean latency (0 when empty). Adds every sample in recording
+    /// order.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        let samples = self
+            .runs
+            .iter()
+            .flat_map(|r| std::iter::repeat_n(r.ms, r.count));
+        samples.sum::<f64>() / self.count as f64
     }
 
     /// The `q`-quantile via nearest-rank on the sorted samples
@@ -45,13 +72,22 @@ impl LatencyStats {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0,1]");
-        if self.samples.is_empty() {
+        let rank = ((q * self.count as f64).ceil() as usize).clamp(1, self.count.max(1));
+        // Runs of equal bits are interchangeable, so their order after
+        // an unstable sort does not matter.
+        let mut sorted = self.runs.clone();
+        sorted.sort_unstable_by(|a, b| a.ms.total_cmp(&b.ms));
+        let Some((last, rest)) = sorted.split_last() else {
             return 0.0;
+        };
+        let mut seen = 0;
+        for run in rest {
+            seen += run.count;
+            if seen >= rank {
+                return run.ms;
+            }
         }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        last.ms
     }
 
     /// The 95th percentile.
@@ -66,21 +102,29 @@ impl LatencyStats {
 
     /// Maximum sample (0 when empty).
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
+        self.runs.iter().map(|r| r.ms).fold(0.0, f64::max)
     }
 
     /// Fraction of samples strictly above `slo_ms` (the SLO violation
     /// rate; 0 when empty).
     pub fn violation_rate(&self, slo_ms: f64) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        self.samples.iter().filter(|&&s| s > slo_ms).count() as f64 / self.samples.len() as f64
+        let above: usize = self
+            .runs
+            .iter()
+            .filter(|r| r.ms > slo_ms)
+            .map(|r| r.count)
+            .sum();
+        above as f64 / self.count as f64
     }
 
     /// Merges another collector's samples into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples.extend_from_slice(&other.samples);
+        for &run in &other.runs {
+            self.push(run);
+        }
     }
 }
 

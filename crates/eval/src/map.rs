@@ -38,30 +38,32 @@ pub struct MapResult {
     pub total_pred: usize,
 }
 
-/// One prediction record accumulated for a class.
+/// One ranked prediction: its score and whether it matched ground truth.
 #[derive(Debug, Clone, Copy)]
-struct PredRecord {
-    frame: usize,
+struct Ranked {
     score: f32,
-    bbox: BBox,
+    tp: bool,
 }
 
 /// Everything accumulated for one class.
 #[derive(Debug, Clone, Default)]
 struct ClassData {
-    /// Frame of each ground-truth box, non-decreasing.
-    gt_frames: Vec<usize>,
-    /// Ground-truth boxes, parallel to `gt_frames` (insertion order
-    /// within a frame).
-    gt_boxes: Vec<BBox>,
-    /// Predictions in insertion order; score-ranked after a finalize.
-    preds: Vec<PredRecord>,
+    /// Ground-truth instances seen so far.
+    npos: usize,
+    /// Matched predictions in arrival order; score-ranked after a
+    /// finalize.
+    ranked: Vec<Ranked>,
 }
 
-/// Buffers [`MapAccumulator::finalize`] reuses across classes.
+/// Buffers reused from frame to frame and across classes.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
+    /// The current frame's ground truth, in insertion order.
+    gt: Vec<GtBox>,
+    /// Whether each of `gt` is already matched.
     matched: Vec<bool>,
+    /// The current frame's predictions, score-ranked.
+    preds: Vec<PredBox>,
     recalls: Vec<f64>,
     precisions: Vec<f64>,
 }
@@ -69,10 +71,13 @@ struct Scratch {
 /// Streaming accumulator: feed ground truth and predictions frame by
 /// frame, then finalize into a [`MapResult`].
 ///
-/// Storage is dense per class index. One ground-truth set can score
-/// several prediction sets: [`clear_predictions`](Self::clear_predictions)
-/// keeps the ground truth, and [`add_predictions`](Self::add_predictions)
-/// attaches predictions to frames already added.
+/// Each frame's predictions are matched against that frame's ground
+/// truth when they arrive, highest score first; a class keeps only its
+/// ground-truth count and each prediction's score and outcome. A
+/// prediction can match ground truth of its own frame only, so this
+/// gives the same outcomes as ranking every prediction at the end.
+/// [`clear`](Self::clear) empties the accumulator and keeps its
+/// buffers, so one accumulator can score several prediction sets.
 ///
 /// # Examples
 ///
@@ -80,16 +85,16 @@ struct Scratch {
 /// use lr_eval::{GtBox, MapAccumulator, PredBox};
 /// use lr_video::BBox;
 ///
-/// let mut acc = MapAccumulator::new();
+/// let mut acc = MapAccumulator::new(0.5);
 /// let gt = [GtBox { class: 0, bbox: BBox::new(0.0, 0.0, 10.0, 10.0) }];
 /// let pred = [PredBox { class: 0, bbox: BBox::new(0.5, 0.0, 10.0, 10.0), score: 0.9 }];
 /// acc.add_frame(gt, pred);
-/// let result = acc.finalize(0.5);
+/// let result = acc.finalize();
 /// assert!((result.map - 1.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MapAccumulator {
-    next_frame: usize,
+    iou_threshold: f32,
     /// Indexed by class; grows on demand.
     classes: Vec<ClassData>,
     total_gt: usize,
@@ -98,69 +103,96 @@ pub struct MapAccumulator {
 }
 
 impl MapAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty accumulator that matches at the given IoU
+    /// threshold (the paper uses 0.5).
+    pub fn new(iou_threshold: f32) -> Self {
+        Self {
+            iou_threshold,
+            classes: Vec::new(),
+            total_gt: 0,
+            total_pred: 0,
+            scratch: Scratch::default(),
+        }
     }
 
-    /// Adds the next frame's ground truth and predictions.
+    /// Empties the accumulator, keeping its threshold and buffers.
+    pub fn clear(&mut self) {
+        for class in &mut self.classes {
+            class.npos = 0;
+            class.ranked.clear();
+        }
+        self.total_gt = 0;
+        self.total_pred = 0;
+    }
+
+    /// Adds the next frame's ground truth and predictions, and matches
+    /// the predictions greedily, highest score first: each picks the
+    /// frame's ground-truth box of its class with the highest IoU (the
+    /// first one on a tie), and is a true positive when that IoU reaches
+    /// the threshold and the box is not matched yet.
     pub fn add_frame(
         &mut self,
         gt: impl IntoIterator<Item = GtBox>,
         preds: impl IntoIterator<Item = PredBox>,
     ) {
-        let frame = self.next_frame;
-        self.next_frame += 1;
-        for g in gt {
-            let class = self.class_mut(g.class);
-            class.gt_frames.push(frame);
-            class.gt_boxes.push(g.bbox);
-            self.total_gt += 1;
+        let Scratch {
+            gt: frame_gt,
+            matched,
+            preds: frame_preds,
+            ..
+        } = &mut self.scratch;
+        frame_gt.clear();
+        frame_gt.extend(gt);
+        frame_preds.clear();
+        frame_preds.extend(preds);
+        // Stable: equal scores keep their arrival order.
+        frame_preds.sort_by(|a, b| b.score.total_cmp(&a.score));
+        matched.clear();
+        matched.resize(frame_gt.len(), false);
+        self.total_gt += frame_gt.len();
+        self.total_pred += frame_preds.len();
+
+        for g in frame_gt.iter() {
+            class_mut(&mut self.classes, g.class).npos += 1;
         }
-        self.add_predictions(frame, preds);
+        for p in frame_preds.iter() {
+            let mut best_iou = 0.0f32;
+            let mut best_idx = None;
+            for (j, g) in frame_gt.iter().enumerate() {
+                if g.class == p.class {
+                    let iou = p.bbox.iou(&g.bbox);
+                    if iou > best_iou {
+                        best_iou = iou;
+                        best_idx = Some(j);
+                    }
+                }
+            }
+            // A duplicate detection of an already-matched GT is a miss.
+            let tp = match best_idx {
+                Some(j) if best_iou >= self.iou_threshold && !matched[j] => {
+                    matched[j] = true;
+                    true
+                }
+                _ => false,
+            };
+            class_mut(&mut self.classes, p.class)
+                .ranked
+                .push(Ranked { score: p.score, tp });
+        }
     }
 
-    /// Adds predictions to `frame`, the zero-based position of a frame in
-    /// [`add_frame`](Self::add_frame) order.
-    pub fn add_predictions(&mut self, frame: usize, preds: impl IntoIterator<Item = PredBox>) {
-        for p in preds {
-            self.class_mut(p.class).preds.push(PredRecord {
-                frame,
-                score: p.score,
-                bbox: p.bbox,
-            });
-            self.total_pred += 1;
-        }
-    }
-
-    /// Drops every prediction and keeps the ground truth.
-    pub fn clear_predictions(&mut self) {
-        for class in &mut self.classes {
-            class.preds.clear();
-        }
-        self.total_pred = 0;
-    }
-
-    fn class_mut(&mut self, class: usize) -> &mut ClassData {
-        if class >= self.classes.len() {
-            self.classes.resize_with(class + 1, ClassData::default);
-        }
-        &mut self.classes[class]
-    }
-
-    /// Computes mAP at the given IoU threshold (the paper uses 0.5).
+    /// Computes mAP over every frame added so far.
     ///
     /// Classes with ground truth but no predictions score AP 0; classes
     /// with predictions but no ground truth are ignored (standard VOC).
     /// An evaluation with no ground truth at all yields mAP 0. Ranks the
     /// predictions in place, which changes no later result: the rank is
-    /// a stable sort, so ties keep their insertion order.
-    pub fn finalize(&mut self, iou_threshold: f32) -> MapResult {
+    /// a stable sort, so ties keep their arrival order.
+    pub fn finalize(&mut self) -> MapResult {
         let mut per_class_ap = BTreeMap::new();
         for (class, data) in self.classes.iter_mut().enumerate() {
-            if !data.gt_boxes.is_empty() {
-                let ap = data.average_precision(iou_threshold, &mut self.scratch);
-                per_class_ap.insert(class, ap);
+            if data.npos > 0 {
+                per_class_ap.insert(class, data.average_precision(&mut self.scratch));
             }
         }
         // Sum in ascending class order, so the last bits of mAP never
@@ -179,44 +211,33 @@ impl MapAccumulator {
     }
 }
 
+/// The data of `class`, growing the dense storage on demand.
+fn class_mut(classes: &mut Vec<ClassData>, class: usize) -> &mut ClassData {
+    if class >= classes.len() {
+        classes.resize_with(class + 1, ClassData::default);
+    }
+    &mut classes[class]
+}
+
 impl ClassData {
-    /// AP via greedy matching and all-point interpolation. Requires at
-    /// least one ground-truth box.
-    fn average_precision(&mut self, iou_threshold: f32, scratch: &mut Scratch) -> f64 {
-        let npos = self.gt_boxes.len();
-        self.preds.sort_by(|a, b| b.score.total_cmp(&a.score));
+    /// AP via all-point interpolation over the matched predictions,
+    /// ranked by score. Requires at least one ground-truth box.
+    fn average_precision(&mut self, scratch: &mut Scratch) -> f64 {
+        let npos = self.npos;
+        // Stable: ties keep frame order, then a frame's own rank.
+        self.ranked.sort_by(|a, b| b.score.total_cmp(&a.score));
         let Scratch {
-            matched,
             recalls,
             precisions,
+            ..
         } = scratch;
-        matched.clear();
-        matched.resize(npos, false);
         recalls.clear();
         precisions.clear();
 
-        // Greedy matching, highest score first, folded into the
-        // precision-recall curve.
+        // The precision-recall curve, highest score first.
         let mut cum_tp = 0usize;
-        for (i, p) in self.preds.iter().enumerate() {
-            let lo = self.gt_frames.partition_point(|&f| f < p.frame);
-            let hi = self.gt_frames.partition_point(|&f| f <= p.frame);
-            let mut best_iou = 0.0f32;
-            let mut best_idx = None;
-            for (j, g) in (lo..hi).zip(&self.gt_boxes[lo..hi]) {
-                let iou = p.bbox.iou(g);
-                if iou > best_iou {
-                    best_iou = iou;
-                    best_idx = Some(j);
-                }
-            }
-            // A duplicate detection of an already-matched GT is a miss.
-            if let Some(j) = best_idx {
-                if best_iou >= iou_threshold && !matched[j] {
-                    matched[j] = true;
-                    cum_tp += 1;
-                }
-            }
+        for (i, r) in self.ranked.iter().enumerate() {
+            cum_tp += usize::from(r.tp);
             recalls.push(cum_tp as f64 / npos as f64);
             precisions.push(cum_tp as f64 / (i + 1) as f64);
         }
@@ -241,6 +262,8 @@ impl ClassData {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn gt(class: usize, x: f32) -> GtBox {
@@ -260,43 +283,43 @@ mod tests {
 
     #[test]
     fn perfect_detection_gives_map_one() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         acc.add_frame(
             [gt(0, 0.0), gt(1, 50.0)],
             [pred(0, 0.0, 0.9), pred(1, 50.0, 0.8)],
         );
-        let r = acc.finalize(0.5);
+        let r = acc.finalize();
         assert!((r.map - 1.0).abs() < 1e-9);
         assert_eq!(r.per_class_ap.len(), 2);
     }
 
     #[test]
     fn no_predictions_gives_map_zero() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         acc.add_frame([gt(0, 0.0)], []);
-        assert_eq!(acc.finalize(0.5).map, 0.0);
+        assert_eq!(acc.finalize().map, 0.0);
     }
 
     #[test]
     fn wrong_class_is_a_miss() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         acc.add_frame([gt(0, 0.0)], [pred(1, 0.0, 0.9)]);
-        assert_eq!(acc.finalize(0.5).map, 0.0);
+        assert_eq!(acc.finalize().map, 0.0);
     }
 
     #[test]
     fn poorly_localized_box_is_a_miss() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         // IoU of (0,0,10,10) and (8,0,10,10) is 2/18 = 0.11 < 0.5.
         acc.add_frame([gt(0, 0.0)], [pred(0, 8.0, 0.9)]);
-        assert_eq!(acc.finalize(0.5).map, 0.0);
+        assert_eq!(acc.finalize().map, 0.0);
     }
 
     #[test]
     fn duplicate_detections_count_once() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         acc.add_frame([gt(0, 0.0)], [pred(0, 0.0, 0.9), pred(0, 0.5, 0.8)]);
-        let r = acc.finalize(0.5);
+        let r = acc.finalize();
         // One TP at rank 1, one FP at rank 2: AP = 1.0 (recall saturates
         // at the first prediction).
         assert!((r.map - 1.0).abs() < 1e-9);
@@ -304,54 +327,56 @@ mod tests {
 
     #[test]
     fn false_positive_before_tp_halves_precision() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         // Higher-scored FP first, then the TP: precision at recall 1 is
         // 1/2, and AP = 0.5.
         acc.add_frame([gt(0, 0.0)], [pred(0, 40.0, 0.9), pred(0, 0.0, 0.8)]);
-        let r = acc.finalize(0.5);
+        let r = acc.finalize();
         assert!((r.map - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn missing_one_of_two_objects_gives_half_recall() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         acc.add_frame([gt(0, 0.0), gt(0, 50.0)], [pred(0, 0.0, 0.9)]);
-        let r = acc.finalize(0.5);
+        let r = acc.finalize();
         assert!((r.map - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn classes_without_gt_are_ignored() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         acc.add_frame([gt(0, 0.0)], [pred(0, 0.0, 0.9), pred(5, 70.0, 0.95)]);
-        let r = acc.finalize(0.5);
+        let r = acc.finalize();
         assert!((r.map - 1.0).abs() < 1e-9);
         assert!(!r.per_class_ap.contains_key(&5));
     }
 
     #[test]
     fn matching_is_per_frame() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         // GT only on frame 0; a prediction on frame 1 cannot match it.
         acc.add_frame([gt(0, 0.0)], []);
         acc.add_frame([], [pred(0, 0.0, 0.9)]);
-        assert_eq!(acc.finalize(0.5).map, 0.0);
+        assert_eq!(acc.finalize().map, 0.0);
     }
 
     #[test]
     fn higher_iou_threshold_is_stricter() {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         // Offset box: IoU = (10-3)/(2*10*10/10 - 7) -> compute: boxes
         // (0..10) vs (3..13): inter 7*10=70, union 130, IoU ~0.538.
+        let mut strict = MapAccumulator::new(0.6);
         acc.add_frame([gt(0, 0.0)], [pred(0, 3.0, 0.9)]);
-        assert!(acc.finalize(0.5).map > 0.9);
-        assert_eq!(acc.finalize(0.6).map, 0.0);
+        strict.add_frame([gt(0, 0.0)], [pred(0, 3.0, 0.9)]);
+        assert!(acc.finalize().map > 0.9);
+        assert_eq!(strict.finalize().map, 0.0);
     }
 
     #[test]
     fn empty_accumulator_yields_zero() {
-        let mut acc = MapAccumulator::new();
-        let r = acc.finalize(0.5);
+        let mut acc = MapAccumulator::new(0.5);
+        let r = acc.finalize();
         assert_eq!(r.map, 0.0);
         assert_eq!(r.total_gt, 0);
     }
@@ -361,12 +386,12 @@ mod tests {
     #[test]
     fn ap_decreases_with_jitter() {
         let eval_with_offset = |off: f32| {
-            let mut acc = MapAccumulator::new();
+            let mut acc = MapAccumulator::new(0.5);
             for i in 0..50 {
                 let x = i as f32 * 20.0;
                 acc.add_frame([gt(0, x)], [pred(0, x + off, 0.9 - i as f32 * 0.001)]);
             }
-            acc.finalize(0.5).map
+            acc.finalize().map
         };
         assert!(eval_with_offset(0.0) >= eval_with_offset(2.0));
         assert!(eval_with_offset(2.0) >= eval_with_offset(6.0));
@@ -603,87 +628,155 @@ mod tests {
         assert_eq!((a.total_gt, a.total_pred), (b.total_gt, b.total_pred));
     }
 
+    /// How often a differential sweep met each case the on-arrival
+    /// matching must get right.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Frames with two predictions of one class at one score.
+        score_ties: usize,
+        /// Frames with two identical ground-truth boxes of one class.
+        duplicate_gt: usize,
+        /// Frames with two identical predictions of one class.
+        duplicate_preds: usize,
+        /// Frames with neither ground truth nor predictions.
+        empty_frames: usize,
+        /// Classes predicted in a case that has no ground truth of them.
+        prediction_only_classes: usize,
+    }
+
+    impl Coverage {
+        fn tally(&mut self, gt: &[Vec<GtBox>], preds: &[Vec<PredBox>]) {
+            let pairs = |n: usize| (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)));
+            for (g, p) in gt.iter().zip(preds) {
+                let same_pred = |f: &dyn Fn(&PredBox, &PredBox) -> bool| {
+                    pairs(p.len()).any(|(i, j)| p[i].class == p[j].class && f(&p[i], &p[j]))
+                };
+                self.score_ties += usize::from(same_pred(&|a, b| a.score == b.score));
+                self.duplicate_preds += usize::from(same_pred(&|a, b| a.bbox == b.bbox));
+                self.duplicate_gt += usize::from(pairs(g.len()).any(|(i, j)| g[i] == g[j]));
+                self.empty_frames += usize::from(g.is_empty() && p.is_empty());
+            }
+            let gt_classes: BTreeSet<usize> = gt.iter().flatten().map(|g| g.class).collect();
+            let pred_classes: BTreeSet<usize> = preds.iter().flatten().map(|p| p.class).collect();
+            self.prediction_only_classes += pred_classes.difference(&gt_classes).count();
+        }
+    }
+
     #[test]
     fn dense_matches_the_reference_bit_for_bit() {
         let mut rng = SplitMix(0x5eed);
+        let mut coverage = Coverage::default();
         for _ in 0..400 {
             // Up to 30 frames, so a class often ranks more than the 20
             // predictions below which even an unstable sort keeps ties
             // in order.
             let frames = rng.below(30) as usize;
             let gt = random_gt(&mut rng, frames);
-            let mut dense = MapAccumulator::new();
+            let preds: Vec<Vec<PredBox>> = gt.iter().map(|g| random_preds(&mut rng, g)).collect();
+            coverage.tally(&gt, &preds);
             let mut oracle = reference::MapAccumulator::default();
-            for g in &gt {
-                let preds = random_preds(&mut rng, g);
-                dense.add_frame(g.iter().copied(), preds.iter().copied());
-                oracle.add_frame(g, &preds);
+            for (g, p) in gt.iter().zip(&preds) {
+                oracle.add_frame(g, p);
             }
             for iou in [0.3, 0.5, 0.75] {
-                assert_bit_equal(&dense.finalize(iou), &oracle.finalize(iou));
+                let mut dense = MapAccumulator::new(iou);
+                for (g, p) in gt.iter().zip(&preds) {
+                    dense.add_frame(g.iter().copied(), p.iter().copied());
+                }
+                assert_bit_equal(&dense.finalize(), &oracle.finalize(iou));
             }
+        }
+        let Coverage {
+            score_ties,
+            duplicate_gt,
+            duplicate_preds,
+            empty_frames,
+            prediction_only_classes,
+        } = coverage;
+        for (case, n) in [
+            ("score ties", score_ties),
+            ("duplicate ground truth", duplicate_gt),
+            ("duplicate predictions", duplicate_preds),
+            ("empty frames", empty_frames),
+            ("prediction-only classes", prediction_only_classes),
+        ] {
+            assert!(n >= 100, "the sweep met {case} only {n} times");
         }
     }
 
     #[test]
     fn edge_classes_match_the_reference() {
-        // GT-only class 1, prediction-only class 31, GT-only class 35
-        // past every predicted class, an empty frame, and a 10×10
-        // prediction inside a 20×10 GT box: IoU exactly 0.5.
+        // GT-only class 1, prediction-only classes 31 and 7, GT-only
+        // class 35 past every predicted class, empty frames, and a 10×10
+        // prediction inside a 20×10 GT box: IoU exactly 0.5. Frame 3
+        // has two identical ground-truth boxes and three tied identical
+        // predictions on them: the first-max scan picks the first box
+        // every time, so only the first prediction matches. Frame 4 ties
+        // a miss before a hit at one score, and frame 5 ties a miss with
+        // them across frames.
+        let wide = GtBox {
+            class: 0,
+            bbox: BBox::new(0.0, 0.0, 20.0, 10.0),
+        };
         let frames = [
             (
                 vec![gt(0, 0.0), gt(1, 20.0), gt(35, 40.0)],
                 vec![pred(0, 0.0, 0.7), pred(31, 0.0, 0.9)],
             ),
             (vec![], vec![]),
+            (vec![wide], vec![pred(0, 0.0, 0.7), pred(0, 0.0, 0.7)]),
             (
-                vec![GtBox {
-                    class: 0,
-                    bbox: BBox::new(0.0, 0.0, 20.0, 10.0),
-                }],
-                vec![pred(0, 0.0, 0.7), pred(0, 0.0, 0.7)],
+                vec![gt(2, 0.0), gt(2, 0.0)],
+                vec![pred(2, 0.0, 0.6), pred(2, 0.0, 0.6), pred(2, 0.0, 0.6)],
             ),
+            (
+                vec![gt(2, 30.0)],
+                vec![pred(2, 60.0, 0.6), pred(7, 30.0, 0.6), pred(2, 30.0, 0.6)],
+            ),
+            (vec![], vec![pred(2, 0.0, 0.6), pred(7, 0.0, 0.95)]),
+            (vec![], vec![]),
         ];
-        let mut dense = MapAccumulator::new();
+        let mut dense = MapAccumulator::new(0.5);
         let mut oracle = reference::MapAccumulator::default();
         for (g, p) in &frames {
             dense.add_frame(g.iter().copied(), p.iter().copied());
             oracle.add_frame(g, p);
         }
-        let r = dense.finalize(0.5);
+        let r = dense.finalize();
         assert_eq!(
             r.per_class_ap.keys().copied().collect::<Vec<_>>(),
-            [0, 1, 35]
+            [0, 1, 2, 35]
         );
         assert_bit_equal(&r, &oracle.finalize(0.5));
+        // Class 2 ranks hit, miss, miss, miss, hit, miss at one score in
+        // frame order, and one of its three boxes is never matched:
+        // recall 1/3 at precision 1, then 2/3 at precision 2/5.
+        assert!((r.per_class_ap[&2] - (1.0 / 3.0 + 2.0 / 15.0)).abs() < 1e-12);
     }
 
     #[test]
-    fn reused_ground_truth_matches_a_fresh_accumulator() {
+    fn a_cleared_or_fresh_accumulator_per_branch_equals_the_reference() {
         let mut rng = SplitMix(0xc1ea);
+        let mut shared = MapAccumulator::new(0.5);
         for _ in 0..50 {
             let frames = 1 + rng.below(8) as usize;
             let gt = random_gt(&mut rng, frames);
-            let mut shared = MapAccumulator::new();
-            for g in &gt {
-                shared.add_frame(g.iter().copied(), []);
-            }
+            // Several branches' predictions over one snippet's ground
+            // truth, as profiling scores them.
             for _ in 0..4 {
                 let preds: Vec<Vec<PredBox>> =
                     gt.iter().map(|g| random_preds(&mut rng, g)).collect();
-                shared.clear_predictions();
-                for (frame, p) in preds.iter().enumerate() {
-                    shared.add_predictions(frame, p.iter().copied());
-                }
-                let mut fresh = MapAccumulator::new();
+                shared.clear();
+                let mut fresh = MapAccumulator::new(0.5);
                 let mut oracle = reference::MapAccumulator::default();
                 for (g, p) in gt.iter().zip(&preds) {
+                    shared.add_frame(g.iter().copied(), p.iter().copied());
                     fresh.add_frame(g.iter().copied(), p.iter().copied());
                     oracle.add_frame(g, p);
                 }
-                let r = shared.finalize(0.5);
-                assert_bit_equal(&r, &fresh.finalize(0.5));
-                assert_bit_equal(&r, &oracle.finalize(0.5));
+                let r = oracle.finalize(0.5);
+                assert_bit_equal(&shared.finalize(), &r);
+                assert_bit_equal(&fresh.finalize(), &r);
             }
         }
     }

@@ -114,7 +114,7 @@ mod tests {
         let mut ms = AdaScaleMs::new();
         let mut rng = StdRng::seed_from_u64(1);
         let mut scales = std::collections::BTreeSet::new();
-        for f in &v.frames {
+        for f in v.frames.iter() {
             let _ = ms.step(f, &mut rng);
             scales.insert(ms.current_scale());
         }
@@ -129,7 +129,7 @@ mod tests {
         let v = video();
         let mut ms = AdaScaleMs::new();
         let mut rng = StdRng::seed_from_u64(2);
-        for f in &v.frames {
+        for f in v.frames.iter() {
             let _ = ms.step(f, &mut rng);
             assert!(SCALES.contains(&ms.current_scale()));
         }

@@ -413,7 +413,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut hits = 0usize;
         let mut total = 0usize;
-        for f in &v.frames {
+        for f in v.frames.iter() {
             let out = sim.detect(f, cfg, &mut rng);
             let detected: std::collections::BTreeSet<u32> =
                 out.detections.iter().filter_map(|d| d.gt_id).collect();

@@ -249,7 +249,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut hits = 0usize;
         let mut total = 0usize;
-        for f in &v.frames {
+        for f in v.frames.iter() {
             let dets = HeavyModel::SelsaResNet101.detect(f, &mut rng);
             let ids: std::collections::BTreeSet<u32> =
                 dets.iter().filter_map(|d| d.gt_id).collect();
@@ -273,7 +273,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut hits = 0usize;
             let mut total = 0usize;
-            for f in &v.frames {
+            for f in v.frames.iter() {
                 let dets = m.detect(f, &mut rng);
                 let ids: std::collections::BTreeSet<u32> =
                     dets.iter().filter_map(|d| d.gt_id).collect();

@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn offline_build_ground_truth_fits_its_footprint() {
         use crate::{FrameTruth, GtObject};
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
         // The 40 videos an offline build generates: the scheduler-training
         // and validation splits of hostbench's dataset.
         let ds = Dataset::new(DatasetConfig {
@@ -187,12 +187,15 @@ mod tests {
         let mut bytes = 0;
         for split in [Split::TrainScheduler, Split::Validation] {
             for v in ds.videos(split) {
-                bytes += v.frames.capacity() * size_of::<FrameTruth>();
+                // One shared allocation: the two reference counts, then
+                // exactly `len` frames.
+                bytes += 2 * size_of::<usize>() + size_of_val(&*v.frames);
                 let objects: usize = v.frames.iter().map(|f| f.objects.len()).sum();
                 bytes += objects * size_of::<GtObject>();
             }
         }
-        // 3,682,592 bytes at 40-byte frames and 36-byte objects.
+        // 3,683,232 bytes at 40-byte frames and 36-byte objects.
+        assert_eq!(size_of::<FrameTruth>(), 40);
         assert!(bytes <= 3_700_000, "{bytes} bytes");
     }
 

@@ -1,6 +1,8 @@
 //! Scene dynamics: objects spawning, moving, and despawning under a
 //! regime-driven stochastic process.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,8 +98,8 @@ impl Scene {
     }
 
     /// The colour jitter of every instance spawned so far, indexed by id.
-    pub(crate) fn into_jitter(self) -> Box<[[f32; 3]]> {
-        self.jitter.into_boxed_slice()
+    pub(crate) fn into_jitter(self) -> Arc<[[f32; 3]]> {
+        self.jitter.into()
     }
 
     /// Advances the simulation by one frame and returns its ground truth.

@@ -1,5 +1,7 @@
 //! Whole videos: specs, styles, and generated frame truths.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,13 +84,13 @@ pub struct VideoStyle {
     /// Spatial frequency of the background texture.
     pub texture_freq: f32,
     /// Per-instance colour jitter on top of the class base colour,
-    /// indexed by instance id.
-    jitter: Box<[[f32; 3]]>,
+    /// indexed by instance id; shared by every clone of the style.
+    jitter: Arc<[[f32; 3]]>,
 }
 
 impl VideoStyle {
     /// Derives a style from a seed, holding the instances' colour `jitter`.
-    pub(crate) fn from_seed(seed: u64, jitter: Box<[[f32; 3]]>) -> Self {
+    pub(crate) fn from_seed(seed: u64, jitter: Arc<[[f32; 3]]>) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBADC_0FFE);
         let hue = rng.gen_range(0.0..360.0);
         let bg_top = crate::classes::hsv_to_rgb(hue, rng.gen_range(0.1..0.4), 0.8);
@@ -119,14 +121,18 @@ impl VideoStyle {
 }
 
 /// A fully generated video: spec, style, and per-frame ground truth.
+///
+/// Frames are never changed after generation, so the frames and the
+/// style's jitter are shared: cloning a video copies its spec and two
+/// reference counts.
 #[derive(Debug, Clone)]
 pub struct Video {
     /// The video's spec.
     pub spec: VideoSpec,
     /// The video's rendering style.
     pub style: VideoStyle,
-    /// Ground truth for every frame, in order.
-    pub frames: Vec<FrameTruth>,
+    /// Ground truth for every frame, in order, in one allocation.
+    pub frames: Arc<[FrameTruth]>,
 }
 
 impl Video {
@@ -207,6 +213,23 @@ mod tests {
     }
 
     #[test]
+    fn a_cloned_video_shares_its_frames_and_jitter() {
+        let v = Video::generate(VideoSpec {
+            id: 0,
+            seed: 5,
+            width: 320.0,
+            height: 240.0,
+            num_frames: 40,
+        });
+        let c = v.clone();
+        assert!(Arc::ptr_eq(&v.frames, &c.frames));
+        assert!(Arc::ptr_eq(&v.style.jitter, &c.style.jitter));
+        assert_eq!(Arc::strong_count(&v.frames), 2);
+        drop(c);
+        assert_eq!(Arc::strong_count(&v.frames), 1);
+    }
+
+    #[test]
     fn every_generated_id_has_recorded_jitter() {
         let v = Video::generate(VideoSpec {
             id: 0,
@@ -223,7 +246,7 @@ mod tests {
 
     #[test]
     fn object_color_clamps_jitter_and_falls_back_to_the_base_colour() {
-        let style = VideoStyle::from_seed(1, vec![[10.0, -10.0, 0.0]].into());
+        let style = VideoStyle::from_seed(1, Arc::new([[10.0, -10.0, 0.0]]));
         let mut obj = GtObject {
             id: 0,
             class: crate::ObjectClass::new(6),
@@ -272,7 +295,7 @@ mod tests {
 
     #[test]
     fn style_is_deterministic_and_seed_dependent() {
-        let style = |seed| VideoStyle::from_seed(seed, Box::default());
+        let style = |seed| VideoStyle::from_seed(seed, Arc::default());
         assert_eq!(style(1), style(1));
         assert_ne!(style(1), style(2));
     }
@@ -287,7 +310,7 @@ mod tests {
             num_frames: 100,
         };
         let v = Video::generate(spec);
-        for f in &v.frames {
+        for f in v.frames.iter() {
             for o in &f.objects {
                 assert!(o.speed().is_finite());
                 assert!(o.relative_scale(f.width, f.height).is_finite());

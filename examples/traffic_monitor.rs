@@ -49,7 +49,7 @@ fn main() {
     println!("=== traffic feeds: content regimes over time ===");
     for v in &feed_videos {
         let mut per_regime: BTreeMap<usize, usize> = BTreeMap::new();
-        for f in &v.frames {
+        for f in v.frames.iter() {
             *per_regime.entry(f.regime.index()).or_insert(0) += 1;
         }
         let summary: Vec<String> = {

@@ -67,7 +67,7 @@ fn clamp_shrinks_into_frame() {
 fn map_is_bounded() {
     let mut rng = StdRng::seed_from_u64(0xD0E);
     for _ in 0..CASES {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         let gt: Vec<GtBox> = (0..rng.gen_range(0..8usize))
             .map(|_| GtBox {
                 class: rng.gen_range(0..5usize),
@@ -82,7 +82,7 @@ fn map_is_bounded() {
             })
             .collect();
         acc.add_frame(gt, preds);
-        let r = acc.finalize(0.5);
+        let r = acc.finalize();
         assert!((0.0..=1.0).contains(&r.map), "mAP {} out of bounds", r.map);
     }
 }
@@ -93,7 +93,7 @@ fn map_is_bounded() {
 fn perfect_predictions_score_one() {
     let mut rng = StdRng::seed_from_u64(0xF00);
     for _ in 0..CASES {
-        let mut acc = MapAccumulator::new();
+        let mut acc = MapAccumulator::new(0.5);
         let gt: Vec<GtBox> = (0..rng.gen_range(1..6usize))
             .map(|_| GtBox {
                 class: rng.gen_range(0..5usize),
@@ -109,7 +109,7 @@ fn perfect_predictions_score_one() {
             })
             .collect();
         acc.add_frame(gt, preds);
-        let r = acc.finalize(0.5);
+        let r = acc.finalize();
         assert!(r.map > 0.99, "mAP {} for perfect predictions", r.map);
     }
 }
@@ -146,5 +146,114 @@ fn videos_are_deterministic_and_bounded() {
                 assert!((0.0..=1.0).contains(&o.difficulty));
             }
         }
+    }
+}
+
+/// The latency statistics over a plain list of samples, as
+/// `LatencyStats` computed them before it kept runs: the oracle of
+/// `latency_runs_match_a_plain_sample_list_bit_for_bit`.
+struct PlainSamples(Vec<f64>);
+
+impl PlainSamples {
+    fn mean(&self) -> f64 {
+        if self.0.is_empty() {
+            return 0.0;
+        }
+        self.0.iter().sum::<f64>() / self.0.len() as f64
+    }
+
+    fn percentile(&self, q: f64) -> f64 {
+        if self.0.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = self.0.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    fn max(&self) -> f64 {
+        self.0.iter().copied().fold(0.0, f64::max)
+    }
+
+    fn violation_rate(&self, slo_ms: f64) -> f64 {
+        if self.0.is_empty() {
+            return 0.0;
+        }
+        self.0.iter().filter(|&&s| s > slo_ms).count() as f64 / self.0.len() as f64
+    }
+}
+
+/// Samples in one of three shapes: GoF-style runs of one value (up to
+/// 40 frames each, with `+0.0` and `-0.0` among the values), all-distinct
+/// values as the every-frame protocols record, or a mix of both.
+fn arb_latency_samples(rng: &mut StdRng) -> Vec<f64> {
+    let n = rng.gen_range(0..300usize);
+    let shape = rng.gen_range(0..3u8);
+    let mut samples = Vec::with_capacity(n);
+    while samples.len() < n {
+        let value = match rng.gen_range(0..8u8) {
+            _ if shape == 1 => rng.gen_range(0.0f64..200.0),
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(0..4u8) as f64 * 12.5,
+            _ => rng.gen_range(0.0f64..200.0),
+        };
+        let run = match shape {
+            0 => rng.gen_range(1..=40usize),
+            1 => 1,
+            _ => rng.gen_range(1..=3usize),
+        };
+        samples.extend(std::iter::repeat_n(value, run.min(n - samples.len())));
+    }
+    samples
+}
+
+fn assert_latency_matches(stats: &LatencyStats, plain: &PlainSamples) {
+    let bits = |v: f64| v.to_bits();
+    assert_eq!(stats.count(), plain.0.len());
+    assert_eq!(bits(stats.mean()), bits(plain.mean()), "mean");
+    for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+        assert_eq!(
+            bits(stats.percentile(q)),
+            bits(plain.percentile(q)),
+            "q {q}"
+        );
+    }
+    assert_eq!(bits(stats.max()), bits(plain.max()), "max");
+    let slos = [0.0, 12.5, 25.0, 100.0, plain.percentile(0.5)];
+    for slo in slos {
+        assert_eq!(
+            bits(stats.violation_rate(slo)),
+            bits(plain.violation_rate(slo)),
+            "SLO {slo}"
+        );
+    }
+}
+
+/// Run-length latency samples give every statistic of the plain sample
+/// list bit for bit, also after a merge.
+#[test]
+fn latency_runs_match_a_plain_sample_list_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x1A7E);
+    for _ in 0..CASES {
+        let a = arb_latency_samples(&mut rng);
+        let b = arb_latency_samples(&mut rng);
+        let record = |samples: &[f64]| {
+            let mut s = LatencyStats::new();
+            for &ms in samples {
+                s.record(ms);
+            }
+            s
+        };
+        let mut stats = record(&a);
+        assert_latency_matches(&stats, &PlainSamples(a.clone()));
+        stats.merge(&record(&b));
+        let merged = [a, b].concat();
+        assert_latency_matches(&stats, &PlainSamples(merged.clone()));
+        // A self-merge joins the last run to the first when their bits
+        // are equal.
+        stats.merge(&stats.clone());
+        assert_latency_matches(&stats, &PlainSamples(merged.repeat(2)));
     }
 }

@@ -167,7 +167,7 @@ fn adascale_ms_scales_with_content() {
         let mut ms = AdaScaleMs::new();
         let mut rng = StdRng::seed_from_u64(3);
         let mut total = 0u64;
-        for f in &v.frames {
+        for f in v.frames.iter() {
             let _ = ms.step(f, &mut rng);
             total += ms.current_scale() as u64;
         }
