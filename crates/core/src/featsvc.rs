@@ -7,9 +7,9 @@
 //! its integer bin counts ([`hoc::counts`]), from which a hit rebuilds
 //! the vector bit for bit.
 //!
-//! A miss extracts through `raster_entry`, which offline profiling
-//! also calls directly: it extracts each snippet head once, so it has no
-//! use for a cache.
+//! A miss extracts through `raster_entry`. Offline profiling extracts
+//! each snippet head once, so it has no use for a cache and calls the
+//! extractors itself.
 
 use std::collections::BTreeMap;
 use std::mem::size_of;
@@ -81,7 +81,7 @@ fn widest_entry_bytes(raster_size: usize) -> usize {
 /// and has at most 16 full bins per channel, so an entry is about 0.6 KB
 /// instead of the 3 KB of the vector.
 #[derive(Debug)]
-pub(crate) struct HocCounts {
+struct HocCounts {
     /// The occupancy bitmap (bin `i` is bit `i % 8` of byte `i / 8`),
     /// then the occupied bins' counts saturated at 255, channel-major.
     packed: Box<[u8]>,
@@ -152,7 +152,7 @@ impl HocCounts {
 
 /// A raster-derived feature as the cache keeps it.
 #[derive(Debug)]
-pub(crate) enum Entry {
+enum Entry {
     /// HoC, as its bin counts.
     HoC(HocCounts),
     /// HOG and the deep stand-ins, as the vector itself.
@@ -160,14 +160,8 @@ pub(crate) enum Entry {
 }
 
 impl Entry {
-    /// The feature vector, for a raster of `pixels` pixels.
-    pub(crate) fn decode(&self, pixels: usize) -> Vec<f32> {
-        let mut vector = Vec::new();
-        self.decode_into(pixels, &mut vector);
-        vector
-    }
-
-    /// Writes [`Entry::decode`] into `out`, reusing its buffer.
+    /// Writes the feature vector, for a raster of `pixels` pixels, into
+    /// `out`, reusing its buffer.
     fn decode_into(&self, pixels: usize, out: &mut Vec<f32>) {
         match self {
             Entry::HoC(counts) => counts.decode_into(pixels, out),
@@ -201,7 +195,7 @@ impl Entry {
 /// # Panics
 ///
 /// Panics if `frame_idx` is out of range.
-pub(crate) fn raster_entry(
+fn raster_entry(
     kind: FeatureKind,
     video: &Video,
     frame_idx: usize,

@@ -10,29 +10,30 @@
 //! [`profile_videos`] runs in two phases, ordered so that the offline
 //! build's largest allocations never live at once:
 //!
-//! 1. **Deep pass.** The ResNet50 and MobileNetV2 stand-ins (6.6 MiB of
-//!    conv weights) embed every snippet head on the caller's thread, and
-//!    the pass drops its handle on the weights when it returns.
+//! 1. **Head pass.** On the caller's thread, the ResNet50 and
+//!    MobileNetV2 stand-ins (6.6 MiB of conv weights) embed every snippet
+//!    head; the pass then drops its handle on the weights and only after
+//!    that extracts HoC and HOG from each head.
 //! 2. **Chain.** One device walks every snippet in order and runs every
-//!    branch; the pool's other workers score the branches and extract
-//!    HoC and HOG beside it. The chain never touches the deep weights.
+//!    branch; the pool's other workers score the branches beside it. The
+//!    chain extracts no raster feature and never touches the deep weights.
 //!
-//! Every feature is a pure function of its frame, so moving the deep
-//! extractions out of the chain changes no value and leaves the chain's
-//! RNG order as it was.
+//! Every feature is a pure function of its frame, so extracting them
+//! outside the chain changes no value and leaves the chain's RNG order as
+//! it was.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lr_device::{DeviceKind, DeviceSim};
 use lr_eval::{GtBox, MapAccumulator, PredBox};
-use lr_features::{cpop, DeepExtractors, FeatureKind, LightFeatures};
+use lr_features::{cpop, hoc, hog, DeepExtractors, FeatureKind, LightFeatures};
 use lr_kernels::{Branch, Detection, DetectorFamily, GofResult, Mbek};
 use lr_obs::NullSink;
 use lr_video::raster::rasterize;
 use lr_video::{FrameTruth, Video};
 
-use crate::featsvc::{raster_entry, FeatureService};
+use crate::featsvc::FeatureService;
 
 /// Detector config used once per snippet to collect the
 /// detector-byproduct features (CPoP logits, boxes for light features).
@@ -139,51 +140,25 @@ pub(crate) fn pred_boxes(dets: &[Detection]) -> impl Iterator<Item = PredBox> + 
     })
 }
 
-/// In-flight bound of the profiling pipeline. At paper scale the chain
-/// makes an item about every 55 µs, so 32 items ride out a consumer's
-/// longest feature extraction (HOG, about 0.3 ms) without a stall, and
-/// hold at most 32 x 26 KB of predictions (the largest item has 827).
+/// In-flight bound of the profiling pipeline. Every item is one branch's
+/// predictions over a snippet, so the bound caps what the chain can run
+/// ahead of scoring at 32 x 26 KB of predictions (the largest item has
+/// 827), and a consumer that is descheduled for a moment does not stall
+/// the chain.
 const PIPELINE_BOUND: usize = 32;
 
-/// The light raster features, which a consumer extracts beside the
-/// chain. The deep pass has already embedded ResNet50 and MobileNetV2,
-/// and the chain assembles CPoP from its reference detection's logits.
-const RASTER_KINDS: [FeatureKind; 2] = [FeatureKind::HoC, FeatureKind::Hog];
-
-/// One item the profiling chain hands to a consumer: a raster feature of
-/// a snippet's first frame to extract, or one branch's predictions over
-/// the snippet to score.
+/// One branch's predictions over a snippet, which the profiling chain
+/// hands to a consumer to score.
 #[derive(Debug, Default)]
 struct Handoff {
-    /// Position of the snippet in profiling order.
-    snippet: usize,
     /// Index of the snippet's video in the profiled slice.
     video: usize,
     /// First frame of the snippet within the video.
     start: usize,
-    /// Snippet length in frames.
-    len: usize,
-    /// The feature to extract, or `None` for predictions to score.
-    feature: Option<FeatureKind>,
     /// Per frame of the snippet, the end of its predictions in `preds`.
     frame_ends: Vec<usize>,
     /// The branch's predictions, frame after frame.
     preds: Vec<PredBox>,
-}
-
-/// What a consumer made of a [`Handoff`].
-enum Scored {
-    /// A raster feature of the snippet's first frame.
-    Feature(FeatureKind, Option<Vec<f32>>),
-    /// A branch's snippet mAP.
-    Branch(f32),
-}
-
-/// What the consumers made for one snippet.
-#[derive(Default)]
-struct Labels {
-    heavy: BTreeMap<FeatureKind, Vec<f32>>,
-    branch_map: Vec<f32>,
 }
 
 /// What the chain itself records per snippet.
@@ -201,8 +176,7 @@ struct ChainSide {
 /// against the snippet's ground truth in a consumer's accumulator.
 fn score(acc: &mut MapAccumulator, videos: &[Video], item: &Handoff) -> f32 {
     acc.clear();
-    let truths = &videos[item.video].frames[item.start..item.start + item.len];
-    debug_assert_eq!(truths.len(), item.frame_ends.len());
+    let truths = &videos[item.video].frames[item.start..][..item.frame_ends.len()];
     let mut begin = 0;
     for (truth, &end) in truths.iter().zip(&item.frame_ends) {
         acc.add_frame(gt_boxes(truth), item.preds[begin..end].iter().copied());
@@ -217,20 +191,20 @@ fn score(acc: &mut MapAccumulator, videos: &[Video], item: &Handoff) -> f32 {
 /// calibration reference; the online latency model adapts to other devices
 /// and contention levels through its multiplicative corrections.
 ///
-/// First the deep pass embeds every snippet head with the deep
-/// stand-ins on the caller's thread and lets go of their weights. Then
-/// one device walks every snippet in order on the caller's thread: its
-/// RNG drives the reference detection and every branch's jitter, false
-/// positives and latency noise, so this chain is serial. It hands each
-/// branch's predictions, and HoC and HOG of the snippet's first frame,
-/// to the pool's other workers ([`lr_pool::Pool::pipeline`]),
-/// which score each branch's mAP and extract the features. Every result
-/// is the same, bit for bit, for any `LR_POOL_THREADS`.
+/// First the head pass extracts every raster feature of every snippet
+/// head on the caller's thread: the deep stand-ins' embeddings while it
+/// holds their weights, then HoC and HOG once it has let go of them.
+/// Then one device walks every snippet in order on the caller's thread:
+/// its RNG drives the reference detection and every branch's jitter,
+/// false positives and latency noise, so this chain is serial. It hands
+/// each branch's predictions to the pool's other workers
+/// ([`lr_pool::Pool::pipeline`]), which score each branch's mAP. Every
+/// result is the same, bit for bit, for any `LR_POOL_THREADS`.
 ///
 /// Features are extracted at `svc`'s raster size and cached nowhere:
 /// each snippet head is extracted once, so a cache would save nothing,
 /// and `svc`'s cache is left as it was. Profiling holds a handle on the
-/// deep stand-ins' weights only during the deep pass.
+/// deep stand-ins' weights only during the head pass's deep step.
 pub fn profile_videos(
     videos: &[Video],
     cfg: &OfflineConfig,
@@ -238,56 +212,72 @@ pub fn profile_videos(
 ) -> OfflineDataset {
     assert!(cfg.snippet_len > 0, "snippet length must be positive");
     assert!(!cfg.catalog.is_empty(), "empty catalog");
-    let raster_size = svc.raster_size();
-    let deep = deep_pass(
+    let heads = head_pass(
         DeepExtractors::shared(),
         videos,
         cfg.snippet_len,
-        raster_size,
+        svc.raster_size(),
     );
-    profile_chain(videos, cfg, raster_size, deep)
+    profile_chain(videos, cfg, heads)
 }
 
-/// The deep features of every snippet head, in profiling order: the
-/// head rendered once at `raster_size` and embedded by both stand-ins,
-/// on the caller's thread. `deep` is dropped on return, so when no one
-/// else holds the weights they are freed before the chain starts.
-fn deep_pass(
+/// The raster features of every snippet head, in profiling order, all
+/// on the caller's thread. First both deep stand-ins embed every head;
+/// then `deep` is dropped, so that when no one else holds the weights
+/// they are freed before any HoC or HOG vector is allocated, and each
+/// head is rendered again for HoC and HOG. Extracting all four kinds
+/// from one render would keep about 1 MB of HoC and HOG vectors beside
+/// the weights and raise the offline build's peak memory by as much
+/// (DESIGN.md §8).
+fn head_pass(
     deep: Arc<DeepExtractors>,
     videos: &[Video],
     snippet_len: usize,
     raster_size: usize,
 ) -> Vec<BTreeMap<FeatureKind, Vec<f32>>> {
-    let heads = videos.iter().flat_map(|video| {
-        let starts = video.snippets(snippet_len).into_iter();
-        starts.map(move |snippet| (video, snippet[0].frame_index as usize))
-    });
-    heads
-        .map(|(video, start)| {
-            let raster = rasterize(&video.frames[start], &video.style, raster_size);
+    let heads: Vec<(&Video, usize)> = videos
+        .iter()
+        .flat_map(|video| {
+            let starts = video.snippets(snippet_len).into_iter();
+            starts.map(move |snippet| (video, snippet[0].frame_index as usize))
+        })
+        .collect();
+    let render = |&(video, start): &(&Video, usize)| {
+        rasterize(&video.frames[start], &video.style, raster_size)
+    };
+    let mut features: Vec<_> = heads
+        .iter()
+        .map(|head| {
+            let raster = render(head);
             BTreeMap::from([
                 (FeatureKind::ResNet50, deep.resnet50(&raster)),
                 (FeatureKind::MobileNetV2, deep.mobilenetv2(&raster)),
             ])
         })
-        .collect()
+        .collect();
+    drop(deep);
+    for (heavy, head) in features.iter_mut().zip(&heads) {
+        let raster = render(head);
+        heavy.insert(FeatureKind::HoC, hoc::extract(&raster));
+        heavy.insert(FeatureKind::Hog, hog::extract(&raster));
+    }
+    features
 }
 
 /// The chain of [`profile_videos`]: every branch of every snippet on one
-/// device, labelled and featured beside it by the pool; `deep` holds
-/// each snippet's deep features, in profiling order, and becomes the
-/// start of its record's heavy features.
+/// device, scored beside it by the pool; `heads` holds each snippet's
+/// raster features, in profiling order, and becomes the start of its
+/// record's heavy features.
 fn profile_chain(
     videos: &[Video],
     cfg: &OfflineConfig,
-    raster_size: usize,
-    deep: Vec<BTreeMap<FeatureKind, Vec<f32>>>,
+    heads: Vec<BTreeMap<FeatureKind, Vec<f32>>>,
 ) -> OfflineDataset {
     let mut device = DeviceSim::new(DeviceKind::JetsonTx2, 0.0, cfg.seed);
     let reference = lr_kernels::DetectorSim::new(cfg.family);
 
     let mut chain: Vec<ChainSide> = Vec::new();
-    let mut labels: Vec<Labels> = Vec::new();
+    let mut branch_map: Vec<f32> = Vec::new();
     lr_pool::Pool::from_env().pipeline(
         PIPELINE_BOUND,
         |feed| {
@@ -297,17 +287,8 @@ fn profile_chain(
                     .into_iter()
                     .map(move |s| (v, video, s))
             });
-            for (n, (v, video, snippet)) in snippets.enumerate() {
+            for (v, video, snippet) in snippets {
                 let start = snippet[0].frame_index as usize;
-                let at = |item: &mut Handoff, feature| {
-                    item.snippet = n;
-                    item.video = v;
-                    item.start = start;
-                    item.len = snippet.len();
-                    item.feature = feature;
-                    item.frame_ends.clear();
-                    item.preds.clear();
-                };
 
                 // Reference detection on the first frame: the source of
                 // light features (detected boxes) and CPoP logits.
@@ -325,17 +306,12 @@ fn profile_chain(
                     branch_det_ms: Vec::with_capacity(cfg.catalog.len()),
                     branch_trk_ms: Vec::with_capacity(cfg.catalog.len()),
                 };
-                for (b, &branch) in cfg.catalog.iter().enumerate() {
-                    // The raster features go out spread over the
-                    // branches, so that no stretch of a consumer's work
-                    // is long enough to fill the queue.
-                    for (k, &kind) in RASTER_KINDS.iter().enumerate() {
-                        if k * cfg.catalog.len() / RASTER_KINDS.len() == b {
-                            feed.push(|item| at(item, Some(kind)));
-                        }
-                    }
-                    feed.push(|item| {
-                        at(item, None);
+                for &branch in &cfg.catalog {
+                    feed.push(|item: &mut Handoff| {
+                        item.video = v;
+                        item.start = start;
+                        item.frame_ends.clear();
+                        item.preds.clear();
                         let (det_ms, trk_ms) =
                             run_branch_on_snippet(cfg.family, branch, snippet, &mut device, item);
                         side.branch_det_ms.push(det_ms);
@@ -346,47 +322,15 @@ fn profile_chain(
             }
         },
         || MapAccumulator::new(0.5),
-        |acc, item: &Handoff| {
-            let scored = match item.feature {
-                None => Scored::Branch(score(acc, videos, item)),
-                Some(kind) => {
-                    let video = &videos[item.video];
-                    // HoC and HOG take no handle on the deep weights.
-                    let entry = raster_entry(kind, video, item.start, raster_size, &mut None);
-                    Scored::Feature(kind, entry.map(|e| e.decode(raster_size * raster_size)))
-                }
-            };
-            (item.snippet, scored)
-        },
-        |(snippet, scored)| {
-            if labels.len() == snippet {
-                labels.push(Labels::default());
-            }
-            let Some(labels) = labels.last_mut() else {
-                return;
-            };
-            match scored {
-                Scored::Feature(kind, Some(feature)) => {
-                    // Keep a copy made on this thread. The consumer's own
-                    // is freed at once, and its thread's allocator reuses
-                    // the memory for the next extraction; kept for the
-                    // dataset's lifetime, it would stay resident where
-                    // the caller's thread never reuses it (2 MB more peak
-                    // RSS in the benchmark's offline build).
-                    labels.heavy.insert(kind, feature.as_slice().to_vec());
-                }
-                Scored::Feature(_, None) => {}
-                Scored::Branch(map) => labels.branch_map.push(map),
-            }
-        },
+        |acc, item: &Handoff| score(acc, videos, item),
+        |map| branch_map.push(map),
     );
 
     let records = chain
         .into_iter()
-        .zip(labels)
-        .zip(deep)
-        .map(|((side, labels), mut heavy)| {
-            heavy.extend(labels.heavy);
+        .zip(branch_map.chunks_exact(cfg.catalog.len()))
+        .zip(heads)
+        .map(|((side, branch_map), mut heavy)| {
             heavy.insert(FeatureKind::CPoP, side.cpop);
             SnippetRecord {
                 video_id: side.video_id,
@@ -394,7 +338,7 @@ fn profile_chain(
                 len: side.len,
                 light: side.light,
                 heavy,
-                branch_map: labels.branch_map,
+                branch_map: branch_map.to_vec(),
                 branch_det_ms: side.branch_det_ms,
                 branch_trk_ms: side.branch_trk_ms,
             }
@@ -602,21 +546,21 @@ mod tests {
     }
 
     #[test]
-    fn the_deep_pass_lets_go_of_the_weights_before_the_chain_runs() {
+    fn the_head_pass_lets_go_of_the_weights_before_the_chain_runs() {
         // A private copy, so that no other test's handle keeps it alive.
         let (videos, cfg) = (tiny_videos(), tiny_config());
         let weights = Arc::new(DeepExtractors::new());
         let earlier = Arc::downgrade(&weights);
         let raster_size = FeatureService::new().raster_size();
-        let deep = deep_pass(weights, &videos, cfg.snippet_len, raster_size);
+        let heads = head_pass(weights, &videos, cfg.snippet_len, raster_size);
         assert!(
             earlier.upgrade().is_none(),
-            "the deep weights outlived the deep pass"
+            "the deep weights outlived the head pass"
         );
-        // The chain takes the deep features as they are and adds the
-        // others: the same records as profiling in one call.
+        // The chain takes the head features as they are and adds CPoP:
+        // the same records as profiling in one call.
         let want = profile_videos(&videos, &cfg, &FeatureService::new());
-        let got = profile_chain(&videos, &cfg, raster_size, deep);
+        let got = profile_chain(&videos, &cfg, heads);
         assert_eq!(got.records.len(), want.records.len());
         for (g, w) in got.records.iter().zip(&want.records) {
             assert_eq!(g.heavy, w.heavy);

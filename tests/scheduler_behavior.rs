@@ -1,7 +1,7 @@
 //! Integration tests pinning down the scheduler's decision behavior —
 //! the mechanisms behind each of the paper's claims, tested directly.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use litereconfig::offline::{profile_videos, OfflineConfig};
 use litereconfig::{train_scheduler, TrainConfig};
@@ -13,7 +13,16 @@ use lr_kernels::DetectorFamily;
 use lr_obs::NullSink;
 use lr_video::{Dataset, DatasetConfig, Split, Video};
 
+/// The trained scheduler and a validation video every test shares, built
+/// once per test binary, and a fresh feature service for the caller.
 fn build() -> (Arc<TrainedScheduler>, Video, FeatureService) {
+    static FIXTURE: OnceLock<(Arc<TrainedScheduler>, Video)> = OnceLock::new();
+    let (trained, video) = FIXTURE.get_or_init(fixture);
+    (trained.clone(), video.clone(), FeatureService::new())
+}
+
+/// Profiles three training videos and trains a scheduler on them.
+fn fixture() -> (Arc<TrainedScheduler>, Video) {
     let dataset = Dataset::new(DatasetConfig {
         train_vision: 0,
         train_scheduler: 3,
@@ -22,12 +31,11 @@ fn build() -> (Arc<TrainedScheduler>, Video, FeatureService) {
     });
     let train = dataset.videos(Split::TrainScheduler);
     let val = dataset.video(Split::Validation, 0);
-    let svc = FeatureService::new();
     let cfg = OfflineConfig {
         snippet_len: 50,
         ..OfflineConfig::paper(small_catalog(), DetectorFamily::FasterRcnn)
     };
-    let ds = profile_videos(&train, &cfg, &svc);
+    let ds = profile_videos(&train, &cfg, &FeatureService::new());
     // The byproduct-gating tests below need content models for the
     // detector-derived features, which the default tiny config skips.
     let train_cfg = TrainConfig {
@@ -40,7 +48,7 @@ fn build() -> (Arc<TrainedScheduler>, Video, FeatureService) {
         ..TrainConfig::tiny()
     };
     let trained = Arc::new(train_scheduler(&ds, DetectorFamily::FasterRcnn, &train_cfg));
-    (trained, val, svc)
+    (trained, val)
 }
 
 /// The decision must always return a valid catalog index and charge a
